@@ -59,6 +59,8 @@ def _validate_common(d: int, radius: float, theta: float | None = None) -> None:
         raise ValueError(f"--d must be >= 2, got {d}")
     if not radius > 0.0:
         raise ValueError(f"--radius must be positive, got {radius}")
+    if not math.isfinite(radius):
+        raise ValueError(f"--radius must be finite, got {radius}")
     if theta is not None and not THETA_EDGE <= theta <= math.pi - THETA_EDGE:
         raise ValueError(f"--theta must lie inside (0, pi), got {theta}")
 

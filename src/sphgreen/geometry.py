@@ -11,14 +11,19 @@ angles, innermost first.  The embedding consumes them outermost-in (the last
 entry produces the leading Cartesian component after x0), and the
 separation-angle product formula enumerates them in that same outermost-first
 order.
+
+Only the two embeddings build arrays; they import NumPy when first called, so
+the rest of the module runs on the standard library alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "HyperPoint",
@@ -75,6 +80,8 @@ class HyperPoint:
 
 def embed_direction(direction: tuple[float, ...]) -> np.ndarray:
     """Unit vector in R^d for a direction on S^{d-1} (d = len(direction) + 1)."""
+    import numpy as np
+
     phi = direction[0]
     k = len(direction) + 1
     v = np.empty(k)
@@ -93,6 +100,8 @@ def embed(p: HyperPoint) -> np.ndarray:
     x0 = R cos(theta) and the remaining block is R sin(theta) times the
     direction unit vector, so (x, x) = R^2.
     """
+    import numpy as np
+
     out = np.empty(p.dimension + 1)
     out[0] = p.radius * math.cos(p.polar)
     out[1:] = p.radius * math.sin(p.polar) * embed_direction(p.direction)

@@ -266,6 +266,8 @@ def fundamental_solution(d: int, radius: float, theta: float,
     """
     if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
+    if not math.isfinite(radius):
+        raise ValueError(f"radius must be finite, got {radius}")
     kv = radial_kernel(d, theta, rep)
     return normalization_constant(d) / radius ** (d - 2) * kv.value
 

@@ -3,16 +3,16 @@
 Finite-difference annihilation of the fundamental solution by the radial
 Laplacian, the distributional (test-function) identity by product quadrature,
 the zero-curvature limit against the Euclidean solution, and the
-cross-representation sweep against adaptive quadrature.
+cross-representation sweep against adaptive quadrature.  NumPy is imported by
+the checks that use it, when they are first called.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .geometry import HyperPoint, embed, geodesic_distance, volume_weight
 from .kernel import (
@@ -26,14 +26,13 @@ from .kernel import (
     i_d_quadrature,
     i_d_recurrence,
 )
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, ToleranceNotMetError, integrate
+from .specfun import gamma_real
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CheckReport",
-    "QuadratureSpec",
-    "ToleranceNotMetError",
-    "DEFAULT_QUADRATURE",
-    "integrate",
     "check_laplace_annihilation",
     "check_delta_identity",
     "check_euclidean_limit",
@@ -45,6 +44,20 @@ __all__ = [
     "hypersphere_volume",
     "box_volume",
 ]
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
+
+    The arrays are shared by every caller, so they are made read-only.
+    """
+    import numpy as np
+
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 @dataclass
@@ -108,7 +121,9 @@ def check_delta_identity(d: int, radius: float, nodes: int = 400,
         raise ValueError(f"need at least 50 nodes per axis, got {nodes}")
     if tolerance is None:
         tolerance = 1e-6 if d == 2 else 1e-5
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    import numpy as np
+
+    x, w = _gauss_legendre(nodes)
     theta = 0.5 * math.pi * (x + 1.0)
     w_theta = 0.5 * math.pi * w
     measured = 0.0
@@ -193,6 +208,8 @@ def check_cross_representation(d: int, thetas: Sequence[float] | None = None,
     their window.  Measured value is the worst relative deviation.
     """
     if thetas is None:
+        import numpy as np
+
         thetas = np.linspace(0.05, math.pi - 0.05, 50)
     worst = 0.0
     worst_at = ""
@@ -234,6 +251,8 @@ def random_hyperpoint(rng: np.random.Generator, d: int, radius: float) -> HyperP
 def check_distance_oracle(d: int, pairs: int = 1000, seed: int = 20260809,
                           tolerance: float = 1e-10) -> CheckReport:
     """Polar-form geodesic distance against the ambient-embedding distance."""
+    import numpy as np
+
     rng = np.random.default_rng(seed + d)
     worst = 0.0
     for _ in range(pairs):
@@ -255,7 +274,7 @@ def check_distance_oracle(d: int, pairs: int = 1000, seed: int = 20260809,
 
 def hypersphere_volume(d: int, radius: float) -> float:
     """2 pi^{(d+1)/2} R^d / Gamma((d+1)/2), the d-sphere's total volume."""
-    return 2.0 * math.pi ** ((d + 1) / 2.0) * radius**d / math.gamma((d + 1) / 2.0)
+    return 2.0 * math.pi ** ((d + 1) / 2.0) * radius**d / gamma_real((d + 1) / 2.0)
 
 
 def box_volume(d: int, radius: float, nodes: int = 256) -> float:
@@ -266,7 +285,7 @@ def box_volume(d: int, radius: float, nodes: int = 256) -> float:
     by evaluating the weight with every other coordinate held at pi/2 (where
     all sine factors equal 1), then the shared R^d factor is divided back out.
     """
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _gauss_legendre(nodes)
     ref_direction = tuple(0.5 * math.pi for _ in range(d - 1))
     axis_sums = []
 

@@ -2,15 +2,15 @@
 
 Thin contract layer over QUADPACK's globally adaptive Gauss-Kronrod scheme:
 nodes are strictly interior, so integrands may blow up at the interval
-endpoints as long as the integral exists.
+endpoints as long as the integral exists.  SciPy is imported on the first
+call of ``integrate``, so importing this module costs only the standard
+library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
-
-from scipy.integrate import quad as _quad
 
 __all__ = ["QuadratureSpec", "ToleranceNotMetError", "DEFAULT_QUADRATURE", "integrate"]
 
@@ -49,8 +49,10 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     """
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
-    out = _quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                limit=spec.max_subdivisions, full_output=True)
+    from scipy.integrate import quad
+
+    out = quad(f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+               limit=spec.max_subdivisions, full_output=True)
     value, estimate = out[0], out[1]
     if len(out) > 3:
         raise ToleranceNotMetError(str(out[3]), value, estimate)

@@ -31,9 +31,9 @@ from sphgreen.oracle import (
     check_laplace_annihilation,
     euclidean_limit_errors,
     hypersphere_volume,
-    integrate,
     random_hyperpoint,
 )
+from sphgreen.quadrature import integrate
 from sphgreen.specfun import (
     FerrersOrderDegree,
     double_factorial,

@@ -51,6 +51,18 @@ class TestEval:
         assert code == 3
         assert "0.98" in err
 
+    def test_infinite_radius_exits_2(self, capsys):
+        # a non-finite radius would scale every value to 0.0
+        for argv in (("eval", "--d", "3", "--theta", "1"),
+                     ("table", "--d", "3", "--n", "2", "--theta-min", "0.5",
+                      "--theta-max", "1.0"),
+                     ("distance", "--d", "2", "--point-a", "0.5,1.0",
+                      "--point-b", "1.0,2.0")):
+            code, out, err = run(capsys, *argv, "--radius", "inf")
+            assert code == 2
+            assert out == ""
+            assert "--radius must be finite" in err
+
     def test_window_violation_all_prints_skip(self, capsys):
         code, out, _ = run(capsys, "eval", "--d", "3", "--theta", "0.05",
                            "--method", "all")
@@ -240,3 +252,49 @@ class TestInstalledScript:
         assert proc.returncode == 0
         assert float(proc.stdout.strip()) == pytest.approx(1.0 / (4.0 * math.pi),
                                                            rel=1e-12)
+
+
+class TestImportHygiene:
+    """Default routes run on the standard library; SciPy/NumPy load on demand."""
+
+    @staticmethod
+    def loaded_after(tmp_path, *commands):
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import sphgreen.cli\n"
+            "codes = []\n"
+            f"for argv in {list(map(list, commands))!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(sphgreen.cli.main(argv))\n"
+            "print(json.dumps([codes, sorted(sys.modules)]))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        codes, modules = json.loads(proc.stdout)
+        assert codes == [0] * len(commands)
+        return set(modules)
+
+    def test_default_routes_import_neither_scipy_nor_numpy(self, tmp_path):
+        modules = self.loaded_after(
+            tmp_path,
+            ("eval", "--d", "7", "--theta", "1"),
+            ("distance", "--d", "3", "--point-a", "0.7,1.1,0.9",
+             "--point-b", "1.2,0.3,2.0"),
+            ("table", "--d", "4", "--theta-min", "0.1", "--theta-max", "3.0",
+             "--n", "5", "--methods", "finite_sum,recurrence",
+             "--out", str(tmp_path / "t.csv")),
+        )
+        assert "sphgreen.oracle" in modules and "sphgreen.quadrature" in modules
+        assert "numpy" not in modules and "scipy" not in modules
+
+    def test_quadrature_route_imports_scipy(self, tmp_path):
+        modules = self.loaded_after(
+            tmp_path, ("eval", "--d", "7", "--theta", "1", "--method", "quadrature"))
+        assert "scipy.integrate" in modules

@@ -218,6 +218,11 @@ class TestFundamentalSolution:
         with pytest.raises(ValueError):
             fundamental_solution(3, 1.0, 4.0)
 
+    def test_rejects_non_finite_radius(self):
+        for radius in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                fundamental_solution(3, radius, 1.0)
+
 
 class TestEuclideanFundamental:
     def test_three_dimensional(self):

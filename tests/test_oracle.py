@@ -3,8 +3,6 @@ import math
 import pytest
 
 from sphgreen.oracle import (
-    QuadratureSpec,
-    ToleranceNotMetError,
     check_cross_representation,
     check_delta_identity,
     check_distance_oracle,
@@ -12,8 +10,8 @@ from sphgreen.oracle import (
     check_laplace_annihilation,
     check_volume,
     euclidean_limit_errors,
-    integrate,
 )
+from sphgreen.quadrature import QuadratureSpec, ToleranceNotMetError, integrate
 
 
 class TestIntegrate:
