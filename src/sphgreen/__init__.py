@@ -40,6 +40,7 @@ from .kernel import (
     i_d_recurrence,
     normalization_constant,
     radial_kernel,
+    solution_scale,
 )
 from .oracle import (
     CheckReport,

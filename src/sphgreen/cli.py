@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 
@@ -23,8 +24,8 @@ from .kernel import (
     THETA_EDGE,
     Representation,
     SeriesWindowError,
-    normalization_constant,
     radial_kernel,
+    solution_scale,
 )
 from .oracle import (
     CheckReport,
@@ -65,23 +66,31 @@ def _validate_common(d: int, radius: float, theta: float | None = None) -> None:
         raise ValueError(f"--theta must lie inside (0, pi), got {theta}")
 
 
-def _solution_value(d: int, radius: float, theta: float, method: str, tol: float):
+def _solution_scale(d: int, radius: float) -> float:
+    """c0(d) / R^(d-2); a radius whose power leaves double range is a bad argument."""
+    try:
+        return solution_scale(d, radius)
+    except ValueError as exc:
+        raise ValueError(f"--radius: {exc}") from None
+
+
+def _solution_value(scale: float, d: int, theta: float, method: str, tol: float):
     """(value, est_error) of the fundamental solution through one route."""
     kv = radial_kernel(d, theta, Representation(method), tol=tol)
-    scale = normalization_constant(d) / radius ** (d - 2)
     return scale * kv.value, abs(scale) * kv.est_error
 
 
 def cmd_eval(args) -> int:
     _validate_common(args.d, args.radius, args.theta)
+    scale = _solution_scale(args.d, args.radius)
     if args.method != "all":
-        value, _ = _solution_value(args.d, args.radius, args.theta, args.method, args.tol)
+        value, _ = _solution_value(scale, args.d, args.theta, args.method, args.tol)
         print(fmt(value))
         return EXIT_OK
     values = {}
     for method in METHOD_ORDER:
         try:
-            value, err = _solution_value(args.d, args.radius, args.theta, method, args.tol)
+            value, err = _solution_value(scale, args.d, args.theta, method, args.tol)
         except SeriesWindowError:
             print(f"{method} skipped series-window")
             continue
@@ -121,13 +130,14 @@ def cmd_table(args) -> int:
     if args.n < 2:
         raise ValueError(f"--n must be >= 2, got {args.n}")
     methods = _parse_methods(args.methods)
+    scale = _solution_scale(args.d, args.radius)
     step = (args.theta_max - args.theta_min) / (args.n - 1)
     rows = []
     for i in range(args.n):
         theta = args.theta_min + i * step
         for method in methods:
             try:
-                value, err = _solution_value(args.d, args.radius, theta, method, args.tol)
+                value, err = _solution_value(scale, args.d, theta, method, args.tol)
             except (SeriesWindowError, NonConvergenceError, ToleranceNotMetError):
                 value, err = math.nan, math.nan
             rows.append((str(args.d), fmt(args.radius), fmt(theta), method,
@@ -249,7 +259,9 @@ def cmd_distance(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="sphgreen",
         description="Fundamental solution of Laplace's equation on the "

@@ -17,6 +17,7 @@ from .quadrature import QuadratureSpec, integrate
 from .specfun import (
     DEFAULT_SERIES,
     FerrersOrderDegree,
+    NonConvergenceError,
     SeriesControl,
     double_factorial,
     ferrers_q,
@@ -38,6 +39,7 @@ __all__ = [
     "radial_kernel",
     "normalization_constant",
     "fundamental_solution",
+    "solution_scale",
     "euclidean_fundamental",
     "log_cot_half",
 ]
@@ -215,6 +217,31 @@ def i_d_hyp2f1(d: int, theta: float, euler: bool = False,
     return _wrap(value, method, abs(value) * ctl.rel_tol)
 
 
+def _check_ferrers_series(d: int, z: float, ctl: SeriesControl) -> None:
+    """Raise NonConvergenceError when 2F1(1/2, d/2; 3/2; z) provably cannot stop.
+
+    The terms are t_k = z^k u_k / (2k+1) with u_k = (d/2)_k / k!, which does
+    not decrease for d >= 2, so every partial sum obeys
+    S_m <= u_m A(z) with A(z) = atanh(sqrt z) / sqrt z.  Hence
+    t_m / S_m >= z^N / ((2N+1) A(z)) for all m <= N = ctl.max_terms; once that
+    bound exceeds twice ctl.rel_tol (the factor covers rounding), no term
+    can meet the stopping rule of ``gauss_2f1``.
+    """
+    n = ctl.max_terms
+    zn = z**n
+    if zn == 0.0:
+        # the bound is 0 (z below about 0.993 at the default cap, or z = 0)
+        return
+    root = math.sqrt(z)
+    # atanh(sqrt z) = log1p(sqrt z) - log1p(-z)/2 stays finite for every z < 1
+    bound = zn / ((2 * n + 1) * (math.log1p(root) - 0.5 * math.log1p(-z)) / root)
+    if bound > 2.0 * ctl.rel_tol:
+        raise NonConvergenceError(
+            f"Ferrers series 2F1(0.5,{d / 2.0};1.5;{z}) cannot converge in {n} terms: "
+            f"each term is at least {bound:.3g} of its partial sum, more than "
+            f"twice rel_tol={ctl.rel_tol:g}", math.nan, 0)
+
+
 def i_d_ferrers(d: int, theta: float, ctl: SeriesControl = DEFAULT_SERIES) -> KernelValue:
     """Ferrers-Q route: prefactor times sin^{1-d/2} Q_{d/2-1}^{1-d/2}(cos)."""
     _check_dimension(d)
@@ -224,6 +251,7 @@ def i_d_ferrers(d: int, theta: float, ctl: SeriesControl = DEFAULT_SERIES) -> Ke
         raise SeriesWindowError(
             f"cos^2(theta) rounds to 1 in double precision at theta={theta}: "
             "use finite_sum, recurrence or quadrature here")
+    _check_ferrers_series(d, x * x, ctl)
     nu = d / 2.0 - 1.0
     q = ferrers_q(FerrersOrderDegree(nu, -nu, x), ctl)
     prefactor = math.factorial(d - 2) / (gamma_real(d / 2.0) * 2.0 ** (d / 2.0 - 1.0))
@@ -264,12 +292,31 @@ def fundamental_solution(d: int, radius: float, theta: float,
     Value is c0(d) / R^{d-2} * I_d(theta) with theta the geodesic angle; it
     vanishes at theta = pi/2 and diverges to +inf/-inf at the two poles.
     """
+    return solution_scale(d, radius) * radial_kernel(d, theta, rep).value
+
+
+def solution_scale(d: int, radius: float) -> float:
+    """c0(d) / R^{d-2}, the factor that turns I_d(theta) into the solution.
+
+    Raises ValueError for a radius that is not positive and finite, and for
+    one whose power R^{d-2} leaves the double range: underflow would divide
+    by zero and overflow would raise, or the factor would silently become
+    0 or inf.
+    """
     if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
     if not math.isfinite(radius):
         raise ValueError(f"radius must be finite, got {radius}")
-    kv = radial_kernel(d, theta, rep)
-    return normalization_constant(d) / radius ** (d - 2) * kv.value
+    c0 = normalization_constant(d)
+    try:
+        scale = c0 / radius ** (d - 2)
+    except (OverflowError, ZeroDivisionError):
+        scale = math.nan
+    # an infinite c0 is the separate Gamma(d/2) overflow at large d
+    if math.isnan(scale) or (math.isfinite(c0) and not 0.0 < scale < math.inf):
+        raise ValueError(
+            f"radius ** (d - 2) leaves the double range at radius={radius!r}, d={d}")
+    return scale
 
 
 def euclidean_fundamental(d: int, r: float) -> float:

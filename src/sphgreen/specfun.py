@@ -130,13 +130,19 @@ def gauss_2f1(a: float, b: float, c: float, z: float,
         raise GammaPoleError(f"2F1 undefined for nonpositive integer c={c}")
     if not abs(z) < 1.0:
         raise ValueError(f"series requires |z| < 1, got z={z}")
+    # tol * max(|total|, 1e-300) == max(tol * |total|, floor) exactly, because
+    # multiplying by tol > 0 preserves order after rounding; this form makes
+    # no builtin call per term
+    tol = ctl.rel_tol
+    floor = tol * 1e-300
     total = 1.0
     term = 1.0
     below = 0
     for n in range(ctl.max_terms):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
-        if abs(term) <= ctl.rel_tol * max(abs(total), 1e-300):
+        mag = term if term >= 0.0 else -term
+        if mag <= tol * (total if total >= 0.0 else -total) or mag <= floor:
             below += 1
             if below == 3:
                 return total

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -62,6 +63,18 @@ class TestEval:
             assert code == 2
             assert out == ""
             assert "--radius must be finite" in err
+
+    @pytest.mark.parametrize("d, radius", [("10", "1e-300"), ("1000", "10")])
+    def test_radius_power_out_of_range_exits_2(self, capsys, d, radius):
+        # radius ** (d - 2) underflows to 0 (was ZeroDivisionError) or
+        # overflows (was OverflowError): a bad argument, not a traceback
+        for argv in (("eval", "--theta", "1"),
+                     ("table", "--n", "2", "--theta-min", "0.5", "--theta-max", "1.0",
+                      "--methods", "finite_sum")):
+            code, out, err = run(capsys, *argv, "--d", d, "--radius", radius)
+            assert code == 2
+            assert out == ""
+            assert "--radius" in err and f"d={d}" in err
 
     def test_window_violation_all_prints_skip(self, capsys):
         code, out, _ = run(capsys, "eval", "--d", "3", "--theta", "0.05",
@@ -252,6 +265,47 @@ class TestInstalledScript:
         assert proc.returncode == 0
         assert float(proc.stdout.strip()) == pytest.approx(1.0 / (4.0 * math.pi),
                                                            rel=1e-12)
+
+
+class TestParserReuse:
+    def test_one_process_prints_what_fresh_processes_print(self, tmp_path):
+        # main() builds the parser once per process and reuses it across calls
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        commands = [
+            ["eval", "--d", "5", "--theta", "0.4", "--method", "ferrers"],
+            ["table", "--d", "4", "--theta-min", "0.1", "--theta-max", "3.0",
+             "--n", "5", "--methods", "finite_sum,recurrence"],
+            ["eval", "--d", "3", "--theta", "9"],
+            ["eval", "--d", "3", "--theta", "1", "--method", "bogus"],
+            ["distance", "--d", "3", "--point-a", "0.7,1.1,0.9",
+             "--point-b", "1.2,0.3,2.0"],
+            ["eval", "--d", "3", "--theta", "1.0"],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+        def fresh(argv):
+            proc = subprocess.run([sys.executable, "-m", "sphgreen.cli", *argv],
+                                  capture_output=True, text=True, env=env, cwd=tmp_path)
+            return [proc.returncode, proc.stdout, proc.stderr]
+
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import sphgreen.cli\n"
+            "results = []\n"
+            f"for argv in {commands!r}:\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        code = sphgreen.cli.main(argv)\n"
+            "    results.append([code, out.getvalue(), err.getvalue()])\n"
+            "print(json.dumps(results))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [fresh(argv) for argv in commands]
 
 
 class TestImportHygiene:

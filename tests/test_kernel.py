@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,15 @@ from sphgreen.kernel import (
     log_cot_half,
     normalization_constant,
     radial_kernel,
+    solution_scale,
+)
+from sphgreen.specfun import (
+    DEFAULT_SERIES,
+    FerrersOrderDegree,
+    NonConvergenceError,
+    SeriesControl,
+    ferrers_q,
+    gauss_2f1,
 )
 
 # 20 angles away from the poles, on both sides of the equator
@@ -142,6 +152,41 @@ class TestFerrersRoute:
         assert i_d_ferrers(4, math.pi / 3.0).value == pytest.approx(reference, rel=1e-10)
 
 
+class TestFerrersEarlyExit:
+    """The proven no-convergence exit of the Ferrers route near the poles."""
+
+    @pytest.mark.parametrize("d", [2, 3, 40, 60])
+    @pytest.mark.parametrize("theta", [0.013, math.pi - 0.013])
+    def test_exit_fires_only_where_the_series_fails(self, d, theta):
+        with pytest.raises(NonConvergenceError, match="cannot converge"):
+            i_d_ferrers(d, theta)
+        with pytest.raises(NonConvergenceError):
+            gauss_2f1(0.5, d / 2.0, 1.5, math.cos(theta) ** 2, DEFAULT_SERIES)
+
+    def test_scan_matches_direct_ferrers_q(self):
+        # d = 2: the prefactor and the sine power are 1, so I_2 is Q itself;
+        # the scan crosses the exit bound (0.0142) and the onset of convergence
+        for k in range(21):
+            theta = 0.012 + 0.0002 * k
+            x = math.cos(theta)
+            try:
+                expected = ferrers_q(FerrersOrderDegree(0.0, -0.0, x))
+            except NonConvergenceError:
+                with pytest.raises(NonConvergenceError):
+                    i_d_ferrers(2, theta)
+            else:
+                assert i_d_ferrers(2, theta).value == expected
+
+    def test_exit_follows_the_series_control(self):
+        # a looser tolerance lets the series stop where the default cannot;
+        # a shorter cap moves the bound away from the pole
+        theta = 0.013
+        loose = i_d_ferrers(3, theta, SeriesControl(rel_tol=1e-8))
+        assert loose.value == pytest.approx(math.cos(theta) / math.sin(theta), rel=1e-4)
+        with pytest.raises(NonConvergenceError, match="cannot converge in 10 terms"):
+            i_d_ferrers(3, 0.5, SeriesControl(max_terms=10))
+
+
 class TestKernelProperties:
     def test_odd_symmetry(self):
         for d in range(2, 11):
@@ -222,6 +267,16 @@ class TestFundamentalSolution:
         for radius in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 fundamental_solution(3, radius, 1.0)
+
+    def test_rejects_radius_power_out_of_double_range(self):
+        # underflow to 0, a subnormal power, and overflow of R ** (d - 2)
+        for d, radius in ((10, 1e-300), (10, 1e-40), (1000, 10.0), (10, 1e40)):
+            with pytest.raises(ValueError, match=re.escape(f"radius={radius!r}, d={d}")):
+                fundamental_solution(d, radius, 1.0)
+
+    def test_scale_is_the_kernel_factor(self):
+        assert solution_scale(4, 2.0) == normalization_constant(4) / 4.0
+        assert solution_scale(2, 1e-300) == normalization_constant(2)
 
 
 class TestEuclideanFundamental:

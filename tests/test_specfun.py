@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sphgreen.specfun import (
+    DEFAULT_SERIES,
     FerrersOrderDegree,
     GammaPoleError,
     NonConvergenceError,
@@ -30,6 +33,40 @@ def brute_force_2f1(a, b, c, z, terms=100000):
         if term == 0.0 or abs(term) < 1e-18 * abs(total):
             break
     return total
+
+
+def reference_gauss_2f1(a, b, c, z, ctl=DEFAULT_SERIES):
+    """The abs/max summation loop ``gauss_2f1`` used to run, frozen as the bit reference."""
+    if c <= 0.0 and c == round(c):
+        raise GammaPoleError(f"2F1 undefined for nonpositive integer c={c}")
+    if not abs(z) < 1.0:
+        raise ValueError(f"series requires |z| < 1, got z={z}")
+    total = 1.0
+    term = 1.0
+    below = 0
+    for n in range(ctl.max_terms):
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+        total += term
+        if abs(term) <= ctl.rel_tol * max(abs(total), 1e-300):
+            below += 1
+            if below == 3:
+                return total
+        else:
+            below = 0
+    raise NonConvergenceError("reference loop did not converge", total, ctl.max_terms)
+
+
+def outcome(fn, *args):
+    """repr of the value, or of the error with its partial sum and term count.
+
+    repr tells -0.0 from 0.0 and compares NaN equal to NaN.
+    """
+    try:
+        return repr(fn(*args))
+    except NonConvergenceError as exc:
+        return ("NonConvergenceError", repr(exc.partial_sum), exc.terms)
+    except (GammaPoleError, ValueError) as exc:
+        return type(exc).__name__
 
 
 class TestGamma:
@@ -222,3 +259,41 @@ class TestFerrersQ:
                           / gamma_real(nu + 0.5)
                           * gauss_2f1(0.5, nu + 1.0, 1.5, x * x))
                 assert abs(direct - closed) / max(1.0, abs(closed)) <= 1e-11
+
+
+# derandomized and without a database, so Tier-1 is repeatable and writes nothing
+BIT_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+PARAMETER = st.one_of(
+    st.floats(-30.0, 30.0, allow_nan=False),
+    st.integers(-30, 30).map(float),
+    st.integers(-60, 60).map(lambda k: k / 2.0),
+)
+
+
+class TestGauss2F1BitIdentity:
+    """The summation loop returns exactly what the reference loop returns, and
+    raises NonConvergenceError in exactly the same cases."""
+
+    @BIT_SETTINGS
+    @given(a=PARAMETER, b=PARAMETER, c=PARAMETER,
+           z=st.floats(-1.0, 1.0, allow_nan=False),
+           max_terms=st.integers(1, 3000),
+           rel_tol=st.sampled_from([1e-15, 1e-12, 1e-8, 1e-3, 0.5]))
+    @example(a=0.5, b=5.0, c=1.5, z=0.999, max_terms=60, rel_tol=1e-15)
+    @example(a=-3.0, b=1.0, c=1.5, z=0.9, max_terms=100, rel_tol=1e-15)
+    @example(a=1e300, b=1e300, c=1.0, z=0.5, max_terms=10, rel_tol=1e-15)
+    @example(a=0.0, b=0.0, c=1.0, z=-0.0, max_terms=1, rel_tol=1e-15)
+    def test_random_parameters(self, a, b, c, z, max_terms, rel_tol):
+        ctl = SeriesControl(rel_tol=rel_tol, max_terms=max_terms)
+        assert (outcome(gauss_2f1, a, b, c, z, ctl)
+                == outcome(reference_gauss_2f1, a, b, c, z, ctl))
+
+    @BIT_SETTINGS
+    @given(d=st.integers(2, 60), z=st.floats(0.0, 0.98, allow_nan=False))
+    @example(d=60, z=0.98)
+    @example(d=2, z=0.98)
+    @example(d=45, z=0.0)
+    def test_kernel_series(self, d, z):
+        # the direct and Euler-transformed series of the hypergeometric routes
+        for args in ((0.5, d / 2.0, 1.5, z), (1.0, (3.0 - d) / 2.0, 1.5, z)):
+            assert outcome(gauss_2f1, *args) == outcome(reference_gauss_2f1, *args)
