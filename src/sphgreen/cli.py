@@ -19,23 +19,15 @@ import math
 import sys
 
 from .geometry import HyperPoint, geodesic_distance, separation_angle
-from .harmonics import DegenerateBranchError, QuantumNumbers, RadialSolutionKind, ode_convergence_order
 from .kernel import (
     THETA_EDGE,
+    RadiusRangeError,
     Representation,
     SeriesWindowError,
     radial_kernel,
     solution_scale,
 )
-from .oracle import (
-    CheckReport,
-    check_cross_representation,
-    check_delta_identity,
-    check_distance_oracle,
-    check_euclidean_limit,
-    check_volume,
-    euclidean_limit_errors,
-)
+from .oracle import SUITES
 from .quadrature import ToleranceNotMetError
 from .specfun import NonConvergenceError
 
@@ -45,7 +37,7 @@ EXIT_BAD_ARGS = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_IO = 4
 
-METHOD_ORDER = ("quadrature", "finite_sum", "recurrence", "hyp2f1", "hyp2f1_euler", "ferrers")
+METHOD_ORDER = tuple(rep.value for rep in Representation)
 
 CSV_HEADER = ("d", "R", "theta", "method", "value", "est_error")
 
@@ -67,10 +59,10 @@ def _validate_common(d: int, radius: float, theta: float | None = None) -> None:
 
 
 def _solution_scale(d: int, radius: float) -> float:
-    """c0(d) / R^(d-2); a radius whose power leaves double range is a bad argument."""
+    """c0(d) / R^(d-2); a radius or d that puts it out of double range is a bad argument."""
     try:
         return solution_scale(d, radius)
-    except ValueError as exc:
+    except RadiusRangeError as exc:
         raise ValueError(f"--radius: {exc}") from None
 
 
@@ -158,78 +150,6 @@ def cmd_table(args) -> int:
         if stream is not sys.stdout:
             stream.close()
     return EXIT_OK
-
-
-def _ode_suite() -> list[CheckReport]:
-    reports = []
-    for d in range(2, 8):
-        for l in range(0, 3):
-            q = QuantumNumbers(d, l)
-            for kind in RadialSolutionKind:
-                worst = None
-                note = ""
-                skipped = None
-                for theta in (0.5, 1.0, 2.0):
-                    try:
-                        order = ode_convergence_order(q, kind, theta)
-                    except ValueError as exc:
-                        skipped = f"outside Ferrers parameter domain ({exc})"
-                        break
-                    except DegenerateBranchError as exc:
-                        skipped = f"degenerate branch ({exc})"
-                        break
-                    if order is None:
-                        note = "; some residuals at rounding floor"
-                        continue
-                    if worst is None or abs(order - 2.0) > abs(worst - 2.0):
-                        worst = order
-                name = f"ode-order d={d} l={l} {kind.value}"
-                if skipped is not None:
-                    reports.append(CheckReport(name, 0.0, 0.0, math.inf, True,
-                                               f"skipped: {skipped}"))
-                elif worst is None:
-                    reports.append(CheckReport(name, 2.0, 2.0, 0.2, True,
-                                               "operator annihilates branch to rounding"))
-                else:
-                    reports.append(CheckReport(
-                        name, worst, 2.0, 0.2, abs(worst - 2.0) <= 0.2,
-                        f"worst convergence order over theta in (0.5, 1.0, 2.0){note}"))
-    return reports
-
-
-def _delta_suite() -> list[CheckReport]:
-    return [check_delta_identity(d, radius) for d in (2, 3) for radius in (1.0, 5.0)]
-
-
-def _limit_suite() -> list[CheckReport]:
-    radii = [10.0, 100.0, 1000.0, 10000.0]
-    reports = [check_euclidean_limit(3, 1.0, radii)]
-    errors = euclidean_limit_errors(3, 1.0, radii)
-    slope = (math.log(errors[-1]) - math.log(errors[0])) / (math.log(radii[-1]) - math.log(radii[0]))
-    reports.append(CheckReport("euclidean-limit-slope d=3", slope, -2.0, 0.2,
-                               abs(slope + 2.0) <= 0.2,
-                               f"log-log slope across radii {radii}"))
-    reports.append(check_euclidean_limit(2, 1.0, radii))
-    return reports
-
-
-def _xrep_suite() -> list[CheckReport]:
-    return [check_cross_representation(d) for d in range(2, 11)]
-
-
-def _geometry_suite() -> list[CheckReport]:
-    reports = [check_distance_oracle(d, pairs=200) for d in range(2, 7)]
-    reports += [check_volume(d) for d in (2, 3, 4)]
-    return reports
-
-
-SUITES = {
-    "ode": _ode_suite,
-    "delta": _delta_suite,
-    "limit": _limit_suite,
-    "xrep": _xrep_suite,
-    "geometry": _geometry_suite,
-}
 
 
 def cmd_check(args) -> int:

@@ -29,6 +29,7 @@ __all__ = [
     "Representation",
     "KernelValue",
     "SeriesWindowError",
+    "RadiusRangeError",
     "THETA_EDGE",
     "SERIES_WINDOW",
     "i_d_quadrature",
@@ -59,8 +60,12 @@ class SeriesWindowError(ValueError):
     """
 
 
+class RadiusRangeError(ValueError):
+    """A radius R whose power R^{d-2} leaves the double range."""
+
+
 class Representation(enum.Enum):
-    """Evaluation route for the radial kernel; AUTO resolves to FINITE_SUM."""
+    """Evaluation route for the radial kernel; FINITE_SUM is the default."""
 
     QUADRATURE = "quadrature"
     FINITE_SUM = "finite_sum"
@@ -68,7 +73,6 @@ class Representation(enum.Enum):
     HYP2F1 = "hyp2f1"
     HYP2F1_EULER = "hyp2f1_euler"
     FERRERS_Q = "ferrers"
-    AUTO = "auto"
 
 
 @dataclass(frozen=True)
@@ -131,41 +135,25 @@ def i_d_quadrature(d: int, theta: float, tol: float = 1e-11) -> KernelValue:
 def i_d_finite_sum(d: int, theta: float) -> KernelValue:
     """Closed-form evaluation, exact in O(d) arithmetic operations.
 
-    Even d uses the log-cot form; odd d evaluates both printed closed forms
-    (factorial-weighted cotangent powers and double-factorial-weighted inverse
-    sine powers), requires them to agree to 1e-12, and returns the first.
+    I_d = (d-3)!!/(d-2)!! [B + cos(theta) sum_j (j-1)!!/j!! sin^{-(j+1)}(theta)]
+    over j = d-3, d-5, ... >= 0, with B = log cot(theta/2) for even d and
+    B = 0 for odd d (the double-factorial inverse-sine variant).  The
+    double-factorial ratios are int/int divisions, so they stay finite
+    where the factorials themselves leave the double range.
     """
     _check_dimension(d)
     _check_theta(theta)
     c, s = math.cos(theta), math.sin(theta)
+    base = log_cot_half(theta) if d % 2 == 0 else 0.0
+    acc = 0.0
     try:
-        if d % 2 == 0:
-            acc = 0.0
-            for k in range(1, d // 2):
-                acc += double_factorial(2 * k - 2) / double_factorial(2 * k - 1) / s ** (2 * k)
-            value = (double_factorial(d - 3) / double_factorial(d - 2)
-                     * (log_cot_half(theta) + c * acc))
-            return _wrap(value, Representation.FINITE_SUM, 0.0)
-        half = (d - 1) // 2
-        cot = c / s
-        first = 0.0
-        for k in range(1, half + 1):
-            first += cot ** (2 * k - 1) / (
-                (2 * k - 1) * math.factorial(k - 1) * math.factorial((d - 2 * k - 1) // 2))
-        first *= math.factorial((d - 3) // 2)
-        second = 0.0
-        for k in range(1, half + 1):
-            second += double_factorial(2 * k - 3) / double_factorial(2 * k - 2) / s ** (2 * k - 1)
-        second *= double_factorial(d - 3) / double_factorial(d - 2) * c
-    except (OverflowError, ZeroDivisionError):
-        # cot/inverse-sine powers past double range right next to a pole
+        for j in range(1 - d % 2, d - 2, 2):
+            acc += double_factorial(j - 1) / double_factorial(j) / s ** (j + 1)
+    except ZeroDivisionError:
+        # sin(theta) ** (j + 1) underflows right next to a pole
         return _saturated(theta, Representation.FINITE_SUM)
-    spread = abs(first - second)
-    if spread > 1e-12 * max(1.0, abs(first), abs(second)):
-        raise ArithmeticError(
-            f"odd-d closed-form variants disagree at d={d}, theta={theta}: "
-            f"{first} vs {second}")
-    return _wrap(first, Representation.FINITE_SUM, spread)
+    value = double_factorial(d - 3) / double_factorial(d - 2) * (base + c * acc)
+    return _wrap(value, Representation.FINITE_SUM, 0.0)
 
 
 def i_d_recurrence(d: int, theta: float) -> KernelValue:
@@ -259,11 +247,9 @@ def i_d_ferrers(d: int, theta: float, ctl: SeriesControl = DEFAULT_SERIES) -> Ke
     return _wrap(value, Representation.FERRERS_Q, abs(value) * ctl.rel_tol)
 
 
-def radial_kernel(d: int, theta: float, rep: Representation = Representation.AUTO,
+def radial_kernel(d: int, theta: float, rep: Representation = Representation.FINITE_SUM,
                   tol: float = 1e-11, ctl: SeriesControl = DEFAULT_SERIES) -> KernelValue:
     """Evaluate I_d(theta) through the requested representation."""
-    if rep is Representation.AUTO:
-        rep = Representation.FINITE_SUM
     if rep is Representation.QUADRATURE:
         return i_d_quadrature(d, theta, tol)
     if rep is Representation.FINITE_SUM:
@@ -280,13 +266,24 @@ def radial_kernel(d: int, theta: float, rep: Representation = Representation.AUT
 
 
 def normalization_constant(d: int) -> float:
-    """Gamma(d/2) / (2 pi^{d/2}), fixed by matching the local singularity."""
+    """Gamma(d/2) / (2 pi^{d/2}), fixed by matching the local singularity.
+
+    Raises ValueError naming d where c0 leaves the double range: Gamma(d/2)
+    overflows from d = 344 and pi^{d/2} from about d = 1241.
+    """
     _check_dimension(d)
-    return gamma_real(d / 2.0) / (2.0 * math.pi ** (d / 2.0))
+    try:
+        c0 = gamma_real(d / 2.0) / (2.0 * math.pi ** (d / 2.0))
+    except OverflowError:
+        c0 = math.inf
+    if not math.isfinite(c0):
+        raise ValueError(f"normalization constant c0(d) = Gamma(d/2) / (2 pi^(d/2)) "
+                         f"leaves the double range at d={d}")
+    return c0
 
 
 def fundamental_solution(d: int, radius: float, theta: float,
-                         rep: Representation = Representation.AUTO) -> float:
+                         rep: Representation = Representation.FINITE_SUM) -> float:
     """Spherically symmetric fundamental solution of -Laplace on the sphere.
 
     Value is c0(d) / R^{d-2} * I_d(theta) with theta the geodesic angle; it
@@ -298,23 +295,24 @@ def fundamental_solution(d: int, radius: float, theta: float,
 def solution_scale(d: int, radius: float) -> float:
     """c0(d) / R^{d-2}, the factor that turns I_d(theta) into the solution.
 
-    Raises ValueError for a radius that is not positive and finite, and for
-    one whose power R^{d-2} leaves the double range: underflow would divide
-    by zero and overflow would raise, or the factor would silently become
-    0 or inf.
+    Raises ValueError for a radius that is not positive and finite, and
+    RadiusRangeError for one whose power R^{d-2} leaves the double range:
+    underflow would divide by zero and overflow would raise, or the factor
+    would silently become 0 or inf.  Only then is c0(d) computed, which
+    raises ValueError for a d whose c0 leaves the double range.
     """
     if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
     if not math.isfinite(radius):
         raise ValueError(f"radius must be finite, got {radius}")
-    c0 = normalization_constant(d)
+    _check_dimension(d)
     try:
-        scale = c0 / radius ** (d - 2)
-    except (OverflowError, ZeroDivisionError):
-        scale = math.nan
-    # an infinite c0 is the separate Gamma(d/2) overflow at large d
-    if math.isnan(scale) or (math.isfinite(c0) and not 0.0 < scale < math.inf):
-        raise ValueError(
+        power = radius ** (d - 2)
+    except OverflowError:
+        power = math.inf
+    scale = normalization_constant(d) / power if 0.0 < power < math.inf else math.nan
+    if not 0.0 < scale < math.inf:
+        raise RadiusRangeError(
             f"radius ** (d - 2) leaves the double range at radius={radius!r}, d={d}")
     return scale
 

@@ -1,10 +1,12 @@
 """Independent verification engines for the hypersphere kernel.
 
 Finite-difference annihilation of the fundamental solution by the radial
-Laplacian, the distributional (test-function) identity by product quadrature,
-the zero-curvature limit against the Euclidean solution, and the
-cross-representation sweep against adaptive quadrature.  NumPy is imported by
-the checks that use it, when they are first called.
+Laplacian, the convergence order of the radial-harmonic ODE residual, the
+distributional (test-function) identity by product quadrature, the
+zero-curvature limit against the Euclidean solution, and the
+cross-representation sweep against adaptive quadrature.  ``SUITES`` groups
+them into the suites that ``sphgreen check`` runs.  NumPy is imported by the
+checks that use it, when they are first called.
 """
 
 from __future__ import annotations
@@ -15,16 +17,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .geometry import HyperPoint, embed, geodesic_distance, volume_weight
+from .harmonics import DegenerateBranchError, QuantumNumbers, RadialSolutionKind, ode_convergence_order
 from .kernel import (
-    SERIES_WINDOW,
     Representation,
+    SeriesWindowError,
     euclidean_fundamental,
     fundamental_solution,
-    i_d_ferrers,
-    i_d_finite_sum,
-    i_d_hyp2f1,
     i_d_quadrature,
-    i_d_recurrence,
+    radial_kernel,
 )
 from .specfun import gamma_real
 
@@ -32,8 +32,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
+    "SUITES",
     "CheckReport",
     "check_laplace_annihilation",
+    "check_ode_order",
     "check_delta_identity",
     "check_euclidean_limit",
     "euclidean_limit_errors",
@@ -101,6 +103,39 @@ def check_laplace_annihilation(d: int, radius: float, theta: float,
         tolerance=tolerance,
         passed=measured <= tolerance,
         detail=f"h={h}; relative: residual scaled by max(1,|terms|)={scale:.6g}")
+
+
+ODE_ANGLES = (0.5, 1.0, 2.0)
+
+
+def check_ode_order(q: QuantumNumbers, kind: RadialSolutionKind) -> CheckReport:
+    """Convergence order of the radial-harmonic ODE residual for one branch.
+
+    The order farthest from 2 over ``ODE_ANGLES`` must lie within 0.2 of 2.
+    A branch outside the Ferrers parameter domain, or identically
+    (near-)zero, is reported as skipped; one that the operator annihilates
+    to rounding at every angle passes.
+    """
+    name = f"ode-order d={q.dimension} l={q.angular} {kind.value}"
+    worst = None
+    note = ""
+    for theta in ODE_ANGLES:
+        try:
+            order = ode_convergence_order(q, kind, theta)
+        except ValueError as exc:
+            return CheckReport(name, 0.0, 0.0, math.inf, True,
+                               f"skipped: outside Ferrers parameter domain ({exc})")
+        except DegenerateBranchError as exc:
+            return CheckReport(name, 0.0, 0.0, math.inf, True,
+                               f"skipped: degenerate branch ({exc})")
+        if order is None:
+            note = "; some residuals at rounding floor"
+        elif worst is None or abs(order - 2.0) > abs(worst - 2.0):
+            worst = order
+    if worst is None:
+        return CheckReport(name, 2.0, 2.0, 0.2, True, "operator annihilates branch to rounding")
+    return CheckReport(name, worst, 2.0, 0.2, abs(worst - 2.0) <= 0.2,
+                       f"worst convergence order over theta in {ODE_ANGLES}{note}")
 
 
 def check_delta_identity(d: int, radius: float, nodes: int = 400,
@@ -177,6 +212,13 @@ def check_euclidean_limit(d: int, r: float, radii: Sequence[float],
     (increasing) radii and the last one meets the tolerance; both facts are
     recorded in the detail field.
     """
+    return _euclidean_limit_reports(d, r, radii, tolerance)[0]
+
+
+def _euclidean_limit_reports(d: int, r: float, radii: Sequence[float],
+                             tolerance: float | None = None) -> tuple[CheckReport, CheckReport]:
+    """``check_euclidean_limit`` and the check that the differences fall like
+    R^-2 (log-log slope -2 +/- 0.2), both from one set of differences."""
     radii = list(radii)
     errors = euclidean_limit_errors(d, r, radii)
     monotone = all(b < a for a, b in zip(errors, errors[1:]))
@@ -188,7 +230,7 @@ def check_euclidean_limit(d: int, r: float, radii: Sequence[float],
         tolerance = 1e-6 if d == 3 else math.inf
     passed = monotone and errors[-1] <= tolerance
     kind = "absolute" if d == 2 else "relative"
-    return CheckReport(
+    limit = CheckReport(
         name=f"euclidean-limit d={d} r={r}",
         measured=errors[-1],
         expected=0.0,
@@ -196,16 +238,35 @@ def check_euclidean_limit(d: int, r: float, radii: Sequence[float],
         passed=passed,
         detail=(f"{kind} differences {['%.3e' % e for e in errors]} at radii {radii}; "
                 f"monotone decrease={monotone}; log-log slope={slope:.3f}"))
+    return limit, CheckReport(f"euclidean-limit-slope d={d}", slope, -2.0, 0.2,
+                              abs(slope + 2.0) <= 0.2, f"log-log slope across radii {radii}")
+
+
+def _finite_sum_cot(d: int, theta: float) -> float:
+    """Odd-d I_d by the paper's factorial-weighted cotangent powers.
+
+    ((d-3)/2)! sum_{k=1}^{(d-1)/2} cot^{2k-1} / ((2k-1) (k-1)! ((d-2k-1)/2)!),
+    the printed variant that ``i_d_finite_sum`` does not evaluate.  The
+    factorials overflow a double from d = 343.
+    """
+    cot = math.cos(theta) / math.sin(theta)
+    total = 0.0
+    for k in range(1, (d - 1) // 2 + 1):
+        total += cot ** (2 * k - 1) / (
+            (2 * k - 1) * math.factorial(k - 1) * math.factorial((d - 2 * k - 1) // 2))
+    return math.factorial((d - 3) // 2) * total
 
 
 def check_cross_representation(d: int, thetas: Sequence[float] | None = None,
                                quad_tol: float = 1e-11,
                                tolerance: float = 1e-9) -> CheckReport:
-    """All closed-form and series routes against the quadrature oracle.
+    """Every other kernel route against the quadrature oracle.
 
-    Finite sum, recurrence and the Ferrers-Q form are compared on the full
-    grid; the two hypergeometric series only where cos^2(theta) stays inside
-    their window.  Measured value is the worst relative deviation.
+    Each route is evaluated through ``radial_kernel`` and skipped only at the
+    angles it refuses with SeriesWindowError (the hypergeometric series
+    outside their window).  For odd d the cotangent variant of the closed
+    form is compared too, as ``finite_sum_cot``.  Measured value is the worst
+    relative deviation.
     """
     if thetas is None:
         import numpy as np
@@ -217,14 +278,15 @@ def check_cross_representation(d: int, thetas: Sequence[float] | None = None,
     for theta in thetas:
         reference = i_d_quadrature(d, theta, quad_tol).value
         denom = max(abs(reference), 1e-300)
-        candidates = {
-            "finite_sum": i_d_finite_sum(d, theta).value,
-            "recurrence": i_d_recurrence(d, theta).value,
-            "ferrers": i_d_ferrers(d, theta).value,
-        }
-        if math.cos(theta) ** 2 <= SERIES_WINDOW:
-            candidates["hyp2f1"] = i_d_hyp2f1(d, theta).value
-            candidates["hyp2f1_euler"] = i_d_hyp2f1(d, theta, euler=True).value
+        candidates = {}
+        for rep in Representation:
+            if rep is not Representation.QUADRATURE:
+                try:
+                    candidates[rep.value] = radial_kernel(d, theta, rep).value
+                except SeriesWindowError:
+                    pass
+        if d % 2:
+            candidates["finite_sum_cot"] = _finite_sum_cot(d, theta)
         for name, value in candidates.items():
             routes += 1
             dev = abs(value - reference) / denom
@@ -323,3 +385,18 @@ def check_volume(d: int, radius: float = 1.0, nodes: int = 256,
         tolerance=tolerance,
         passed=rel <= tolerance,
         detail=f"relative error {rel:.3e}; {nodes} nodes/axis")
+
+
+LIMIT_RADII = (10.0, 100.0, 1000.0, 10000.0)
+
+# suite name -> the checks that ``sphgreen check <suite>`` runs, in print order
+SUITES = {
+    "ode": lambda: [check_ode_order(QuantumNumbers(d, l), kind)
+                    for d in range(2, 8) for l in range(3) for kind in RadialSolutionKind],
+    "delta": lambda: [check_delta_identity(d, radius) for d in (2, 3) for radius in (1.0, 5.0)],
+    "limit": lambda: [*_euclidean_limit_reports(3, 1.0, LIMIT_RADII),
+                      check_euclidean_limit(2, 1.0, LIMIT_RADII)],
+    "xrep": lambda: [check_cross_representation(d) for d in range(2, 11)],
+    "geometry": lambda: ([check_distance_oracle(d, pairs=200) for d in range(2, 7)]
+                         + [check_volume(d) for d in (2, 3, 4)]),
+}

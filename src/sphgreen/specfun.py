@@ -103,7 +103,8 @@ def gamma_real(z: float) -> float:
             return float(math.factorial(int(round(z)) - 1))
         m = int(round(z - 0.5))
         if m >= 0:
-            return double_factorial(2 * m - 1) / 2.0**m * _SQRT_PI
+            # int / int is correctly rounded where (2m-1)!! alone overflows a double
+            return double_factorial(2 * m - 1) / 2**m * _SQRT_PI
         # negative half-integer: climb to Gamma(1/2) with Gamma(z+1) = z Gamma(z)
         k = int(round(0.5 - z))
         return _SQRT_PI / pochhammer(z, k)

@@ -76,6 +76,28 @@ class TestEval:
             assert out == ""
             assert "--radius" in err and f"d={d}" in err
 
+    @pytest.mark.parametrize("d", ["344", "400", "2000"])
+    def test_normalization_out_of_range_exits_2(self, capsys, d):
+        # c0(d) = Gamma(d/2) / (2 pi^(d/2)) leaves double range: was inf with
+        # exit 0 (d = 344, 400) or an OverflowError traceback (d = 2000)
+        for argv in (("eval", "--theta", "1"),
+                     ("table", "--n", "2", "--theta-min", "0.5", "--theta-max", "1.0",
+                      "--methods", "finite_sum")):
+            code, out, err = run(capsys, *argv, "--d", d)
+            assert code == 2
+            assert out == ""
+            assert f"d={d}" in err and "radius" not in err
+
+    def test_large_odd_d_matches_recurrence(self, capsys):
+        # Gamma(151.5) once overflowed in the int-to-float conversion of 301!!
+        values = []
+        for method in ("finite_sum", "recurrence"):
+            code, out, _ = run(capsys, "eval", "--d", "303", "--theta", "1", "--method", method)
+            assert code == 0
+            values.append(float(out))
+        assert math.isfinite(values[1])
+        assert abs(values[0] - values[1]) <= 1e-12 * abs(values[1])
+
     def test_window_violation_all_prints_skip(self, capsys):
         code, out, _ = run(capsys, "eval", "--d", "3", "--theta", "0.05",
                            "--method", "all")

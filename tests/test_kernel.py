@@ -19,6 +19,7 @@ from sphgreen.kernel import (
     radial_kernel,
     solution_scale,
 )
+from sphgreen.oracle import _finite_sum_cot
 from sphgreen.specfun import (
     DEFAULT_SERIES,
     FerrersOrderDegree,
@@ -96,6 +97,17 @@ class TestFiniteSumRoute:
             for theta in THETA_GRID:
                 kv = i_d_finite_sum(d, theta)
                 assert kv.est_error <= 1e-12 * max(1.0, abs(kv.value))
+                # the paper's other printed variant, kept as an oracle
+                assert abs(_finite_sum_cot(d, theta) - kv.value) <= 1e-12 * max(1.0, abs(kv.value))
+
+    @pytest.mark.parametrize("d", [343, 345, 401, 1001])
+    def test_large_odd_d_stays_finite(self, d):
+        # factorial weights overflow a double from d = 343; double-factorial
+        # ratios do not
+        got = i_d_finite_sum(d, 1.0).value
+        want = i_d_recurrence(d, 1.0).value
+        assert math.isfinite(want)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 class TestRecurrenceRoute:
@@ -273,6 +285,15 @@ class TestFundamentalSolution:
         for d, radius in ((10, 1e-300), (10, 1e-40), (1000, 10.0), (10, 1e40)):
             with pytest.raises(ValueError, match=re.escape(f"radius={radius!r}, d={d}")):
                 fundamental_solution(d, radius, 1.0)
+
+    @pytest.mark.parametrize("d", [344, 400, 1240, 1241, 2000])
+    def test_rejects_normalization_out_of_double_range(self, d):
+        # Gamma(d/2) overflows from d = 344, pi ** (d/2) from d = 1241
+        for call in (lambda: normalization_constant(d), lambda: solution_scale(d, 1.0)):
+            with pytest.raises(ValueError, match=re.escape(f"at d={d}")) as failure:
+                call()
+            assert "radius" not in str(failure.value)
+        assert math.isfinite(normalization_constant(343))
 
     def test_scale_is_the_kernel_factor(self):
         assert solution_scale(4, 2.0) == normalization_constant(4) / 4.0

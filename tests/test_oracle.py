@@ -2,12 +2,14 @@ import math
 
 import pytest
 
+from sphgreen.harmonics import QuantumNumbers, RadialSolutionKind
 from sphgreen.oracle import (
     check_cross_representation,
     check_delta_identity,
     check_distance_oracle,
     check_euclidean_limit,
     check_laplace_annihilation,
+    check_ode_order,
     check_volume,
     euclidean_limit_errors,
 )
@@ -68,6 +70,28 @@ class TestLaplaceAnnihilation:
                 for theta in (0.5, 1.5, 2.5):
                     report = check_laplace_annihilation(d, radius, theta, 1e-3)
                     assert report.passed, report.line()
+
+
+class TestOdeOrder:
+    def test_measured_branch(self):
+        report = check_ode_order(QuantumNumbers(3, 0), RadialSolutionKind.U1_PLUS)
+        assert report.name == "ode-order d=3 l=0 u1+"
+        assert report.passed and report.measured != 2.0
+        assert abs(report.measured - 2.0) <= 0.2 and report.tolerance == 0.2
+        assert report.detail.startswith("worst convergence order over theta in (0.5, 1.0, 2.0)")
+
+    def test_annihilated_branch(self):
+        report = check_ode_order(QuantumNumbers(3, 0), RadialSolutionKind.U1_MINUS)
+        assert report.passed and report.measured == 2.0
+        assert report.detail == "operator annihilates branch to rounding"
+
+    def test_skipped_branches(self):
+        degenerate = check_ode_order(QuantumNumbers(3, 1), RadialSolutionKind.U2_PLUS)
+        outside = check_ode_order(QuantumNumbers(3, 1), RadialSolutionKind.U1_MINUS)
+        for report in (degenerate, outside):
+            assert report.passed and report.tolerance == math.inf
+        assert degenerate.detail.startswith("skipped: degenerate branch (")
+        assert outside.detail.startswith("skipped: outside Ferrers parameter domain (")
 
 
 class TestDeltaIdentity:

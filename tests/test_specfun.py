@@ -86,6 +86,9 @@ class TestGamma:
 
     def test_large_arguments(self):
         assert gamma_real(171.5) == pytest.approx(math.gamma(171.5), rel=1e-14)
+        # (2m-1)!! alone leaves double range from z = 151.5
+        for z in (151.5, 170.5):
+            assert gamma_real(z) == pytest.approx(math.gamma(z), rel=1e-14)
         assert gamma_real(200.0) == math.inf
         assert reciprocal_gamma(200.0) == 0.0
 
