@@ -21,7 +21,6 @@ import sys
 from .geometry import HyperPoint, geodesic_distance, separation_angle
 from .kernel import (
     THETA_EDGE,
-    RadiusRangeError,
     Representation,
     SeriesWindowError,
     radial_kernel,
@@ -58,23 +57,14 @@ def _validate_common(d: int, radius: float, theta: float | None = None) -> None:
         raise ValueError(f"--theta must lie inside (0, pi), got {theta}")
 
 
-def _solution_scale(d: int, radius: float) -> float:
-    """c0(d) / R^(d-2); a radius or d that puts it out of double range is a bad argument."""
-    try:
-        return solution_scale(d, radius)
-    except RadiusRangeError as exc:
-        raise ValueError(f"--radius: {exc}") from None
-
-
-def _solution_value(scale: float, d: int, theta: float, method: str, tol: float):
+def _solution_value(scale: tuple[float, int], d: int, theta: float, method: str, tol: float):
     """(value, est_error) of the fundamental solution through one route."""
-    kv = radial_kernel(d, theta, Representation(method), tol=tol)
-    return scale * kv.value, abs(scale) * kv.est_error
+    return radial_kernel(d, theta, Representation(method), tol=tol).scaled(scale)
 
 
 def cmd_eval(args) -> int:
     _validate_common(args.d, args.radius, args.theta)
-    scale = _solution_scale(args.d, args.radius)
+    scale = solution_scale(args.d, args.radius)
     if args.method != "all":
         value, _ = _solution_value(scale, args.d, args.theta, args.method, args.tol)
         print(fmt(value))
@@ -122,7 +112,7 @@ def cmd_table(args) -> int:
     if args.n < 2:
         raise ValueError(f"--n must be >= 2, got {args.n}")
     methods = _parse_methods(args.methods)
-    scale = _solution_scale(args.d, args.radius)
+    scale = solution_scale(args.d, args.radius)
     step = (args.theta_max - args.theta_min) / (args.n - 1)
     rows = []
     for i in range(args.n):

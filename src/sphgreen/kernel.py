@@ -5,12 +5,18 @@ several equivalent routes (defining integral, closed-form finite sums, the
 antiderivative recurrence, two hypergeometric series and a Ferrers-Q form),
 plus the normalized fundamental solution on the sphere and the Euclidean
 reference solution.
+
+Every route computes the bounded kernel K_d = sin^{d-2}(theta) I_d(theta).
+``_scaled`` multiplies it by the unbounded factors c0(d), R^{2-d} and
+sin^{2-d}(theta), kept as (mantissa, exponent) pairs, and rounds once, so a
+value is +-inf or 0.0 only where the exact one lies outside double range.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .quadrature import QuadratureSpec, integrate
@@ -21,7 +27,6 @@ from .specfun import (
     SeriesControl,
     double_factorial,
     ferrers_q,
-    gamma_real,
     gauss_2f1,
 )
 
@@ -29,7 +34,6 @@ __all__ = [
     "Representation",
     "KernelValue",
     "SeriesWindowError",
-    "RadiusRangeError",
     "THETA_EDGE",
     "SERIES_WINDOW",
     "i_d_quadrature",
@@ -51,6 +55,12 @@ THETA_EDGE = 1e-12
 # direct series routes are only offered while cos^2(theta) stays below this
 SERIES_WINDOW = 0.98
 
+# a frexp mantissa in [1/2, 1) raised to at most this power stays within
+# 2^(+-1000), inside the normal double range
+_POWER_CHUNK = 1000
+# (pi - math.pi) / math.pi
+_PI_ROUNDING = 3.8981718325193755e-17
+
 
 class SeriesWindowError(ValueError):
     """Series route refused outside its reliability window.
@@ -58,10 +68,6 @@ class SeriesWindowError(ValueError):
     Callers should fall back to the finite-sum, recurrence or quadrature
     representation, which are valid on all of (0, pi).
     """
-
-
-class RadiusRangeError(ValueError):
-    """A radius R whose power R^{d-2} leaves the double range."""
 
 
 class Representation(enum.Enum):
@@ -75,18 +81,80 @@ class Representation(enum.Enum):
     FERRERS_Q = "ferrers"
 
 
+def _int_pair(n: int) -> tuple[float, int]:
+    """A positive integer of any size as a (mantissa, exponent) pair."""
+    e = n.bit_length()
+    return n / (1 << e), e  # int / int is correctly rounded
+
+
+def _power(x: float, n: int) -> tuple[float, int]:
+    """x^n for x > 0 as a (mantissa, exponent) pair, whatever its size."""
+    m, e = math.frexp(x)
+    pm, pe = 1.0, e * n
+    while n:
+        k = max(-_POWER_CHUNK, min(_POWER_CHUNK, n))
+        pm, g = math.frexp(pm * m**k)
+        pe += g
+        n -= k
+    return pm, pe
+
+
+def _scaled(x: float, *pairs: tuple[float, int]) -> float:
+    """x times the (mantissa, exponent) pairs, brought into double range once.
+
+    The result is +-inf or 0.0 only where the exact product lies outside
+    double range.  This is the one place where overflow is handled.
+    """
+    e = 0
+    for m, k in pairs:
+        x *= m
+        e += k
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 @dataclass(frozen=True)
 class KernelValue:
-    """Kernel value with the route that produced it and a rough error bound.
+    """K_d(theta) = sin^{d-2}(theta) I_d(theta) from one route, with a rough error bound.
 
-    ``overflowed`` flags saturation to +/-inf in the cot/log terms very close
-    to the poles.
+    ``sine_power`` is sin^{2-d}(theta) as a (mantissa, exponent) pair.
+    ``value`` and ``est_error`` are I_d and its error bound; ``overflowed``
+    says that I_d lies outside double range (``value`` is +-inf).
     """
 
-    value: float
+    kernel: float
+    kernel_error: float
     method: Representation
-    est_error: float
-    overflowed: bool = False
+    sine_power: tuple[float, int]
+
+    def scaled(self, scale: tuple[float, int]) -> tuple[float, float]:
+        """(value, error bound) of scale * I_d, for a (mantissa, exponent) scale."""
+        return (_scaled(self.kernel, scale, self.sine_power),
+                _scaled(self.kernel_error, scale, self.sine_power))
+
+    @property
+    def value(self) -> float:
+        return _scaled(self.kernel, self.sine_power)
+
+    @property
+    def est_error(self) -> float:
+        return _scaled(self.kernel_error, self.sine_power)
+
+    @property
+    def overflowed(self) -> bool:
+        return math.isinf(self.value)
+
+
+def _kernel_value(method: Representation, d: int, sine: float, kernel: float,
+                  error: float) -> KernelValue:
+    """The one constructor of KernelValue; refuses a K that is not finite."""
+    if not math.isfinite(kernel):
+        raise NonConvergenceError(
+            f"{method.value} route: the kernel sin^(d-2) I_d is {kernel} at d={d}",
+            kernel, 0)
+    return KernelValue(kernel, error, method, _power(sine, 2 - d))
 
 
 def _check_dimension(d: int) -> None:
@@ -101,108 +169,114 @@ def _check_theta(theta: float) -> None:
 
 
 def log_cot_half(theta: float) -> float:
-    """log cot(theta/2), the d = 2 kernel."""
-    return -math.log(math.tan(0.5 * theta))
+    """log cot(theta/2), the d = 2 kernel.
 
-
-def _wrap(value: float, method: Representation, est_error: float) -> KernelValue:
-    overflowed = not math.isfinite(value)
-    return KernelValue(value, method, est_error if math.isfinite(est_error) else math.inf,
-                       overflowed)
-
-
-def _saturated(theta: float, method: Representation) -> KernelValue:
-    # the kernel tends to +inf at the near pole and -inf at the far one
-    sign = 1.0 if theta < 0.5 * math.pi else -1.0
-    return KernelValue(sign * math.inf, method, math.inf, True)
+    Evaluated as asinh(cot theta), which keeps full relative accuracy both
+    near the poles and near pi/2, where -log tan(theta/2) cancels.
+    """
+    return math.asinh(math.cos(theta) / math.sin(theta))
 
 
 def i_d_quadrature(d: int, theta: float, tol: float = 1e-11) -> KernelValue:
-    """Adaptive quadrature of the defining integral; the verification route."""
+    """Adaptive quadrature of the defining integral; the verification route.
+
+    With u = asinh(cot x), dx / sin x = -du and sin x = sech u, so
+    K_d = +-integral from 0 to |u0| of (sin(theta) cosh u)^{d-2} du with
+    u0 = asinh(cot theta).  The integrand is at most 1 and rises to 1 at |u0|
+    over a width of about 1/(d-2); the interval is cut at |u0| - 2^k/(d-2)
+    while that step is below |u0|/16, so that no piece hides the peak.
+    """
     _check_dimension(d)
     _check_theta(theta)
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    half_pi = 0.5 * math.pi
-    if theta == half_pi:
-        return KernelValue(0.0, Representation.QUADRATURE, 0.0)
-    a, b, sign = (theta, half_pi, 1.0) if theta < half_pi else (half_pi, theta, -1.0)
+    c, s = math.cos(theta), math.sin(theta)
+    if theta == 0.5 * math.pi:
+        return _kernel_value(Representation.QUADRATURE, d, s, 0.0, 0.0)
+    u0 = abs(math.asinh(c / s))
+    points = [u0]
+    step = 1.0
+    while step < (d - 2) * u0 / 16.0:
+        points.append(u0 - step / (d - 2))
+        step *= 2.0
+    points.append(0.0)
     spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, max_subdivisions=200)
-    value, estimate = integrate(lambda x: math.sin(x) ** (1 - d), a, b, spec)
-    return _wrap(sign * value, Representation.QUADRATURE, estimate)
+    integrand = lambda u: (s * math.cosh(u)) ** (d - 2)
+    value = estimate = 0.0
+    for hi, lo in zip(points, points[1:]):
+        piece, err = integrate(integrand, lo, hi, spec)
+        value += piece
+        estimate += err
+    return _kernel_value(Representation.QUADRATURE, d, s, math.copysign(value, c), estimate)
 
 
 def i_d_finite_sum(d: int, theta: float) -> KernelValue:
     """Closed-form evaluation, exact in O(d) arithmetic operations.
 
-    I_d = (d-3)!!/(d-2)!! [B + cos(theta) sum_j (j-1)!!/j!! sin^{-(j+1)}(theta)]
-    over j = d-3, d-5, ... >= 0, with B = log cot(theta/2) for even d and
-    B = 0 for odd d (the double-factorial inverse-sine variant).  The
-    double-factorial ratios are int/int divisions, so they stay finite
-    where the factorials themselves leave the double range.
+    I_d = (d-3)!!/(d-2)!! [B + cos(theta) sum_j (j-1)!!/j!! s^{-(j+1)}] with
+    s = sin(theta), over j = d-3, d-5, ... >= 0, and B = log cot(theta/2) for
+    even d, B = 0 for odd d (the double-factorial inverse-sine variant).  So
+    K_d = (d-3)!!/(d-2)!! [B s^{d-2} + cos(theta) sum_j (j-1)!!/j!! s^{d-3-j}],
+    summed by Horner's rule in s^2.  The int/int ratios stay finite where the
+    factorials themselves leave the double range.
     """
     _check_dimension(d)
     _check_theta(theta)
     c, s = math.cos(theta), math.sin(theta)
-    base = log_cot_half(theta) if d % 2 == 0 else 0.0
+    s2 = s * s
     acc = 0.0
-    try:
-        for j in range(1 - d % 2, d - 2, 2):
-            acc += double_factorial(j - 1) / double_factorial(j) / s ** (j + 1)
-    except ZeroDivisionError:
-        # sin(theta) ** (j + 1) underflows right next to a pole
-        return _saturated(theta, Representation.FINITE_SUM)
-    value = double_factorial(d - 3) / double_factorial(d - 2) * (base + c * acc)
-    return _wrap(value, Representation.FINITE_SUM, 0.0)
+    for j in range(1 - d % 2, d - 2, 2):
+        acc = acc * s2 + double_factorial(j - 1) / double_factorial(j)
+    kernel = c * acc
+    if d % 2 == 0:
+        kernel += log_cot_half(theta) * s ** (d - 2)
+    kernel *= double_factorial(d - 3) / double_factorial(d - 2)
+    return _kernel_value(Representation.FINITE_SUM, d, s, kernel, 0.0)
 
 
 def i_d_recurrence(d: int, theta: float) -> KernelValue:
-    """Climb J_m = cos/((m-1) sin^{m-1}) + (m-2)/(m-1) J_{m-2} up to m = d-1.
+    """Climb K_m = cos/(m-1) + (m-2)/(m-1) sin^2 K_{m-2} up to m = d-1.
 
-    Bases: J_0 = pi/2 - theta and J_1 = log cot(theta/2).  All recurrence
+    K_m = sin^{m-1} J_m scales the antiderivative recurrence of J_m = integral
+    of 1/sin^m.  Bases: K_1 = log cot(theta/2) and K_2 = cos(theta).  All
     terms share the sign of cos(theta), so the climb is cancellation-free.
     """
     _check_dimension(d)
     _check_theta(theta)
-    m = d - 1
     c, s = math.cos(theta), math.sin(theta)
-    if m % 2 == 0:
-        j = 0.5 * math.pi - theta
-        start = 0
+    s2 = s * s
+    if d % 2 == 0:
+        kernel, start = log_cot_half(theta), 1
     else:
-        j = log_cot_half(theta)
-        start = 1
-    try:
-        for k in range(start + 2, m + 1, 2):
-            j = c / ((k - 1) * s ** (k - 1)) + (k - 2) / (k - 1) * j
-    except (OverflowError, ZeroDivisionError):
-        return _saturated(theta, Representation.RECURRENCE)
-    return _wrap(j, Representation.RECURRENCE, 0.0)
+        kernel, start = c, 2
+    for m in range(start + 2, d, 2):
+        kernel = c / (m - 1) + (m - 2) / (m - 1) * s2 * kernel
+    return _kernel_value(Representation.RECURRENCE, d, s, kernel, 0.0)
 
 
 def i_d_hyp2f1(d: int, theta: float, euler: bool = False,
                ctl: SeriesControl = DEFAULT_SERIES) -> KernelValue:
     """Hypergeometric series route, valid while cos^2(theta) <= 0.98.
 
-    Direct form: cos(theta) 2F1(1/2, d/2; 3/2; cos^2 theta).  With ``euler``
-    the transformed series cos/sin^{d-2} 2F1(1, (3-d)/2; 3/2; cos^2 theta)
+    Direct form: K_d = sin^{d-2} cos 2F1(1/2, d/2; 3/2; cos^2 theta).  With
+    ``euler`` the transformed series K_d = cos 2F1(1, (3-d)/2; 3/2; cos^2 theta)
     is used instead.
     """
     _check_dimension(d)
     _check_theta(theta)
-    c = math.cos(theta)
+    c, s = math.cos(theta), math.sin(theta)
     z = c * c
     if z > SERIES_WINDOW:
         raise SeriesWindowError(
             f"cos^2(theta) = {z:.6f} > {SERIES_WINDOW}: use finite_sum, "
             "recurrence or quadrature here")
     if euler:
-        value = c / math.sin(theta) ** (d - 2) * gauss_2f1(1.0, (3.0 - d) / 2.0, 1.5, z, ctl)
+        kernel = c * gauss_2f1(1.0, (3.0 - d) / 2.0, 1.5, z, ctl)
         method = Representation.HYP2F1_EULER
     else:
-        value = c * gauss_2f1(0.5, d / 2.0, 1.5, z, ctl)
+        kernel = _scaled(c * gauss_2f1(0.5, d / 2.0, 1.5, z, ctl), _power(s, d - 2))
         method = Representation.HYP2F1
-    return _wrap(value, method, abs(value) * ctl.rel_tol)
+    return _kernel_value(method, d, s, kernel, abs(kernel) * ctl.rel_tol)
 
 
 def _check_ferrers_series(d: int, z: float, ctl: SeriesControl) -> None:
@@ -231,10 +305,15 @@ def _check_ferrers_series(d: int, z: float, ctl: SeriesControl) -> None:
 
 
 def i_d_ferrers(d: int, theta: float, ctl: SeriesControl = DEFAULT_SERIES) -> KernelValue:
-    """Ferrers-Q route: prefactor times sin^{1-d/2} Q_{d/2-1}^{1-d/2}(cos)."""
+    """Ferrers-Q route: K_d = p(d) sin^{d/2-1} Q_{d/2-1}^{1-d/2}(cos theta).
+
+    The prefactor p(d) = (d-2)! / (Gamma(d/2) 2^{d/2-1}) equals (d-3)!! for
+    even d and (d-3)!! sqrt(2/pi) for odd d.  Where Q underflows below the
+    normal double range (from d = 343 at theta = 1) the route is refused.
+    """
     _check_dimension(d)
     _check_theta(theta)
-    x = math.cos(theta)
+    x, s = math.cos(theta), math.sin(theta)
     if x * x >= 1.0:
         raise SeriesWindowError(
             f"cos^2(theta) rounds to 1 in double precision at theta={theta}: "
@@ -242,9 +321,14 @@ def i_d_ferrers(d: int, theta: float, ctl: SeriesControl = DEFAULT_SERIES) -> Ke
     _check_ferrers_series(d, x * x, ctl)
     nu = d / 2.0 - 1.0
     q = ferrers_q(FerrersOrderDegree(nu, -nu, x), ctl)
-    prefactor = math.factorial(d - 2) / (gamma_real(d / 2.0) * 2.0 ** (d / 2.0 - 1.0))
-    value = prefactor * math.sin(theta) ** (1.0 - d / 2.0) * q
-    return _wrap(value, Representation.FERRERS_Q, abs(value) * ctl.rel_tol)
+    if abs(q) < sys.float_info.min:
+        raise SeriesWindowError(
+            f"Ferrers Q = {q} underflows the normal double range at d={d}, theta={theta}: "
+            "use finite_sum, recurrence or quadrature here")
+    if d % 2:
+        q *= math.sqrt(2.0 * s / math.pi)
+    kernel = _scaled(q, _int_pair(double_factorial(d - 3)), _power(s, (d - 2) // 2))
+    return _kernel_value(Representation.FERRERS_Q, d, s, kernel, abs(kernel) * ctl.rel_tol)
 
 
 def radial_kernel(d: int, theta: float, rep: Representation = Representation.FINITE_SUM,
@@ -266,20 +350,36 @@ def radial_kernel(d: int, theta: float, rep: Representation = Representation.FIN
 
 
 def normalization_constant(d: int) -> float:
-    """Gamma(d/2) / (2 pi^{d/2}), fixed by matching the local singularity.
-
-    Raises ValueError naming d where c0 leaves the double range: Gamma(d/2)
-    overflows from d = 344 and pi^{d/2} from about d = 1241.
-    """
+    """Gamma(d/2) / (2 pi^{d/2}), fixed by matching the local singularity."""
     _check_dimension(d)
-    try:
-        c0 = gamma_real(d / 2.0) / (2.0 * math.pi ** (d / 2.0))
-    except OverflowError:
-        c0 = math.inf
-    if not math.isfinite(c0):
-        raise ValueError(f"normalization constant c0(d) = Gamma(d/2) / (2 pi^(d/2)) "
-                         f"leaves the double range at d={d}")
-    return c0
+    return _scaled(1.0, solution_scale(d, 1.0))
+
+
+def solution_scale(d: int, radius: float) -> tuple[float, int]:
+    """c0(d) / R^{d-2}, the factor that turns I_d(theta) into the solution.
+
+    c0(d) = Gamma(d/2) / (2 pi^{d/2}) comes from the exact integer in Gamma:
+    it is (d/2-1)! / (2 pi^{d/2}) for even d and, as Gamma(d/2) = (d-2)!!
+    sqrt(pi) / 2^{(d-1)/2}, (d-2)!! / (2^{(d+1)/2} pi^{(d-1)/2}) for odd d.
+    The factor is a (mantissa, exponent) pair for ``KernelValue.scaled``, so
+    it never overflows; d may be any integer >= 1.  Raises ValueError for a
+    radius that is not positive and finite.
+    """
+    if not radius > 0.0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    if not math.isfinite(radius):
+        raise ValueError(f"radius must be finite, got {radius}")
+    if int(d) != d or d < 1:
+        raise ValueError(f"dimension must be an integer >= 1, got {d}")
+    if d % 2 == 0:
+        n, twos, pis = math.factorial(d // 2 - 1), 1, d // 2
+    else:
+        n, twos, pis = double_factorial(d - 2), (d + 1) // 2, (d - 1) // 2
+    m, e = _int_pair(n)
+    pm, pe = _power(math.pi, -pis)
+    rm, re = _power(radius, 2 - d)
+    # pi = math.pi (1 + _PI_ROUNDING): correct the power of math.pi to first order
+    return m * pm * rm * (1.0 - pis * _PI_ROUNDING), e + pe + re - twos
 
 
 def fundamental_solution(d: int, radius: float, theta: float,
@@ -289,40 +389,14 @@ def fundamental_solution(d: int, radius: float, theta: float,
     Value is c0(d) / R^{d-2} * I_d(theta) with theta the geodesic angle; it
     vanishes at theta = pi/2 and diverges to +inf/-inf at the two poles.
     """
-    return solution_scale(d, radius) * radial_kernel(d, theta, rep).value
-
-
-def solution_scale(d: int, radius: float) -> float:
-    """c0(d) / R^{d-2}, the factor that turns I_d(theta) into the solution.
-
-    Raises ValueError for a radius that is not positive and finite, and
-    RadiusRangeError for one whose power R^{d-2} leaves the double range:
-    underflow would divide by zero and overflow would raise, or the factor
-    would silently become 0 or inf.  Only then is c0(d) computed, which
-    raises ValueError for a d whose c0 leaves the double range.
-    """
-    if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if not math.isfinite(radius):
-        raise ValueError(f"radius must be finite, got {radius}")
-    _check_dimension(d)
-    try:
-        power = radius ** (d - 2)
-    except OverflowError:
-        power = math.inf
-    scale = normalization_constant(d) / power if 0.0 < power < math.inf else math.nan
-    if not 0.0 < scale < math.inf:
-        raise RadiusRangeError(
-            f"radius ** (d - 2) leaves the double range at radius={radius!r}, d={d}")
-    return scale
+    scale = solution_scale(d, radius)
+    return radial_kernel(d, theta, rep).scaled(scale)[0]
 
 
 def euclidean_fundamental(d: int, r: float) -> float:
     """Fundamental solution of -Laplace in flat d-space at distance r."""
-    if int(d) != d or d < 1:
-        raise ValueError(f"dimension must be an integer >= 1, got {d}")
     if not r > 0.0:
         raise ValueError(f"distance must be positive, got {r}")
     if d == 2:
         return math.log(1.0 / r) / (2.0 * math.pi)
-    return gamma_real(d / 2.0) / (2.0 * math.pi ** (d / 2.0) * (d - 2)) * r ** (2 - d)
+    return _scaled(1.0 / (d - 2), solution_scale(d, r))

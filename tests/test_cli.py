@@ -1,15 +1,34 @@
+import csv
+import io
 import json
 import math
 
 import pytest
 
-from sphgreen.cli import main
+from sphgreen.cli import METHOD_ORDER, main
+
+
+SERIES_ROUTES = ("hyp2f1", "hyp2f1_euler", "ferrers")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_prints_reference(capsys, d, radius, reference, nearest):
+    """`eval` at theta = 1 and a two-row `table` print the reference values."""
+    code, out, err = run(capsys, "eval", "--theta", "1", "--d", d, "--radius", radius)
+    assert code == 0 and err == ""
+    nearest(float(out), reference(int(d), float(radius), 1.0))
+    code, out, err = run(capsys, "table", "--n", "2", "--theta-min", "0.5", "--theta-max", "1.0",
+                         "--methods", "finite_sum", "--d", d, "--radius", radius)
+    assert code == 0 and err == ""
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[2] for row in rows] == ["0.5", "1.0"]
+    for row in rows:
+        nearest(float(row[4]), reference(int(d), float(radius), float(row[2])))
 
 
 class TestEval:
@@ -65,28 +84,52 @@ class TestEval:
             assert "--radius must be finite" in err
 
     @pytest.mark.parametrize("d, radius", [("10", "1e-300"), ("1000", "10")])
-    def test_radius_power_out_of_range_exits_2(self, capsys, d, radius):
-        # radius ** (d - 2) underflows to 0 (was ZeroDivisionError) or
-        # overflows (was OverflowError): a bad argument, not a traceback
-        for argv in (("eval", "--theta", "1"),
-                     ("table", "--n", "2", "--theta-min", "0.5", "--theta-max", "1.0",
-                      "--methods", "finite_sum")):
-            code, out, err = run(capsys, *argv, "--d", d, "--radius", radius)
-            assert code == 2
-            assert out == ""
-            assert "--radius" in err and f"d={d}" in err
+    def test_radius_power_out_of_range_exits_2(self, capsys, d, radius, solution_reference,
+                                               nearest):
+        # radius ** (d - 2) underflows to 0 or overflows, yet eval and table
+        # print the double nearest the exact solution (inf for d = 10)
+        assert_prints_reference(capsys, d, radius, solution_reference, nearest)
 
     @pytest.mark.parametrize("d", ["344", "400", "2000"])
-    def test_normalization_out_of_range_exits_2(self, capsys, d):
-        # c0(d) = Gamma(d/2) / (2 pi^(d/2)) leaves double range: was inf with
-        # exit 0 (d = 344, 400) or an OverflowError traceback (d = 2000)
-        for argv in (("eval", "--theta", "1"),
-                     ("table", "--n", "2", "--theta-min", "0.5", "--theta-max", "1.0",
-                      "--methods", "finite_sum")):
-            code, out, err = run(capsys, *argv, "--d", d)
-            assert code == 2
-            assert out == ""
-            assert f"d={d}" in err and "radius" not in err
+    def test_normalization_out_of_range_exits_2(self, capsys, d, solution_reference, nearest):
+        # c0(d) = Gamma(d/2) / (2 pi^(d/2)) needs no double of its own: d = 344
+        # and 400 print finite values, d = 2000 prints inf
+        assert_prints_reference(capsys, d, "1", solution_reference, nearest)
+
+    @pytest.mark.parametrize("argv, want", [
+        (("--d", "100", "--radius", "1e6", "--theta", "1e-5"), 4.3087883596284905e-63),
+        (("--d", "10", "--radius", "1e40", "--theta", "1"), 4.15e-322),
+        (("--d", "173", "--theta", "1", "--method", "ferrers"), 9.355749465546217e+96),
+    ])
+    def test_prints_nearest_double(self, capsys, argv, want, nearest):
+        # 40-digit reference values; the subnormal must come out exactly
+        # (d = 344, 400, 2000 and the radii 1e-300 and 10 are checked above)
+        code, out, err = run(capsys, "eval", *argv)
+        assert code == 0 and err == ""
+        nearest(float(out), want)
+
+    def test_all_routes_far_beyond_range(self, capsys):
+        # S = e^5254 at the pole: every route prints inf or a skip line
+        code, out, err = run(capsys, "eval", "--d", "200", "--theta", "1e-11", "--method", "all")
+        assert code == 0 and err == ""
+        lines = [line.split() for line in out.strip().splitlines()[:-1]]
+        assert [line[0] for line in lines] == list(METHOD_ORDER)
+        for name, first, second in lines:
+            assert first == "inf" or (first == "skipped" and name in SERIES_ROUTES)
+
+    def test_overflowing_series_is_skipped(self, capsys):
+        # 2F1(1/2, 200; 3/2; cos^2 0.15) overflows although S = 6.8e200
+        argv = ("eval", "--d", "400", "--radius", "10", "--theta", "0.15")
+        code, out, err = run(capsys, *argv, "--method", "hyp2f1")
+        assert code == 3 and out == "" and "hyp2f1 route" in err
+        code, out, _ = run(capsys, *argv, "--method", "all")
+        assert code == 0
+        assert "hyp2f1 skipped no-convergence" in out.splitlines()
+
+    def test_underflowing_ferrers_is_skipped(self, capsys):
+        code, out, _ = run(capsys, "eval", "--d", "343", "--theta", "1", "--method", "all")
+        assert code == 0
+        assert "ferrers skipped series-window" in out.splitlines()
 
     def test_large_odd_d_matches_recurrence(self, capsys):
         # Gamma(151.5) once overflowed in the int-to-float conversion of 301!!

@@ -1,8 +1,10 @@
 import math
-import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphgreen.kernel import (
     Representation,
@@ -71,6 +73,14 @@ class TestQuadratureRoute:
             i_d_quadrature(3, 0.0)
         with pytest.raises(ValueError):
             i_d_quadrature(3, math.pi)
+
+    @pytest.mark.parametrize("d", [4, 60, 1000])
+    @pytest.mark.parametrize("theta", [1e-12, 1e-6, math.pi - 1e-6, math.pi - 1e-12])
+    def test_near_poles_against_mpmath(self, d, theta, kernel_reference):
+        # the integrand peaks at the end of the u-interval, in a width of 1/(d-2)
+        kv = i_d_quadrature(d, theta)
+        want = kernel_reference(d, theta)
+        assert abs(kv.kernel - want) <= 1e-10 * abs(want)
 
 
 class TestFiniteSumRoute:
@@ -141,6 +151,11 @@ class TestHypergeometricRoutes:
         assert i_d_hyp2f1(4, math.pi / 3.0, euler=True).value == pytest.approx(
             reference, rel=1e-11)
 
+    def test_overflowing_series_is_refused(self):
+        # 2F1(1/2, 200; 3/2; cos^2 0.15) overflows although K and S fit
+        with pytest.raises(NonConvergenceError, match="hyp2f1 route"):
+            i_d_hyp2f1(400, 0.15)
+
     def test_window_enforced(self):
         with pytest.raises(SeriesWindowError):
             i_d_hyp2f1(3, 0.05)
@@ -162,6 +177,21 @@ class TestFerrersRoute:
     def test_d4_matches_quadrature(self):
         reference = i_d_quadrature(4, math.pi / 3.0, tol=1e-11).value
         assert i_d_ferrers(4, math.pi / 3.0).value == pytest.approx(reference, rel=1e-10)
+
+
+    @pytest.mark.parametrize("d", [172, 173, 250])
+    def test_large_d_prefactor(self, d):
+        # (d-2)! leaves double range from d = 173; the prefactor is (d-3)!!
+        want = i_d_recurrence(d, 1.0).kernel
+        assert abs(i_d_ferrers(d, 1.0).kernel - want) <= 1e-14 * abs(want)
+
+    def test_large_d_solution(self):
+        got = fundamental_solution(173, 1.0, 1.0, Representation.FERRERS_Q)
+        assert got == pytest.approx(9.355749465546217e+96, rel=1e-13)
+
+    def test_underflowing_q_is_refused(self):
+        with pytest.raises(SeriesWindowError, match="underflows"):
+            i_d_ferrers(343, 1.0)
 
 
 class TestFerrersEarlyExit:
@@ -265,6 +295,15 @@ class TestFundamentalSolution:
         base = fundamental_solution(4, 1.0, 0.9)
         assert fundamental_solution(4, 2.0, 0.9) == pytest.approx(base / 4.0, rel=1e-13)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 60), st.floats(0.5, 4.0),
+           st.floats(1e-6, math.pi - 1e-6))
+    def test_matches_plain_product_in_range(self, d, radius, theta):
+        plain = normalization_constant(d) / radius ** (d - 2) * radial_kernel(d, theta).value
+        if math.isfinite(plain) and abs(plain) >= sys.float_info.min:
+            got = fundamental_solution(d, radius, theta)
+            assert abs(got - plain) <= 1e-14 * abs(plain)
+
     def test_normalization_constants(self):
         assert normalization_constant(2) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
         assert normalization_constant(3) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-15)
@@ -280,24 +319,30 @@ class TestFundamentalSolution:
             with pytest.raises(ValueError):
                 fundamental_solution(3, radius, 1.0)
 
-    def test_rejects_radius_power_out_of_double_range(self):
-        # underflow to 0, a subnormal power, and overflow of R ** (d - 2)
+    def test_rejects_radius_power_out_of_double_range(self, solution_reference, nearest):
+        # R ** (d - 2) underflows to 0, is subnormal, or overflows, yet the
+        # solution is the double nearest its exact value (inf, or subnormal)
         for d, radius in ((10, 1e-300), (10, 1e-40), (1000, 10.0), (10, 1e40)):
-            with pytest.raises(ValueError, match=re.escape(f"radius={radius!r}, d={d}")):
-                fundamental_solution(d, radius, 1.0)
+            nearest(fundamental_solution(d, radius, 1.0), solution_reference(d, radius, 1.0))
 
     @pytest.mark.parametrize("d", [344, 400, 1240, 1241, 2000])
     def test_rejects_normalization_out_of_double_range(self, d):
-        # Gamma(d/2) overflows from d = 344, pi ** (d/2) from d = 1241
-        for call in (lambda: normalization_constant(d), lambda: solution_scale(d, 1.0)):
-            with pytest.raises(ValueError, match=re.escape(f"at d={d}")) as failure:
-                call()
-            assert "radius" not in str(failure.value)
-        assert math.isfinite(normalization_constant(343))
+        # Gamma(d/2) overflows from d = 344, c0 from d = 439 and pi ** (d/2)
+        # from d = 1241; c0 is the double nearest its exact value, and its
+        # scaled pair keeps that accuracy past double range
+        from mpmath import mp, mpf
+
+        with mp.workdps(40):
+            exact = mp.gamma(mpf(d) / 2) / (2 * mp.pi ** (mpf(d) / 2))
+            pair = mp.ldexp(mpf(solution_scale(d, 1.0)[0]), solution_scale(d, 1.0)[1])
+            assert abs(pair / exact - 1) <= 1e-14
+        want = float(exact)
+        got = normalization_constant(d)
+        assert (got == want) if math.isinf(want) else abs(got - want) <= 1e-14 * want
 
     def test_scale_is_the_kernel_factor(self):
-        assert solution_scale(4, 2.0) == normalization_constant(4) / 4.0
-        assert solution_scale(2, 1e-300) == normalization_constant(2)
+        assert math.ldexp(*solution_scale(4, 2.0)) == normalization_constant(4) / 4.0
+        assert math.ldexp(*solution_scale(2, 1e-300)) == normalization_constant(2)
 
 
 class TestEuclideanFundamental:
@@ -312,6 +357,12 @@ class TestEuclideanFundamental:
 
     def test_one_dimensional(self):
         assert euclidean_fundamental(1, 2.0) == pytest.approx(-1.0, rel=1e-15)
+
+    def test_large_dimensions(self):
+        # c0(d) and r^(2-d) are combined as scaled pairs
+        assert euclidean_fundamental(344, 2.0) == pytest.approx(6.26160089702119e+117, rel=1e-14)
+        assert euclidean_fundamental(344, 1.0) == pytest.approx(5.609755074687614e+220, rel=1e-14)
+        assert euclidean_fundamental(1300, 1.0) == math.inf
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
