@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import math
 import sys
 
@@ -62,6 +63,15 @@ def _solution_value(scale: tuple[float, int], d: int, theta: float, method: str,
     return radial_kernel(d, theta, Representation(method), tol=tol).scaled(scale)
 
 
+def _relative_deviation(a: float, b: float) -> float:
+    """|a - b| / max(1, |a|, |b|); 0 for equal values (equal infinities too),
+    inf for any other pair whose quotient is not finite."""
+    if a == b:
+        return 0.0
+    deviation = abs(a - b) / max(1.0, abs(a), abs(b))
+    return deviation if math.isfinite(deviation) else math.inf
+
+
 def cmd_eval(args) -> int:
     _validate_common(args.d, args.radius, args.theta)
     scale = solution_scale(args.d, args.radius)
@@ -82,27 +92,23 @@ def cmd_eval(args) -> int:
             continue
         values[method] = value
         print(f"{method} {fmt(value)} {fmt(err)}")
-    deviation = 0.0
-    names = list(values)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            denom = max(1.0, abs(values[a]), abs(values[b]))
-            deviation = max(deviation, abs(values[a] - values[b]) / denom)
+    deviation = max((_relative_deviation(a, b)
+                     for a, b in itertools.combinations(values.values(), 2)), default=0.0)
     print(f"max_pairwise_relative_deviation {fmt(deviation)}")
     return EXIT_OK
 
 
-def _parse_methods(spec: str) -> list[str]:
+def _parse_methods(spec: str) -> list[Representation]:
     names = [m.strip() for m in spec.split(",") if m.strip()]
     if "all" in names:
-        return list(METHOD_ORDER)
+        return list(Representation)
     for name in names:
         if name not in METHOD_ORDER:
             raise ValueError(f"unknown method {name!r}")
     if not names:
         raise ValueError("no methods given")
     # canonical order keeps output deterministic
-    return [m for m in METHOD_ORDER if m in names]
+    return [rep for rep in Representation if rep.value in names]
 
 
 def cmd_table(args) -> int:
@@ -111,19 +117,20 @@ def cmd_table(args) -> int:
         raise ValueError("need 0 < theta-min < theta-max < pi")
     if args.n < 2:
         raise ValueError(f"--n must be >= 2, got {args.n}")
-    methods = _parse_methods(args.methods)
+    reps = _parse_methods(args.methods)
     scale = solution_scale(args.d, args.radius)
     step = (args.theta_max - args.theta_min) / (args.n - 1)
+    d, radius = str(args.d), fmt(args.radius)
     rows = []
     for i in range(args.n):
         theta = args.theta_min + i * step
-        for method in methods:
+        angle = fmt(theta)
+        for rep in reps:
             try:
-                value, err = _solution_value(scale, args.d, theta, method, args.tol)
+                value, err = radial_kernel(args.d, theta, rep, tol=args.tol).scaled(scale)
             except (SeriesWindowError, NonConvergenceError, ToleranceNotMetError):
                 value, err = math.nan, math.nan
-            rows.append((str(args.d), fmt(args.radius), fmt(theta), method,
-                         fmt(value), fmt(err)))
+            rows.append((d, radius, angle, rep.value, fmt(value), fmt(err)))
     try:
         stream = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     except OSError as exc:

@@ -15,6 +15,7 @@ value is +-inf or 0.0 only where the exact one lies outside double range.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -60,6 +61,8 @@ SERIES_WINDOW = 0.98
 _POWER_CHUNK = 1000
 # (pi - math.pi) / math.pi
 _PI_ROUNDING = 3.8981718325193755e-17
+# distinct dimensions whose finite-sum coefficients stay cached
+_COEFFICIENT_CACHE = 256
 
 
 class SeriesWindowError(ValueError):
@@ -191,8 +194,6 @@ def i_d_quadrature(d: int, theta: float, tol: float = 1e-11) -> KernelValue:
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     c, s = math.cos(theta), math.sin(theta)
-    if theta == 0.5 * math.pi:
-        return _kernel_value(Representation.QUADRATURE, d, s, 0.0, 0.0)
     u0 = abs(math.asinh(c / s))
     points = [u0]
     step = 1.0
@@ -210,6 +211,19 @@ def i_d_quadrature(d: int, theta: float, tol: float = 1e-11) -> KernelValue:
     return _kernel_value(Representation.QUADRATURE, d, s, math.copysign(value, c), estimate)
 
 
+@functools.lru_cache(maxsize=_COEFFICIENT_CACHE)
+def _finite_sum_coefficients(d: int) -> tuple[tuple[float, ...], float]:
+    """The d-only factors of the finite sum: the ratios (j-1)!!/j!! for
+    j = 1 - d%2, 3 - d%2, ..., d-3 in Horner order, and (d-3)!!/(d-2)!!.
+
+    Each is a correctly rounded int/int quotient, finite where the factorials
+    themselves leave the double range.
+    """
+    ratios = tuple(double_factorial(j - 1) / double_factorial(j)
+                   for j in range(1 - d % 2, d - 2, 2))
+    return ratios, double_factorial(d - 3) / double_factorial(d - 2)
+
+
 def i_d_finite_sum(d: int, theta: float) -> KernelValue:
     """Closed-form evaluation, exact in O(d) arithmetic operations.
 
@@ -217,20 +231,22 @@ def i_d_finite_sum(d: int, theta: float) -> KernelValue:
     s = sin(theta), over j = d-3, d-5, ... >= 0, and B = log cot(theta/2) for
     even d, B = 0 for odd d (the double-factorial inverse-sine variant).  So
     K_d = (d-3)!!/(d-2)!! [B s^{d-2} + cos(theta) sum_j (j-1)!!/j!! s^{d-3-j}],
-    summed by Horner's rule in s^2.  The int/int ratios stay finite where the
-    factorials themselves leave the double range.
+    summed by Horner's rule in s^2.  The double-factorial ratios depend on d
+    alone and are computed once per d (``_finite_sum_coefficients``, a
+    bounded LRU cache).
     """
     _check_dimension(d)
     _check_theta(theta)
+    ratios, prefactor = _finite_sum_coefficients(d)
     c, s = math.cos(theta), math.sin(theta)
     s2 = s * s
     acc = 0.0
-    for j in range(1 - d % 2, d - 2, 2):
-        acc = acc * s2 + double_factorial(j - 1) / double_factorial(j)
+    for ratio in ratios:
+        acc = acc * s2 + ratio
     kernel = c * acc
     if d % 2 == 0:
         kernel += log_cot_half(theta) * s ** (d - 2)
-    kernel *= double_factorial(d - 3) / double_factorial(d - 2)
+    kernel *= prefactor
     return _kernel_value(Representation.FINITE_SUM, d, s, kernel, 0.0)
 
 

@@ -68,12 +68,7 @@ def double_factorial(n: int) -> int:
     """n!! = n(n-2)... down to 1 or 2, with (-1)!! = 0!! = 1."""
     if n < -1:
         raise ValueError(f"double factorial requires n >= -1, got {n}")
-    out = 1
-    k = n
-    while k >= 2:
-        out *= k
-        k -= 2
-    return out
+    return math.prod(range(n, 1, -2))
 
 
 def pochhammer(z: float, n: int) -> float:

@@ -117,6 +117,19 @@ class TestEval:
         for name, first, second in lines:
             assert first == "inf" or (first == "skipped" and name in SERIES_ROUTES)
 
+    def test_deviation_sees_disagreeing_infinities(self, capsys):
+        # every printed value is +-inf; inf against -inf is a NaN quotient,
+        # which must not read as agreement, while equal infinities agree
+        for theta, want in (("0.3", "inf"), ("1e-11", "0.0")):
+            argv = ("eval", "--d", "340", "--theta", theta, "--method", "all")
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            lines = out.strip().splitlines()
+            values = {float(line.split()[1]) for line in lines[:-1] if "skipped" not in line}
+            assert all(math.isinf(v) for v in values)
+            assert len(values) == (2 if want == "inf" else 1)
+            assert lines[-1] == f"max_pairwise_relative_deviation {want}"
+
     def test_overflowing_series_is_skipped(self, capsys):
         # 2F1(1/2, 200; 3/2; cos^2 0.15) overflows although S = 6.8e200
         argv = ("eval", "--d", "400", "--radius", "10", "--theta", "0.15")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sphgreen.kernel import (
     Representation,
+    _finite_sum_coefficients,
     SeriesWindowError,
     euclidean_fundamental,
     fundamental_solution,
@@ -27,6 +28,7 @@ from sphgreen.specfun import (
     FerrersOrderDegree,
     NonConvergenceError,
     SeriesControl,
+    double_factorial,
     ferrers_q,
     gauss_2f1,
 )
@@ -51,10 +53,14 @@ def closed_form(d, theta):
 
 
 class TestQuadratureRoute:
-    def test_equator_is_exact_zero(self):
-        for d in (2, 5, 9):
+    def test_equator_matches_finite_sum(self):
+        # math.pi / 2 lies below pi/2, so I_d there is cos(math.pi / 2) =
+        # 6.1e-17 to first order, not 0.0
+        for d in (2, 3, 5, 9, 60):
             kv = i_d_quadrature(d, math.pi / 2.0)
-            assert kv.value == 0.0 and kv.est_error == 0.0
+            want = i_d_finite_sum(d, math.pi / 2.0).value
+            assert want == pytest.approx(math.cos(math.pi / 2.0), rel=1e-12)
+            assert abs(kv.value - want) <= kv.est_error + 4.0 * math.ulp(want)
 
     def test_d3_quarter(self):
         assert i_d_quadrature(3, math.pi / 4.0).value == pytest.approx(1.0, abs=1e-11)
@@ -118,6 +124,41 @@ class TestFiniteSumRoute:
         want = i_d_recurrence(d, 1.0).value
         assert math.isfinite(want)
         assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def finite_sum_kernel_uncached(d, theta):
+    """K_d by the finite sum, rebuilding every ratio (j-1)!!/j!! from its exact
+    integers on every call (the products are extended by two factors per j)."""
+    c, s = math.cos(theta), math.sin(theta)
+    acc, num, den = 0.0, 1, 1
+    for j in range(1 - d % 2, d - 2, 2):
+        if j > 1:
+            num, den = num * (j - 1), den * j
+        acc = acc * (s * s) + num / den
+    kernel = c * acc
+    if d % 2 == 0:
+        kernel += log_cot_half(theta) * s ** (d - 2)
+    return kernel * (double_factorial(d - 3) / double_factorial(d - 2))
+
+
+class TestFiniteSumCoefficientCache:
+    ANGLES = (1e-12, 1e-6, 0.3, 1.0, math.pi / 2.0)
+
+    def test_bit_identical_to_uncached_sum(self):
+        angles = self.ANGLES + tuple(math.pi - t for t in self.ANGLES)
+        for d in range(2, 401):
+            for theta in angles:
+                got = i_d_finite_sum(d, theta)
+                want = finite_sum_kernel_uncached(d, theta)
+                assert got.kernel.hex() == want.hex(), (d, theta)
+
+    def test_cache_is_bounded(self):
+        maxsize = _finite_sum_coefficients.cache_info().maxsize
+        assert maxsize is not None and maxsize < math.inf
+        for _ in range(2):
+            for d in range(2, 401):
+                i_d_finite_sum(d, 1.0)
+                assert _finite_sum_coefficients.cache_info().currsize <= maxsize
 
 
 class TestRecurrenceRoute:
