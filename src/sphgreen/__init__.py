@@ -51,7 +51,7 @@ from .oracle import (
     check_laplace_annihilation,
     check_volume,
 )
-from .quadrature import QuadratureSpec, ToleranceNotMetError, integrate
+from .quadrature import ToleranceNotMetError, integrate
 from .specfun import (
     FerrersOrderDegree,
     GammaPoleError,

@@ -58,11 +58,6 @@ def _validate_common(d: int, radius: float, theta: float | None = None) -> None:
         raise ValueError(f"--theta must lie inside (0, pi), got {theta}")
 
 
-def _solution_value(scale: tuple[float, int], d: int, theta: float, method: str, tol: float):
-    """(value, est_error) of the fundamental solution through one route."""
-    return radial_kernel(d, theta, Representation(method), tol=tol).scaled(scale)
-
-
 def _relative_deviation(a: float, b: float) -> float:
     """|a - b| / max(1, |a|, |b|); 0 for equal values (equal infinities too),
     inf for any other pair whose quotient is not finite."""
@@ -76,30 +71,30 @@ def cmd_eval(args) -> int:
     _validate_common(args.d, args.radius, args.theta)
     scale = solution_scale(args.d, args.radius)
     if args.method != "all":
-        value, _ = _solution_value(scale, args.d, args.theta, args.method, args.tol)
+        value, _ = radial_kernel(args.d, args.theta, Representation(args.method)).scaled(scale)
         print(fmt(value))
         return EXIT_OK
     values = {}
-    for method in METHOD_ORDER:
+    for rep in Representation:
         try:
-            value, err = _solution_value(scale, args.d, args.theta, method, args.tol)
+            value, err = radial_kernel(args.d, args.theta, rep).scaled(scale)
         except SeriesWindowError:
-            print(f"{method} skipped series-window")
+            print(f"{rep.value} skipped series-window")
             continue
         except (NonConvergenceError, ToleranceNotMetError):
             # one route failing to converge must not take down the others
-            print(f"{method} skipped no-convergence")
+            print(f"{rep.value} skipped no-convergence")
             continue
-        values[method] = value
-        print(f"{method} {fmt(value)} {fmt(err)}")
+        values[rep] = value
+        print(f"{rep.value} {fmt(value)} {fmt(err)}")
     deviation = max((_relative_deviation(a, b)
                      for a, b in itertools.combinations(values.values(), 2)), default=0.0)
     print(f"max_pairwise_relative_deviation {fmt(deviation)}")
     return EXIT_OK
 
 
-def _parse_methods(spec: str) -> list[Representation]:
-    names = [m.strip() for m in spec.split(",") if m.strip()]
+def _parse_methods(text: str) -> list[Representation]:
+    names = [m.strip() for m in text.split(",") if m.strip()]
     if "all" in names:
         return list(Representation)
     for name in names:
@@ -111,7 +106,24 @@ def _parse_methods(spec: str) -> list[Representation]:
     return [rep for rep in Representation if rep.value in names]
 
 
+def _table_rows(args, reps: list[Representation], scale: tuple[float, int]):
+    """The CSV rows of ``table``, one per angle and route, as they are computed."""
+    step = (args.theta_max - args.theta_min) / (args.n - 1)
+    d, radius = str(args.d), fmt(args.radius)
+    for i in range(args.n):
+        theta = args.theta_min + i * step
+        angle = fmt(theta)
+        for rep in reps:
+            try:
+                value, err = radial_kernel(args.d, theta, rep).scaled(scale)
+            except (SeriesWindowError, NonConvergenceError, ToleranceNotMetError):
+                value, err = math.nan, math.nan
+            yield d, radius, angle, rep.value, fmt(value), fmt(err)
+
+
 def cmd_table(args) -> int:
+    # every argument is checked before --out is opened, so a bad call
+    # leaves the file untouched
     _validate_common(args.d, args.radius)
     if not (THETA_EDGE < args.theta_min < args.theta_max < math.pi - THETA_EDGE):
         raise ValueError("need 0 < theta-min < theta-max < pi")
@@ -119,18 +131,6 @@ def cmd_table(args) -> int:
         raise ValueError(f"--n must be >= 2, got {args.n}")
     reps = _parse_methods(args.methods)
     scale = solution_scale(args.d, args.radius)
-    step = (args.theta_max - args.theta_min) / (args.n - 1)
-    d, radius = str(args.d), fmt(args.radius)
-    rows = []
-    for i in range(args.n):
-        theta = args.theta_min + i * step
-        angle = fmt(theta)
-        for rep in reps:
-            try:
-                value, err = radial_kernel(args.d, theta, rep, tol=args.tol).scaled(scale)
-            except (SeriesWindowError, NonConvergenceError, ToleranceNotMetError):
-                value, err = math.nan, math.nan
-            rows.append((d, radius, angle, rep.value, fmt(value), fmt(err)))
     try:
         stream = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     except OSError as exc:
@@ -139,7 +139,7 @@ def cmd_table(args) -> int:
     try:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
+        writer.writerows(_table_rows(args, reps, scale))
     except OSError as exc:
         print(f"error: write failed: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -190,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--radius", type=float, default=1.0)
     p_eval.add_argument("--theta", type=float, required=True)
     p_eval.add_argument("--method", choices=METHOD_ORDER + ("all",), default="finite_sum")
-    p_eval.add_argument("--tol", type=float, default=1e-11)
     p_eval.set_defaults(func=cmd_eval)
 
     p_table = sub.add_parser("table", help="tabulate values to CSV")
@@ -202,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--methods", default="all",
                          help="comma-separated subset of "
                               f"{','.join(METHOD_ORDER)} or 'all'")
-    p_table.add_argument("--tol", type=float, default=1e-11)
     p_table.add_argument("--out", default="-", help="output path (default stdout)")
     p_table.set_defaults(func=cmd_table)
 

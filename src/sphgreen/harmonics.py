@@ -11,7 +11,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .specfun import DEFAULT_SERIES, FerrersOrderDegree, SeriesControl, ferrers_p, ferrers_q
+from .specfun import FerrersOrderDegree, ferrers_p, ferrers_q
 
 __all__ = [
     "RadialSolutionKind",
@@ -60,8 +60,7 @@ class QuantumNumbers:
             raise ValueError(f"angular number must be an integer >= 0, got {self.angular}")
 
 
-def radial_harmonic(q: QuantumNumbers, kind: RadialSolutionKind, theta: float,
-                    ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def radial_harmonic(q: QuantumNumbers, kind: RadialSolutionKind, theta: float) -> float:
     """sin^{1-d/2}(theta) times the selected Ferrers function of cos(theta).
 
     Degree is d/2 - 1 and order is +/-(d/2 - 1 + l).  Minus-order branches
@@ -75,7 +74,7 @@ def radial_harmonic(q: QuantumNumbers, kind: RadialSolutionKind, theta: float,
     mu = kind.order_sign * (nu + l)
     pd = FerrersOrderDegree(nu, mu, math.cos(theta))
     f = ferrers_q if kind.second_kind else ferrers_p
-    return math.sin(theta) ** (1.0 - d / 2.0) * f(pd, ctl)
+    return math.sin(theta) ** (1.0 - d / 2.0) * f(pd)
 
 
 def angular_eigenvalue(q: QuantumNumbers) -> float:
@@ -96,8 +95,7 @@ def degeneracy(q: QuantumNumbers) -> int:
         math.factorial(l) * math.factorial(d - 2))
 
 
-def ode_residual(q: QuantumNumbers, kind: RadialSolutionKind, theta: float, h: float,
-                 ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def ode_residual(q: QuantumNumbers, kind: RadialSolutionKind, theta: float, h: float) -> float:
     """Central-difference residual of u'' + (d-1) cot u' - l(l+d-2)/sin^2 u.
 
     Raises DegenerateBranchError when the branch magnitude over
@@ -108,9 +106,9 @@ def ode_residual(q: QuantumNumbers, kind: RadialSolutionKind, theta: float, h: f
     if not (0.0 < theta - h and theta + h < math.pi):
         raise ValueError(f"[theta-h, theta+h] must stay inside (0, pi)")
     d, l = q.dimension, q.angular
-    up = radial_harmonic(q, kind, theta + h, ctl)
-    u0 = radial_harmonic(q, kind, theta, ctl)
-    um = radial_harmonic(q, kind, theta - h, ctl)
+    up = radial_harmonic(q, kind, theta + h)
+    u0 = radial_harmonic(q, kind, theta)
+    um = radial_harmonic(q, kind, theta - h)
     if max(abs(up), abs(u0), abs(um)) < DEGENERATE_FLOOR:
         raise DegenerateBranchError(
             f"branch {kind.value} at d={d}, l={l} is identically small")
@@ -121,16 +119,16 @@ def ode_residual(q: QuantumNumbers, kind: RadialSolutionKind, theta: float, h: f
 
 
 def ode_convergence_order(q: QuantumNumbers, kind: RadialSolutionKind, theta: float,
-                          h: float = 1e-2, ctl: SeriesControl = DEFAULT_SERIES):
+                          h: float = 1e-2):
     """log2 ratio of residuals at steps h and h/2; expected 2 for true solutions.
 
     Returns None when both residuals sit at the rounding floor (the operator
     annihilates the branch to machine precision, e.g. the constant solutions),
     in which case there is no truncation error left to measure.
     """
-    r1 = abs(ode_residual(q, kind, theta, h, ctl))
-    r2 = abs(ode_residual(q, kind, theta, 0.5 * h, ctl))
-    scale = max(1.0, abs(radial_harmonic(q, kind, theta, ctl)))
+    r1 = abs(ode_residual(q, kind, theta, h))
+    r2 = abs(ode_residual(q, kind, theta, 0.5 * h))
+    scale = max(1.0, abs(radial_harmonic(q, kind, theta)))
     if max(r1, r2) <= 1e-9 * scale:
         return None
     return math.log2(r1 / r2)

@@ -20,12 +20,11 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import integrate
 from .specfun import (
     DEFAULT_SERIES,
     FerrersOrderDegree,
     NonConvergenceError,
-    SeriesControl,
     double_factorial,
     ferrers_q,
     gauss_2f1,
@@ -180,7 +179,7 @@ def log_cot_half(theta: float) -> float:
     return math.asinh(math.cos(theta) / math.sin(theta))
 
 
-def i_d_quadrature(d: int, theta: float, tol: float = 1e-11) -> KernelValue:
+def i_d_quadrature(d: int, theta: float) -> KernelValue:
     """Adaptive quadrature of the defining integral; the verification route.
 
     With u = asinh(cot x), dx / sin x = -du and sin x = sech u, so
@@ -191,8 +190,6 @@ def i_d_quadrature(d: int, theta: float, tol: float = 1e-11) -> KernelValue:
     """
     _check_dimension(d)
     _check_theta(theta)
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     c, s = math.cos(theta), math.sin(theta)
     u0 = abs(math.asinh(c / s))
     points = [u0]
@@ -201,11 +198,10 @@ def i_d_quadrature(d: int, theta: float, tol: float = 1e-11) -> KernelValue:
         points.append(u0 - step / (d - 2))
         step *= 2.0
     points.append(0.0)
-    spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, max_subdivisions=200)
     integrand = lambda u: (s * math.cosh(u)) ** (d - 2)
     value = estimate = 0.0
     for hi, lo in zip(points, points[1:]):
-        piece, err = integrate(integrand, lo, hi, spec)
+        piece, err = integrate(integrand, lo, hi)
         value += piece
         estimate += err
     return _kernel_value(Representation.QUADRATURE, d, s, math.copysign(value, c), estimate)
@@ -217,11 +213,17 @@ def _finite_sum_coefficients(d: int) -> tuple[tuple[float, ...], float]:
     j = 1 - d%2, 3 - d%2, ..., d-3 in Horner order, and (d-3)!!/(d-2)!!.
 
     Each is a correctly rounded int/int quotient, finite where the factorials
-    themselves leave the double range.
+    themselves leave the double range.  Both double factorials grow by one
+    factor per step, so the fill takes O(d) integer products.
     """
-    ratios = tuple(double_factorial(j - 1) / double_factorial(j)
-                   for j in range(1 - d % 2, d - 2, 2))
-    return ratios, double_factorial(d - 3) / double_factorial(d - 2)
+    ratios = []
+    numerator = denominator = 1  # (j-1)!! and j!! at j = 0 or 1
+    for j in range(1 - d % 2, d - 2, 2):
+        if j > 1:
+            numerator *= j - 1
+            denominator *= j
+        ratios.append(numerator / denominator)
+    return tuple(ratios), double_factorial(d - 3) / double_factorial(d - 2)
 
 
 def i_d_finite_sum(d: int, theta: float) -> KernelValue:
@@ -270,8 +272,7 @@ def i_d_recurrence(d: int, theta: float) -> KernelValue:
     return _kernel_value(Representation.RECURRENCE, d, s, kernel, 0.0)
 
 
-def i_d_hyp2f1(d: int, theta: float, euler: bool = False,
-               ctl: SeriesControl = DEFAULT_SERIES) -> KernelValue:
+def i_d_hyp2f1(d: int, theta: float, euler: bool = False) -> KernelValue:
     """Hypergeometric series route, valid while cos^2(theta) <= 0.98.
 
     Direct form: K_d = sin^{d-2} cos 2F1(1/2, d/2; 3/2; cos^2 theta).  With
@@ -287,25 +288,25 @@ def i_d_hyp2f1(d: int, theta: float, euler: bool = False,
             f"cos^2(theta) = {z:.6f} > {SERIES_WINDOW}: use finite_sum, "
             "recurrence or quadrature here")
     if euler:
-        kernel = c * gauss_2f1(1.0, (3.0 - d) / 2.0, 1.5, z, ctl)
+        kernel = c * gauss_2f1(1.0, (3.0 - d) / 2.0, 1.5, z)
         method = Representation.HYP2F1_EULER
     else:
-        kernel = _scaled(c * gauss_2f1(0.5, d / 2.0, 1.5, z, ctl), _power(s, d - 2))
+        kernel = _scaled(c * gauss_2f1(0.5, d / 2.0, 1.5, z), _power(s, d - 2))
         method = Representation.HYP2F1
-    return _kernel_value(method, d, s, kernel, abs(kernel) * ctl.rel_tol)
+    return _kernel_value(method, d, s, kernel, abs(kernel) * DEFAULT_SERIES.rel_tol)
 
 
-def _check_ferrers_series(d: int, z: float, ctl: SeriesControl) -> None:
+def _check_ferrers_series(d: int, z: float) -> None:
     """Raise NonConvergenceError when 2F1(1/2, d/2; 3/2; z) provably cannot stop.
 
     The terms are t_k = z^k u_k / (2k+1) with u_k = (d/2)_k / k!, which does
     not decrease for d >= 2, so every partial sum obeys
     S_m <= u_m A(z) with A(z) = atanh(sqrt z) / sqrt z.  Hence
-    t_m / S_m >= z^N / ((2N+1) A(z)) for all m <= N = ctl.max_terms; once that
-    bound exceeds twice ctl.rel_tol (the factor covers rounding), no term
-    can meet the stopping rule of ``gauss_2f1``.
+    t_m / S_m >= z^N / ((2N+1) A(z)) for all m <= N = DEFAULT_SERIES.max_terms;
+    once that bound exceeds twice DEFAULT_SERIES.rel_tol (the factor covers
+    rounding), no term can meet the stopping rule of ``gauss_2f1``.
     """
-    n = ctl.max_terms
+    n, rel_tol = DEFAULT_SERIES.max_terms, DEFAULT_SERIES.rel_tol
     zn = z**n
     if zn == 0.0:
         # the bound is 0 (z below about 0.993 at the default cap, or z = 0)
@@ -313,14 +314,14 @@ def _check_ferrers_series(d: int, z: float, ctl: SeriesControl) -> None:
     root = math.sqrt(z)
     # atanh(sqrt z) = log1p(sqrt z) - log1p(-z)/2 stays finite for every z < 1
     bound = zn / ((2 * n + 1) * (math.log1p(root) - 0.5 * math.log1p(-z)) / root)
-    if bound > 2.0 * ctl.rel_tol:
+    if bound > 2.0 * rel_tol:
         raise NonConvergenceError(
             f"Ferrers series 2F1(0.5,{d / 2.0};1.5;{z}) cannot converge in {n} terms: "
             f"each term is at least {bound:.3g} of its partial sum, more than "
-            f"twice rel_tol={ctl.rel_tol:g}", math.nan, 0)
+            f"twice rel_tol={rel_tol:g}", math.nan, 0)
 
 
-def i_d_ferrers(d: int, theta: float, ctl: SeriesControl = DEFAULT_SERIES) -> KernelValue:
+def i_d_ferrers(d: int, theta: float) -> KernelValue:
     """Ferrers-Q route: K_d = p(d) sin^{d/2-1} Q_{d/2-1}^{1-d/2}(cos theta).
 
     The prefactor p(d) = (d-2)! / (Gamma(d/2) 2^{d/2-1}) equals (d-3)!! for
@@ -334,9 +335,9 @@ def i_d_ferrers(d: int, theta: float, ctl: SeriesControl = DEFAULT_SERIES) -> Ke
         raise SeriesWindowError(
             f"cos^2(theta) rounds to 1 in double precision at theta={theta}: "
             "use finite_sum, recurrence or quadrature here")
-    _check_ferrers_series(d, x * x, ctl)
+    _check_ferrers_series(d, x * x)
     nu = d / 2.0 - 1.0
-    q = ferrers_q(FerrersOrderDegree(nu, -nu, x), ctl)
+    q = ferrers_q(FerrersOrderDegree(nu, -nu, x))
     if abs(q) < sys.float_info.min:
         raise SeriesWindowError(
             f"Ferrers Q = {q} underflows the normal double range at d={d}, theta={theta}: "
@@ -344,24 +345,25 @@ def i_d_ferrers(d: int, theta: float, ctl: SeriesControl = DEFAULT_SERIES) -> Ke
     if d % 2:
         q *= math.sqrt(2.0 * s / math.pi)
     kernel = _scaled(q, _int_pair(double_factorial(d - 3)), _power(s, (d - 2) // 2))
-    return _kernel_value(Representation.FERRERS_Q, d, s, kernel, abs(kernel) * ctl.rel_tol)
+    return _kernel_value(Representation.FERRERS_Q, d, s, kernel,
+                         abs(kernel) * DEFAULT_SERIES.rel_tol)
 
 
-def radial_kernel(d: int, theta: float, rep: Representation = Representation.FINITE_SUM,
-                  tol: float = 1e-11, ctl: SeriesControl = DEFAULT_SERIES) -> KernelValue:
+def radial_kernel(d: int, theta: float,
+                  rep: Representation = Representation.FINITE_SUM) -> KernelValue:
     """Evaluate I_d(theta) through the requested representation."""
     if rep is Representation.QUADRATURE:
-        return i_d_quadrature(d, theta, tol)
+        return i_d_quadrature(d, theta)
     if rep is Representation.FINITE_SUM:
         return i_d_finite_sum(d, theta)
     if rep is Representation.RECURRENCE:
         return i_d_recurrence(d, theta)
     if rep is Representation.HYP2F1:
-        return i_d_hyp2f1(d, theta, euler=False, ctl=ctl)
+        return i_d_hyp2f1(d, theta, euler=False)
     if rep is Representation.HYP2F1_EULER:
-        return i_d_hyp2f1(d, theta, euler=True, ctl=ctl)
+        return i_d_hyp2f1(d, theta, euler=True)
     if rep is Representation.FERRERS_Q:
-        return i_d_ferrers(d, theta, ctl)
+        return i_d_ferrers(d, theta)
     raise ValueError(f"unknown representation {rep!r}")
 
 

@@ -26,6 +26,7 @@ from .kernel import (
     i_d_quadrature,
     radial_kernel,
 )
+from .quadrature import TOLERANCE
 from .specfun import gamma_real
 
 if TYPE_CHECKING:
@@ -258,7 +259,6 @@ def _finite_sum_cot(d: int, theta: float) -> float:
 
 
 def check_cross_representation(d: int, thetas: Sequence[float] | None = None,
-                               quad_tol: float = 1e-11,
                                tolerance: float = 1e-9) -> CheckReport:
     """Every other kernel route against the quadrature oracle.
 
@@ -276,7 +276,7 @@ def check_cross_representation(d: int, thetas: Sequence[float] | None = None,
     worst_at = ""
     routes = 0
     for theta in thetas:
-        reference = i_d_quadrature(d, theta, quad_tol).value
+        reference = i_d_quadrature(d, theta).value
         denom = max(abs(reference), 1e-300)
         candidates = {}
         for rep in Representation:
@@ -300,7 +300,7 @@ def check_cross_representation(d: int, thetas: Sequence[float] | None = None,
         tolerance=tolerance,
         passed=worst <= tolerance,
         detail=f"{routes} route evaluations over {len(list(thetas))} angles; "
-               f"worst: {worst_at}; quadrature tol={quad_tol}")
+               f"worst: {worst_at}; quadrature tol={TOLERANCE}")
 
 
 def random_hyperpoint(rng: np.random.Generator, d: int, radius: float) -> HyperPoint:

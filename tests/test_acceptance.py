@@ -53,7 +53,7 @@ def test_criterion_1_cross_representation_agreement():
     thetas = np.linspace(0.05, math.pi - 0.05, 50)
     worst = 0.0
     for d in range(2, 11):
-        result = check_cross_representation(d, thetas=thetas, quad_tol=1e-11)
+        result = check_cross_representation(d, thetas=thetas)
         worst = max(worst, result.measured)
         assert result.passed, result.line()
     elapsed = time.perf_counter() - start
@@ -95,7 +95,7 @@ def test_criterion_2_closed_form_table():
         got = i_d_finite_sum(6, theta).value
         want = d6_corrected(theta)
         worst6 = max(worst6, abs(got - want) / max(1.0, abs(want)))
-        quad = i_d_quadrature(6, theta, tol=1e-11).value
+        quad = i_d_quadrature(6, theta).value
         assert abs(got - quad) / max(1.0, abs(quad)) <= 1e-9
         alt_gap = max(alt_gap, abs(got - d6_alternate(theta)))
     assert worst6 <= 1e-12

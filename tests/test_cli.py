@@ -84,8 +84,8 @@ class TestEval:
             assert "--radius must be finite" in err
 
     @pytest.mark.parametrize("d, radius", [("10", "1e-300"), ("1000", "10")])
-    def test_radius_power_out_of_range_exits_2(self, capsys, d, radius, solution_reference,
-                                               nearest):
+    def test_radius_power_out_of_range_prints_reference(self, capsys, d, radius,
+                                                        solution_reference, nearest):
         # radius ** (d - 2) underflows to 0 or overflows, yet eval and table
         # print the double nearest the exact solution (inf for d = 10)
         assert_prints_reference(capsys, d, radius, solution_reference, nearest)
@@ -240,6 +240,26 @@ class TestTable:
         code, _, _ = run(capsys, "table", "--d", "3", "--n", "3",
                          "--theta-min", "2", "--theta-max", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("bad", [("--methods", "bogus"), ("--n", "1"), ("--d", "1")])
+    def test_bad_arguments_leave_out_file_untouched(self, capsys, tmp_path, bad):
+        out_path = tmp_path / "table.csv"
+        out_path.write_text("kept\n")
+        # a repeated option overrides the valid value before it
+        code, out, _ = run(capsys, "table", "--d", "3", "--n", "2", "--theta-min", "1",
+                           "--theta-max", "2", "--out", str(out_path), *bad)
+        assert code == 2 and out == ""
+        assert out_path.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", [
+        ("eval", "--d", "3", "--theta", "1"),
+        ("table", "--d", "3", "--n", "2", "--theta-min", "1", "--theta-max", "2"),
+    ])
+    def test_tol_option_is_gone(self, capsys, command):
+        # each route has one fixed accuracy (see README)
+        code, out, err = run(capsys, *command, "--tol", "1e-8")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --tol" in err
 
     def test_unwritable_path_exits_4(self, capsys, tmp_path):
         code, _, _ = run(capsys, "table", "--d", "3", "--n", "2",

@@ -13,7 +13,7 @@ from sphgreen.oracle import (
     check_volume,
     euclidean_limit_errors,
 )
-from sphgreen.quadrature import QuadratureSpec, ToleranceNotMetError, integrate
+from sphgreen.quadrature import ToleranceNotMetError, integrate
 
 
 class TestIntegrate:
@@ -43,9 +43,9 @@ class TestIntegrate:
             integrate(lambda x: x, 1.0, 0.0)
 
     def test_tolerance_not_met(self):
-        spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=1)
+        # the oscillation piles up at 0 faster than the subdivision budget
         with pytest.raises(ToleranceNotMetError) as failure:
-            integrate(lambda x: x**-0.9, 0.0, 1.0, spec)
+            integrate(lambda x: math.sin(1.0 / x), 1e-9, 1.0)
         assert math.isfinite(failure.value.value)
         assert failure.value.error_estimate > 0.0
 
