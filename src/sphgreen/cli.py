@@ -13,6 +13,7 @@ Exit codes: 0 ok, 1 check failure, 2 bad arguments, 3 convergence failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import itertools
@@ -21,9 +22,11 @@ import sys
 
 from .geometry import HyperPoint, geodesic_distance, separation_angle
 from .kernel import (
-    THETA_EDGE,
     Representation,
     SeriesWindowError,
+    _check_dimension,
+    _check_radius,
+    _check_theta,
     radial_kernel,
     solution_scale,
 )
@@ -47,15 +50,22 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _validate_common(d: int, radius: float, theta: float | None = None) -> None:
-    if d < 2:
-        raise ValueError(f"--d must be >= 2, got {d}")
-    if not radius > 0.0:
-        raise ValueError(f"--radius must be positive, got {radius}")
-    if not math.isfinite(radius):
-        raise ValueError(f"--radius must be finite, got {radius}")
-    if theta is not None and not THETA_EDGE <= theta <= math.pi - THETA_EDGE:
-        raise ValueError(f"--theta must lie inside (0, pi), got {theta}")
+def _checked(convert, check):
+    """An argparse ``type`` that converts a flag value and applies a kernel rule.
+
+    A failed conversion keeps argparse's "invalid int value" message (it names
+    the type by ``__name__``); a broken rule is reported with the flag's name.
+    """
+    def parse(text: str):
+        value = convert(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def _relative_deviation(a: float, b: float) -> float:
@@ -68,7 +78,6 @@ def _relative_deviation(a: float, b: float) -> float:
 
 
 def cmd_eval(args) -> int:
-    _validate_common(args.d, args.radius, args.theta)
     scale = solution_scale(args.d, args.radius)
     if args.method != "all":
         value, _ = radial_kernel(args.d, args.theta, Representation(args.method)).scaled(scale)
@@ -124,28 +133,17 @@ def _table_rows(args, reps: list[Representation], scale: tuple[float, int]):
 def cmd_table(args) -> int:
     # every argument is checked before --out is opened, so a bad call
     # leaves the file untouched
-    _validate_common(args.d, args.radius)
-    if not (THETA_EDGE < args.theta_min < args.theta_max < math.pi - THETA_EDGE):
-        raise ValueError("need 0 < theta-min < theta-max < pi")
+    if not args.theta_min < args.theta_max:
+        raise ValueError("need --theta-min < --theta-max")
     if args.n < 2:
         raise ValueError(f"--n must be >= 2, got {args.n}")
     reps = _parse_methods(args.methods)
     scale = solution_scale(args.d, args.radius)
-    try:
-        stream = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
-    except OSError as exc:
-        print(f"error: cannot open {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
+    with (contextlib.nullcontext(sys.stdout) if args.out == "-"
+          else open(args.out, "w", newline="")) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         writer.writerows(_table_rows(args, reps, scale))
-    except OSError as exc:
-        print(f"error: write failed: {exc}", file=sys.stderr)
-        return EXIT_IO
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return EXIT_OK
 
 
@@ -168,7 +166,6 @@ def _parse_point(d: int, radius: float, text: str) -> HyperPoint:
 
 
 def cmd_distance(args) -> int:
-    _validate_common(args.d, args.radius)
     a = _parse_point(args.d, args.radius, args.point_a)
     b = _parse_point(args.d, args.radius, args.point_b)
     print(f"separation_angle {fmt(separation_angle(a.direction, b.direction))}")
@@ -184,19 +181,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fundamental solution of Laplace's equation on the "
                     "d-dimensional radius-R hypersphere.")
     sub = parser.add_subparsers(dest="command", required=True)
+    sphere = argparse.ArgumentParser(add_help=False)
+    sphere.add_argument("--d", type=_checked(int, _check_dimension), required=True)
+    sphere.add_argument("--radius", type=_checked(float, _check_radius), default=1.0)
+    angle = _checked(float, _check_theta)
 
-    p_eval = sub.add_parser("eval", help="evaluate at one angle")
-    p_eval.add_argument("--d", type=int, required=True)
-    p_eval.add_argument("--radius", type=float, default=1.0)
-    p_eval.add_argument("--theta", type=float, required=True)
+    p_eval = sub.add_parser("eval", parents=[sphere], help="evaluate at one angle")
+    p_eval.add_argument("--theta", type=angle, required=True)
     p_eval.add_argument("--method", choices=METHOD_ORDER + ("all",), default="finite_sum")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_table = sub.add_parser("table", help="tabulate values to CSV")
-    p_table.add_argument("--d", type=int, required=True)
-    p_table.add_argument("--radius", type=float, default=1.0)
-    p_table.add_argument("--theta-min", type=float, required=True)
-    p_table.add_argument("--theta-max", type=float, required=True)
+    p_table = sub.add_parser("table", parents=[sphere], help="tabulate values to CSV")
+    p_table.add_argument("--theta-min", type=angle, required=True)
+    p_table.add_argument("--theta-max", type=angle, required=True)
     p_table.add_argument("--n", type=int, required=True)
     p_table.add_argument("--methods", default="all",
                          help="comma-separated subset of "
@@ -208,9 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("suite", choices=sorted(SUITES))
     p_check.set_defaults(func=cmd_check)
 
-    p_dist = sub.add_parser("distance", help="geodesic distance between two points")
-    p_dist.add_argument("--d", type=int, required=True)
-    p_dist.add_argument("--radius", type=float, default=1.0)
+    p_dist = sub.add_parser("distance", parents=[sphere],
+                            help="geodesic distance between two points")
     p_dist.add_argument("--point-a", required=True,
                         help="comma-separated angles theta,phi[,alpha_2,...]")
     p_dist.add_argument("--point-b", required=True)

@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .kernel import _check_dimension, _check_radius
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -57,10 +59,8 @@ class HyperPoint:
     direction: tuple[float, ...]
 
     def __post_init__(self):
-        if int(self.dimension) != self.dimension or self.dimension < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.dimension}")
-        if not self.radius > 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        _check_dimension(self.dimension)
+        _check_radius(self.radius)
         if not 0.0 <= self.polar <= math.pi:
             raise ValueError(f"polar angle must lie in [0, pi], got {self.polar}")
         object.__setattr__(self, "dimension", int(self.dimension))

@@ -11,6 +11,7 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .kernel import _check_dimension
 from .specfun import FerrersOrderDegree, ferrers_p, ferrers_q
 
 __all__ = [
@@ -54,8 +55,7 @@ class QuantumNumbers:
     angular: int
 
     def __post_init__(self):
-        if int(self.dimension) != self.dimension or self.dimension < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {self.dimension}")
+        _check_dimension(self.dimension)
         if int(self.angular) != self.angular or self.angular < 0:
             raise ValueError(f"angular number must be an integer >= 0, got {self.angular}")
 
@@ -118,16 +118,15 @@ def ode_residual(q: QuantumNumbers, kind: RadialSolutionKind, theta: float, h: f
             - l * (l + d - 2) * u0 / math.sin(theta) ** 2)
 
 
-def ode_convergence_order(q: QuantumNumbers, kind: RadialSolutionKind, theta: float,
-                          h: float = 1e-2):
-    """log2 ratio of residuals at steps h and h/2; expected 2 for true solutions.
+def ode_convergence_order(q: QuantumNumbers, kind: RadialSolutionKind, theta: float):
+    """log2 ratio of residuals at steps 0.01 and 0.005; expected 2 for true solutions.
 
     Returns None when both residuals sit at the rounding floor (the operator
     annihilates the branch to machine precision, e.g. the constant solutions),
     in which case there is no truncation error left to measure.
     """
-    r1 = abs(ode_residual(q, kind, theta, h))
-    r2 = abs(ode_residual(q, kind, theta, 0.5 * h))
+    r1 = abs(ode_residual(q, kind, theta, 1e-2))
+    r2 = abs(ode_residual(q, kind, theta, 5e-3))
     scale = max(1.0, abs(radial_harmonic(q, kind, theta)))
     if max(r1, r2) <= 1e-9 * scale:
         return None

@@ -164,6 +164,13 @@ def _check_dimension(d: int) -> None:
         raise ValueError(f"dimension must be an integer >= 2, got {d}")
 
 
+def _check_radius(radius: float, name: str = "radius") -> None:
+    if not radius > 0.0:
+        raise ValueError(f"{name} must be positive, got {radius}")
+    if not math.isfinite(radius):
+        raise ValueError(f"{name} must be finite, got {radius}")
+
+
 def _check_theta(theta: float) -> None:
     if not THETA_EDGE <= theta <= math.pi - THETA_EDGE:
         raise ValueError(
@@ -383,10 +390,7 @@ def solution_scale(d: int, radius: float) -> tuple[float, int]:
     it never overflows; d may be any integer >= 1.  Raises ValueError for a
     radius that is not positive and finite.
     """
-    if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if not math.isfinite(radius):
-        raise ValueError(f"radius must be finite, got {radius}")
+    _check_radius(radius)
     if int(d) != d or d < 1:
         raise ValueError(f"dimension must be an integer >= 1, got {d}")
     if d % 2 == 0:
@@ -413,8 +417,7 @@ def fundamental_solution(d: int, radius: float, theta: float,
 
 def euclidean_fundamental(d: int, r: float) -> float:
     """Fundamental solution of -Laplace in flat d-space at distance r."""
-    if not r > 0.0:
-        raise ValueError(f"distance must be positive, got {r}")
+    _check_radius(r, "distance")
     if d == 2:
         return math.log(1.0 / r) / (2.0 * math.pi)
     return _scaled(1.0 / (d - 2), solution_scale(d, r))

@@ -82,7 +82,7 @@ class CheckReport:
 
 
 def check_laplace_annihilation(d: int, radius: float, theta: float,
-                               h: float = 1e-3, tolerance: float = 1e-5) -> CheckReport:
+                               h: float = 1e-3) -> CheckReport:
     """Central-difference radial Laplacian applied to the fundamental solution.
 
     The reported value is the residual divided by max(1, |term|) over the two
@@ -101,8 +101,8 @@ def check_laplace_annihilation(d: int, radius: float, theta: float,
         name=f"laplace-annihilation d={d} R={radius} theta={theta}",
         measured=measured,
         expected=0.0,
-        tolerance=tolerance,
-        passed=measured <= tolerance,
+        tolerance=1e-5,
+        passed=measured <= 1e-5,
         detail=f"h={h}; relative: residual scaled by max(1,|terms|)={scale:.6g}")
 
 
@@ -139,8 +139,7 @@ def check_ode_order(q: QuantumNumbers, kind: RadialSolutionKind) -> CheckReport:
                        f"worst convergence order over theta in {ODE_ANGLES}{note}")
 
 
-def check_delta_identity(d: int, radius: float, nodes: int = 400,
-                         tolerance: float | None = None) -> CheckReport:
+def check_delta_identity(d: int, radius: float, nodes: int = 400) -> CheckReport:
     """Test-function identity by open-node product quadrature.
 
     With the source at the coordinate origin and the zonal test function
@@ -155,8 +154,7 @@ def check_delta_identity(d: int, radius: float, nodes: int = 400,
         raise ValueError(f"delta identity check supports d in {{2, 3}}, got {d}")
     if nodes < 50:
         raise ValueError(f"need at least 50 nodes per axis, got {nodes}")
-    if tolerance is None:
-        tolerance = 1e-6 if d == 2 else 1e-5
+    tolerance = 1e-6 if d == 2 else 1e-5
     import numpy as np
 
     x, w = _gauss_legendre(nodes)
@@ -192,8 +190,6 @@ def euclidean_limit_errors(d: int, r: float, radii: Sequence[float]) -> list[flo
     log(2R)/(2 pi), not to 0, because 2-d Green's functions agree only modulo
     an additive constant; a limit comparison must remove that offset.
     """
-    if not r > 0.0:
-        raise ValueError(f"distance must be positive, got {r}")
     radii = list(radii)
     if any(b <= a for a, b in zip(radii, radii[1:])) or radii[0] <= r:
         raise ValueError("radii must be strictly increasing and each exceed r")
@@ -205,19 +201,18 @@ def euclidean_limit_errors(d: int, r: float, radii: Sequence[float]) -> list[flo
     return errors
 
 
-def check_euclidean_limit(d: int, r: float, radii: Sequence[float],
-                          tolerance: float | None = None) -> CheckReport:
+def check_euclidean_limit(d: int, r: float, radii: Sequence[float]) -> CheckReport:
     """Compare the sphere solution at geodesic distance r against flat space.
 
     The check passes when the differences decrease monotonically along the
     (increasing) radii and the last one meets the tolerance; both facts are
     recorded in the detail field.
     """
-    return _euclidean_limit_reports(d, r, radii, tolerance)[0]
+    return _euclidean_limit_reports(d, r, radii)[0]
 
 
-def _euclidean_limit_reports(d: int, r: float, radii: Sequence[float],
-                             tolerance: float | None = None) -> tuple[CheckReport, CheckReport]:
+def _euclidean_limit_reports(d: int, r: float,
+                             radii: Sequence[float]) -> tuple[CheckReport, CheckReport]:
     """``check_euclidean_limit`` and the check that the differences fall like
     R^-2 (log-log slope -2 +/- 0.2), both from one set of differences."""
     radii = list(radii)
@@ -227,8 +222,7 @@ def _euclidean_limit_reports(d: int, r: float, radii: Sequence[float],
     if len(radii) >= 2 and all(e > 0.0 for e in errors):
         slope = ((math.log(errors[-1]) - math.log(errors[0]))
                  / (math.log(radii[-1]) - math.log(radii[0])))
-    if tolerance is None:
-        tolerance = 1e-6 if d == 3 else math.inf
+    tolerance = 1e-6 if d == 3 else math.inf
     passed = monotone and errors[-1] <= tolerance
     kind = "absolute" if d == 2 else "relative"
     limit = CheckReport(
@@ -258,8 +252,7 @@ def _finite_sum_cot(d: int, theta: float) -> float:
     return math.factorial((d - 3) // 2) * total
 
 
-def check_cross_representation(d: int, thetas: Sequence[float] | None = None,
-                               tolerance: float = 1e-9) -> CheckReport:
+def check_cross_representation(d: int, thetas: Sequence[float] | None = None) -> CheckReport:
     """Every other kernel route against the quadrature oracle.
 
     Each route is evaluated through ``radial_kernel`` and skipped only at the
@@ -297,8 +290,8 @@ def check_cross_representation(d: int, thetas: Sequence[float] | None = None,
         name=f"cross-representation d={d}",
         measured=worst,
         expected=0.0,
-        tolerance=tolerance,
-        passed=worst <= tolerance,
+        tolerance=1e-9,
+        passed=worst <= 1e-9,
         detail=f"{routes} route evaluations over {len(list(thetas))} angles; "
                f"worst: {worst_at}; quadrature tol={TOLERANCE}")
 
@@ -310,12 +303,12 @@ def random_hyperpoint(rng: np.random.Generator, d: int, radius: float) -> HyperP
     return HyperPoint(d, radius, rng.uniform(0.0, math.pi), direction)
 
 
-def check_distance_oracle(d: int, pairs: int = 1000, seed: int = 20260809,
-                          tolerance: float = 1e-10) -> CheckReport:
+def check_distance_oracle(d: int, pairs: int = 1000) -> CheckReport:
     """Polar-form geodesic distance against the ambient-embedding distance."""
     import numpy as np
 
-    rng = np.random.default_rng(seed + d)
+    seed = 20260809 + d
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(pairs):
         radius = rng.uniform(0.5, 3.0)
@@ -329,9 +322,9 @@ def check_distance_oracle(d: int, pairs: int = 1000, seed: int = 20260809,
         name=f"distance-oracle d={d}",
         measured=worst,
         expected=0.0,
-        tolerance=tolerance,
-        passed=worst <= tolerance,
-        detail=f"{pairs} random pairs, radius in [0.5, 3.0], seed={seed + d}")
+        tolerance=1e-10,
+        passed=worst <= 1e-10,
+        detail=f"{pairs} random pairs, radius in [0.5, 3.0], seed={seed}")
 
 
 def hypersphere_volume(d: int, radius: float) -> float:
@@ -339,7 +332,11 @@ def hypersphere_volume(d: int, radius: float) -> float:
     return 2.0 * math.pi ** ((d + 1) / 2.0) * radius**d / gamma_real((d + 1) / 2.0)
 
 
-def box_volume(d: int, radius: float, nodes: int = 256) -> float:
+# Gauss-Legendre nodes per axis of ``box_volume``
+VOLUME_NODES = 256
+
+
+def box_volume(d: int, radius: float) -> float:
     """Integral of the volume weight over the full coordinate box.
 
     The weight is a product of single-angle factors, so the Gauss-Legendre
@@ -347,7 +344,7 @@ def box_volume(d: int, radius: float, nodes: int = 256) -> float:
     by evaluating the weight with every other coordinate held at pi/2 (where
     all sine factors equal 1), then the shared R^d factor is divided back out.
     """
-    x, w = _gauss_legendre(nodes)
+    x, w = _gauss_legendre(VOLUME_NODES)
     ref_direction = tuple(0.5 * math.pi for _ in range(d - 1))
     axis_sums = []
 
@@ -372,19 +369,18 @@ def box_volume(d: int, radius: float, nodes: int = 256) -> float:
     return math.prod(axis_sums) / reference_weight ** (len(axis_sums) - 1)
 
 
-def check_volume(d: int, radius: float = 1.0, nodes: int = 256,
-                 tolerance: float = 1e-6) -> CheckReport:
-    """Volume-weight integral over the coordinate box vs the known volume."""
-    measured = float(box_volume(d, radius, nodes))
-    expected = hypersphere_volume(d, radius)
+def check_volume(d: int) -> CheckReport:
+    """Volume-weight integral over the unit coordinate box vs the known volume."""
+    measured = float(box_volume(d, 1.0))
+    expected = hypersphere_volume(d, 1.0)
     rel = abs(measured - expected) / expected
     return CheckReport(
-        name=f"volume d={d} R={radius}",
+        name=f"volume d={d} R=1.0",
         measured=measured,
         expected=expected,
-        tolerance=tolerance,
-        passed=rel <= tolerance,
-        detail=f"relative error {rel:.3e}; {nodes} nodes/axis")
+        tolerance=1e-6,
+        passed=rel <= 1e-6,
+        detail=f"relative error {rel:.3e}; {VOLUME_NODES} nodes/axis")
 
 
 LIMIT_RADII = (10.0, 100.0, 1000.0, 10000.0)

@@ -81,7 +81,26 @@ class TestEval:
             code, out, err = run(capsys, *argv, "--radius", "inf")
             assert code == 2
             assert out == ""
-            assert "--radius must be finite" in err
+            assert "argument --radius: radius must be finite, got inf" in err
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("eval", "--d", "1", "dimension must be an integer >= 2, got 1"),
+        ("eval", "--d", "2.5", "invalid int value: '2.5'"),
+        ("eval", "--radius", "abc", "invalid float value: 'abc'"),
+        ("eval", "--radius", "0", "radius must be positive, got 0.0"),
+        ("eval", "--theta", "4", "polar angle 4.0 outside [1e-12, pi - 1e-12]"),
+        ("table", "--theta-min", "0", "polar angle 0.0 outside"),
+        ("table", "--theta-max", "nan", "polar angle nan outside"),
+        ("distance", "--d", "1", "dimension must be an integer >= 2"),
+    ])
+    def test_bad_flag_value_names_the_flag(self, capsys, command, flag, value, message):
+        # argparse applies the kernel's own rule and names the flag
+        argv = {"eval": ("--d", "3", "--theta", "1"),
+                "table": ("--d", "3", "--n", "2", "--theta-min", "0.5", "--theta-max", "1"),
+                "distance": ("--d", "2", "--point-a", "0.5,1", "--point-b", "1,2")}[command]
+        code, out, err = run(capsys, command, *argv, flag, value)
+        assert code == 2 and out == ""
+        assert f"sphgreen {command}: error: argument {flag}: {message}" in err
 
     @pytest.mark.parametrize("d, radius", [("10", "1e-300"), ("1000", "10")])
     def test_radius_power_out_of_range_prints_reference(self, capsys, d, radius,
@@ -91,7 +110,8 @@ class TestEval:
         assert_prints_reference(capsys, d, radius, solution_reference, nearest)
 
     @pytest.mark.parametrize("d", ["344", "400", "2000"])
-    def test_normalization_out_of_range_exits_2(self, capsys, d, solution_reference, nearest):
+    def test_normalization_out_of_range_prints_reference(self, capsys, d, solution_reference,
+                                                         nearest):
         # c0(d) = Gamma(d/2) / (2 pi^(d/2)) needs no double of its own: d = 344
         # and 400 print finite values, d = 2000 prints inf
         assert_prints_reference(capsys, d, "1", solution_reference, nearest)
@@ -236,12 +256,21 @@ class TestTable:
             spread = max(finite) - min(finite)
             assert spread <= 1e-9 * max(1.0, max(abs(v) for v in finite))
 
+    def test_accepts_the_angle_range_of_eval(self, capsys):
+        # THETA_EDGE and pi - THETA_EDGE, the ends that eval accepts
+        code, out, err = run(capsys, "table", "--d", "3", "--n", "2", "--theta-min", "1e-12",
+                             "--theta-max", "3.141592653588793", "--methods", "finite_sum")
+        assert code == 0 and err == ""
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [row[2] for row in rows] == ["1e-12", "3.141592653588793"]
+
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run(capsys, "table", "--d", "3", "--n", "3",
                          "--theta-min", "2", "--theta-max", "1")
         assert code == 2
 
-    @pytest.mark.parametrize("bad", [("--methods", "bogus"), ("--n", "1"), ("--d", "1")])
+    @pytest.mark.parametrize("bad", [("--methods", "bogus"), ("--n", "1"), ("--d", "1"),
+                                     ("--theta-max", "4")])
     def test_bad_arguments_leave_out_file_untouched(self, capsys, tmp_path, bad):
         out_path = tmp_path / "table.csv"
         out_path.write_text("kept\n")
@@ -262,10 +291,11 @@ class TestTable:
         assert "unrecognized arguments: --tol" in err
 
     def test_unwritable_path_exits_4(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "table", "--d", "3", "--n", "2",
-                         "--theta-min", "1", "--theta-max", "2",
-                         "--out", str(tmp_path / "missing-dir" / "t.csv"))
-        assert code == 4
+        path = str(tmp_path / "missing-dir" / "t.csv")
+        code, out, err = run(capsys, "table", "--d", "3", "--n", "2",
+                             "--theta-min", "1", "--theta-max", "2", "--out", path)
+        assert code == 4 and out == ""
+        assert path in err
 
 
 class TestCheck:

@@ -22,6 +22,11 @@ class TestHyperPointValidation:
         with pytest.raises(ValueError):
             HyperPoint(2, 0.0, 0.5, (0.0,))
 
+    def test_rejects_infinite_radius(self):
+        # geodesic_distance would be nan and embed all inf
+        with pytest.raises(ValueError, match="radius must be finite"):
+            HyperPoint(3, math.inf, 0.5, (1.0, 1.0))
+
     def test_rejects_polar_out_of_range(self):
         with pytest.raises(ValueError):
             HyperPoint(2, 1.0, -0.1, (0.0,))

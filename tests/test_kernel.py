@@ -364,7 +364,7 @@ class TestFundamentalSolution:
             nearest(fundamental_solution(d, radius, 1.0), solution_reference(d, radius, 1.0))
 
     @pytest.mark.parametrize("d", [344, 400, 1240, 1241, 2000])
-    def test_rejects_normalization_out_of_double_range(self, d):
+    def test_normalization_past_double_range_is_nearest(self, d):
         # Gamma(d/2) overflows from d = 344, c0 from d = 439 and pi ** (d/2)
         # from d = 1241; c0 is the double nearest its exact value, and its
         # scaled pair keeps that accuracy past double range
@@ -407,3 +407,8 @@ class TestEuclideanFundamental:
             euclidean_fundamental(0, 1.0)
         with pytest.raises(ValueError):
             euclidean_fundamental(3, 0.0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rejects_infinite_distance(self, d):
+        with pytest.raises(ValueError, match="finite"):
+            euclidean_fundamental(d, math.inf)
