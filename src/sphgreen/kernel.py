@@ -54,6 +54,9 @@ __all__ = [
 THETA_EDGE = 1e-12
 # direct series routes are only offered while cos^2(theta) stays below this
 SERIES_WINDOW = 0.98
+# the Ferrers route sums its series in sin^2(theta) where cos^2(theta) exceeds
+# this, and in cos^2(theta) elsewhere, so that either sum converges like 2^-n
+_FERRERS_SWITCH = 0.5
 
 # a frexp mantissa in [1/2, 1) raised to at most this power stays within
 # 2^(+-1000), inside the normal double range
@@ -303,57 +306,87 @@ def i_d_hyp2f1(d: int, theta: float, euler: bool = False) -> KernelValue:
     return _kernel_value(method, d, s, kernel, abs(kernel) * DEFAULT_SERIES.rel_tol)
 
 
-def _check_ferrers_series(d: int, z: float) -> None:
-    """Raise NonConvergenceError when 2F1(1/2, d/2; 3/2; z) provably cannot stop.
+def _ferrers_in_sine(d: int, x: float, w: float) -> float:
+    """K_d = sin^{d-2} x 2F1(1/2, d/2; 3/2; x^2) as a series in w = 1 - x^2 = sin^2.
 
-    The terms are t_k = z^k u_k / (2k+1) with u_k = (d/2)_k / k!, which does
-    not decrease for d >= 2, so every partial sum obeys
-    S_m <= u_m A(z) with A(z) = atanh(sqrt z) / sqrt z.  Hence
-    t_m / S_m >= z^N / ((2N+1) A(z)) for all m <= N = DEFAULT_SERIES.max_terms;
-    once that bound exceeds twice DEFAULT_SERIES.rel_tol (the factor covers
-    rounding), no term can meet the stopping rule of ``gauss_2f1``.
+    The z -> 1-z connection (A&S 15.3.6 for odd d, 15.3.10 and 15.3.12 for
+    even d; DLMF 15.8) with a = 1/2, b = d/2, c = 3/2 and m = d/2 - 1 gives
+    K_d = x [P(w) / (d-2) + r w^m L(w) / 2] with r = (d-3)!!/(d-2)!!:
+
+    - P(w) = 1 + w (d-3)/(d-4) + w^2 (d-3)(d-5)/((d-4)(d-6)) + ..., whose
+      factors k/(k-1) run over k = d-3, d-5, ... >= 2.  For odd d it is the
+      terminating polynomial left once 1/Gamma((3-d)/2) = 0 removes the
+      other term; for even d it is the finite part of the logarithmic case.
+      It is absent at d = 2.
+    - L(w) = sum_n (1/2)_n/n! w^n (2 ln 2 + H_n - 2 O_n - ln w), present for
+      even d only, with H_n = sum_{k<=n} 1/k and O_n = sum_{k<=n} 1/(2k-1):
+      psi(b+n) cancels psi(n+m+1), and psi(n+1/2) - psi(n+1) =
+      -2 ln 2 - H_n + 2 O_n, so no Euler gamma is needed.
+
+    Every term is positive.  For w < 1/2 the tail after a term of P is at
+    most 1/(1-w)^2 - 1 times that term, and after a term of L at most
+    w/(1-w) times it; each sum stops once that bound is below half an ulp of
+    the kernel summed so far.
     """
-    n, rel_tol = DEFAULT_SERIES.max_terms, DEFAULT_SERIES.rel_tol
-    zn = z**n
-    if zn == 0.0:
-        # the bound is 0 (z below about 0.993 at the default cap, or z = 0)
-        return
-    root = math.sqrt(z)
-    # atanh(sqrt z) = log1p(sqrt z) - log1p(-z)/2 stays finite for every z < 1
-    bound = zn / ((2 * n + 1) * (math.log1p(root) - 0.5 * math.log1p(-z)) / root)
-    if bound > 2.0 * rel_tol:
-        raise NonConvergenceError(
-            f"Ferrers series 2F1(0.5,{d / 2.0};1.5;{z}) cannot converge in {n} terms: "
-            f"each term is at least {bound:.3g} of its partial sum, more than "
-            f"twice rel_tol={rel_tol:g}", math.nan, 0)
+    half_ulp = 0.5 * sys.float_info.epsilon
+    tail = 1.0 / ((1.0 - w) * (1.0 - w)) - 1.0
+    head = 0.0
+    if d > 2:
+        term = total = 1.0
+        for k in range(d - 3, 1, -2):
+            term *= w * k / (k - 1)
+            total += term
+            if term * tail <= half_ulp * total:
+                break
+        head = total / (d - 2)
+    if d % 2:
+        return x * head
+    coef = 0.5 * (double_factorial(d - 3) / double_factorial(d - 2)) * w ** (d // 2 - 1)
+    tail = w / (1.0 - w)
+    bracket = math.log(4.0) - math.log(w)  # 2 ln 2 + H_n - 2 O_n - ln w at n = 0
+    term = 1.0
+    total = bracket
+    n = 0
+    while coef * term * bracket * tail > half_ulp * (head + coef * total):
+        n += 1
+        term *= w * (n - 0.5) / n
+        bracket -= 1.0 / (n * (2 * n - 1))
+        total += term * bracket
+    return x * (head + coef * total)
 
 
 def i_d_ferrers(d: int, theta: float) -> KernelValue:
     """Ferrers-Q route: K_d = p(d) sin^{d/2-1} Q_{d/2-1}^{1-d/2}(cos theta).
 
     The prefactor p(d) = (d-2)! / (Gamma(d/2) 2^{d/2-1}) equals (d-3)!! for
-    even d and (d-3)!! sqrt(2/pi) for odd d.  Where Q underflows below the
-    normal double range (from d = 343 at theta = 1) the route is refused.
+    even d and (d-3)!! sqrt(2/pi) for odd d, and the product is
+    sin^{d-2} cos theta 2F1(1/2, d/2; 3/2; cos^2 theta).  Where cos^2 theta
+    exceeds ``_FERRERS_SWITCH`` that product is summed in sin^2 theta
+    (``_ferrers_in_sine``), which holds down to ``THETA_EDGE``; elsewhere Q
+    comes from ``ferrers_q``.  Where that Q underflows below the normal
+    double range (from d = 343 at theta = 1) the route is refused.
     """
     _check_dimension(d)
     _check_theta(theta)
     x, s = math.cos(theta), math.sin(theta)
-    if x * x >= 1.0:
-        raise SeriesWindowError(
-            f"cos^2(theta) rounds to 1 in double precision at theta={theta}: "
-            "use finite_sum, recurrence or quadrature here")
-    _check_ferrers_series(d, x * x)
-    nu = d / 2.0 - 1.0
-    q = ferrers_q(FerrersOrderDegree(nu, -nu, x))
-    if abs(q) < sys.float_info.min:
-        raise SeriesWindowError(
-            f"Ferrers Q = {q} underflows the normal double range at d={d}, theta={theta}: "
-            "use finite_sum, recurrence or quadrature here")
-    if d % 2:
-        q *= math.sqrt(2.0 * s / math.pi)
-    kernel = _scaled(q, _int_pair(double_factorial(d - 3)), _power(s, (d - 2) // 2))
-    return _kernel_value(Representation.FERRERS_Q, d, s, kernel,
-                         abs(kernel) * DEFAULT_SERIES.rel_tol)
+    if x * x > _FERRERS_SWITCH:
+        kernel = _ferrers_in_sine(d, x, s * s)
+        error = abs(kernel) * DEFAULT_SERIES.rel_tol
+    else:
+        nu = d / 2.0 - 1.0
+        q = ferrers_q(FerrersOrderDegree(nu, -nu, x))
+        if abs(q) < sys.float_info.min:
+            raise SeriesWindowError(
+                f"Ferrers Q = {q} underflows the normal double range at d={d}, "
+                f"theta={theta}: use finite_sum, recurrence or quadrature here")
+        if d % 2:
+            q *= math.sqrt(2.0 * s / math.pi)
+        kernel = _scaled(q, _int_pair(double_factorial(d - 3)), _power(s, (d - 2) // 2))
+        # Q takes its power of sin theta from the rounded cos theta and the
+        # prefactor from the rounded sin theta; powers up to about (d-2)/2 of
+        # each amplify those roundings
+        error = abs(kernel) * (DEFAULT_SERIES.rel_tol + (d - 2) * sys.float_info.epsilon)
+    return _kernel_value(Representation.FERRERS_Q, d, s, kernel, error)
 
 
 def radial_kernel(d: int, theta: float,

@@ -16,11 +16,13 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .geometry import HyperPoint, embed, geodesic_distance, volume_weight
+from .geometry import HyperPoint, embed, geodesic_distance
 from .harmonics import DegenerateBranchError, QuantumNumbers, RadialSolutionKind, ode_convergence_order
 from .kernel import (
     Representation,
     SeriesWindowError,
+    _check_dimension,
+    _check_radius,
     euclidean_fundamental,
     fundamental_solution,
     i_d_quadrature,
@@ -339,34 +341,20 @@ VOLUME_NODES = 256
 def box_volume(d: int, radius: float) -> float:
     """Integral of the volume weight over the full coordinate box.
 
-    The weight is a product of single-angle factors, so the Gauss-Legendre
-    product rule collapses to a product of per-axis sums; each axis is sampled
-    by evaluating the weight with every other coordinate held at pi/2 (where
-    all sine factors equal 1), then the shared R^d factor is divided back out.
+    The weight R^d sin^{d-1}(theta) prod_k sin^{k-1}(alpha_k) is a product of
+    single-angle factors, so the Gauss-Legendre product rule collapses to
+    R^d times a product of per-axis sums: sin^{d-1} over theta in [0, pi],
+    sin^{k-1} over alpha_k in [0, pi] for k = 2..d-1, and 1 over the azimuth
+    in [0, 2 pi].
     """
+    _check_dimension(d)
+    _check_radius(radius)
     x, w = _gauss_legendre(VOLUME_NODES)
-    ref_direction = tuple(0.5 * math.pi for _ in range(d - 1))
-    axis_sums = []
-
-    theta_nodes = 0.5 * math.pi * (x + 1.0)
-    axis_sums.append(sum(
-        0.5 * math.pi * wi * volume_weight(HyperPoint(d, radius, t, ref_direction))
-        for wi, t in zip(w, theta_nodes)))
-    for k in range(1, d - 1):  # direction angles alpha_2 .. alpha_{d-1}
-        total = 0.0
-        for wi, a in zip(w, theta_nodes):
-            direction = ref_direction[:k] + (a,) + ref_direction[k + 1:]
-            total += 0.5 * math.pi * wi * volume_weight(
-                HyperPoint(d, radius, 0.5 * math.pi, direction))
-        axis_sums.append(total)
-    phi_nodes = math.pi * (x + 1.0)
-    axis_sums.append(sum(
-        math.pi * wi * volume_weight(
-            HyperPoint(d, radius, 0.5 * math.pi, (p,) + ref_direction[1:]))
-        for wi, p in zip(w, phi_nodes)))
-
-    reference_weight = volume_weight(HyperPoint(d, radius, 0.5 * math.pi, ref_direction))
-    return math.prod(axis_sums) / reference_weight ** (len(axis_sums) - 1)
+    nodes = [0.5 * math.pi * (xi + 1.0) for xi in x]
+    axis_sums = [sum(0.5 * math.pi * wi * math.sin(t) ** k for wi, t in zip(w, nodes))
+                 for k in (d - 1, *range(1, d - 1))]
+    axis_sums.append(sum(math.pi * wi for wi in w))
+    return float(radius) ** d * math.prod(axis_sums)
 
 
 def check_volume(d: int) -> CheckReport:

@@ -187,8 +187,9 @@ class TestEval:
         assert out1 == out2
 
     def test_pole_adjacent_all_degrades_gracefully(self, capsys):
-        # closed forms keep answering right next to the pole; series and
-        # quadrature routes skip with a labelled line instead of aborting
+        # closed forms and the Ferrers route, which sums in sin^2 theta here,
+        # keep answering right next to the pole; the hyp2f1 series skips with
+        # a labelled line instead of aborting
         code, out, _ = run(capsys, "eval", "--d", "3", "--theta", "1e-12",
                            "--method", "all")
         assert code == 0
@@ -199,7 +200,15 @@ class TestEval:
         assert float(lines["finite_sum"]) == pytest.approx(
             1.0 / math.tan(1e-12) / (4.0 * math.pi), rel=1e-12)
         assert lines["hyp2f1"] == "skipped"
-        assert lines["ferrers"] == "skipped"
+        assert float(lines["ferrers"]) == pytest.approx(float(lines["finite_sum"]), rel=1e-13)
+
+    def test_large_d_ferrers_near_pole(self, capsys):
+        # no Ferrers coefficient at d = 1000 leaves the double range, and the
+        # route prints inf, the double nearest S = 1.7e1878, as the recurrence does
+        code, out, err = run(capsys, "eval", "--d", "1000", "--theta", "0.1", "--method", "all")
+        assert code == 0 and err == ""
+        lines = {line.split()[0]: line.split()[1] for line in out.strip().splitlines()[:-1]}
+        assert lines["ferrers"] == lines["recurrence"] == "inf"
 
 
 class TestTable:

@@ -23,14 +23,7 @@ from sphgreen.kernel import (
     solution_scale,
 )
 from sphgreen.oracle import _finite_sum_cot
-from sphgreen.specfun import (
-    DEFAULT_SERIES,
-    FerrersOrderDegree,
-    NonConvergenceError,
-    double_factorial,
-    ferrers_q,
-    gauss_2f1,
-)
+from sphgreen.specfun import NonConvergenceError, double_factorial
 
 # 20 angles away from the poles, on both sides of the equator
 THETA_GRID = np.linspace(0.3, math.pi - 0.3, 20)
@@ -241,30 +234,42 @@ class TestFerrersRoute:
             i_d_ferrers(343, 1.0)
 
 
-class TestFerrersEarlyExit:
-    """The proven no-convergence exit of the Ferrers route near the poles."""
+# near both poles, across cos^2(theta) = 1/2 where the Ferrers route changes
+# series, and inside the old no-convergence band 0.0142-0.02
+FERRERS_ANGLES = [1e-12, 1e-6, 0.013, 0.0142, 0.0145, 0.02, 0.05,
+                  math.pi / 4 - 1e-9, math.pi / 4 + 1e-9, 1.0]
 
-    @pytest.mark.parametrize("d", [2, 3, 40, 60])
-    @pytest.mark.parametrize("theta", [0.013, math.pi - 0.013])
-    def test_exit_fires_only_where_the_series_fails(self, d, theta):
-        with pytest.raises(NonConvergenceError, match="cannot converge"):
-            i_d_ferrers(d, theta)
-        with pytest.raises(NonConvergenceError):
-            gauss_2f1(0.5, d / 2.0, 1.5, math.cos(theta) ** 2, DEFAULT_SERIES)
 
-    def test_scan_matches_direct_ferrers_q(self):
-        # d = 2: the prefactor and the sine power are 1, so I_2 is Q itself;
-        # the scan crosses the exit bound (0.0142) and the onset of convergence
-        for k in range(21):
-            theta = 0.012 + 0.0002 * k
-            x = math.cos(theta)
-            try:
-                expected = ferrers_q(FerrersOrderDegree(0.0, -0.0, x))
-            except NonConvergenceError:
-                with pytest.raises(NonConvergenceError):
-                    i_d_ferrers(2, theta)
-            else:
-                assert i_d_ferrers(2, theta).value == expected
+class TestFerrersAccuracy:
+    """The Ferrers route against the 40-digit reference, both series included."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 10, 40, 60])
+    @pytest.mark.parametrize("theta", FERRERS_ANGLES + [math.pi - t for t in FERRERS_ANGLES])
+    def test_within_reported_error(self, d, theta, kernel_reference):
+        kv = i_d_ferrers(d, theta)
+        want = kernel_reference(d, theta)
+        assert abs(kv.kernel - want) <= kv.kernel_error + 4.0 * sys.float_info.epsilon * abs(want)
+
+    @pytest.mark.parametrize("d", [2, 3, 10, 60])
+    def test_continuous_across_the_switch(self, d):
+        # the step between the two series is the kernel's own change
+        # between the two angles, to rounding
+        a, b = math.pi / 4 - 1e-9, math.pi / 4 + 1e-9
+        step = i_d_ferrers(d, a).kernel - i_d_ferrers(d, b).kernel
+        want = i_d_recurrence(d, a).kernel - i_d_recurrence(d, b).kernel
+        assert abs(step - want) <= 1e-14 * abs(i_d_recurrence(d, b).kernel)
+
+    @pytest.mark.parametrize("d", [172, 173, 250, 343, 400, 1000])
+    @pytest.mark.parametrize("theta", [0.1, math.pi - 0.1, 1e-6])
+    def test_large_d_matches_recurrence(self, d, theta):
+        # no d-dependent coefficient leaves the double range: the route either
+        # agrees with the recurrence or refuses by name
+        try:
+            got = i_d_ferrers(d, theta).kernel
+        except (SeriesWindowError, NonConvergenceError):
+            return
+        want = i_d_recurrence(d, theta).kernel
+        assert abs(got - want) <= 1e-14 * abs(want)
 
 
 class TestKernelProperties:

@@ -179,6 +179,14 @@ class TestGauss2F1:
         with pytest.raises(NonConvergenceError):
             gauss_2f1(0.5, 5.0, 1.5, 0.999, ctl)
 
+    @pytest.mark.parametrize("d", [2, 3, 40, 60])
+    def test_kernel_series_exhausts_its_cap_near_a_pole(self, d):
+        # 0.013 from a pole the series in cos^2 theta cannot meet its stopping
+        # rule in DEFAULT_SERIES.max_terms terms; the Ferrers route sums in
+        # sin^2 theta there instead
+        with pytest.raises(NonConvergenceError):
+            gauss_2f1(0.5, d / 2.0, 1.5, math.cos(0.013) ** 2, DEFAULT_SERIES)
+
     def test_euler_transformation(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
