@@ -234,8 +234,9 @@ class TestFerrersRoute:
             i_d_ferrers(343, 1.0)
 
 
-# near both poles, across cos^2(theta) = 1/2 where the Ferrers route changes
-# series, and inside the old no-convergence band 0.0142-0.02
+# near both poles, where the series in cos^2(theta) cannot converge (up to
+# 0.02 from a pole), and on both sides of cos^2(theta) = 1/2, where the
+# Ferrers route changes series
 FERRERS_ANGLES = [1e-12, 1e-6, 0.013, 0.0142, 0.0145, 0.02, 0.05,
                   math.pi / 4 - 1e-9, math.pi / 4 + 1e-9, 1.0]
 
