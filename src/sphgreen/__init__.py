@@ -56,7 +56,6 @@ from .specfun import (
     FerrersOrderDegree,
     GammaPoleError,
     NonConvergenceError,
-    SeriesControl,
     double_factorial,
     ferrers_p,
     ferrers_q,

@@ -11,7 +11,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .kernel import _check_dimension
+from .kernel import _check_dimension, _check_integer
 from .specfun import FerrersOrderDegree, ferrers_p, ferrers_q
 
 __all__ = [
@@ -56,8 +56,7 @@ class QuantumNumbers:
 
     def __post_init__(self):
         _check_dimension(self.dimension)
-        if int(self.angular) != self.angular or self.angular < 0:
-            raise ValueError(f"angular number must be an integer >= 0, got {self.angular}")
+        _check_integer(self.angular, "angular number", 0)
 
 
 def radial_harmonic(q: QuantumNumbers, kind: RadialSolutionKind, theta: float) -> float:

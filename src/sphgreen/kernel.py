@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .quadrature import integrate
 from .specfun import (
-    DEFAULT_SERIES,
+    TOLERANCE,
     FerrersOrderDegree,
     NonConvergenceError,
     double_factorial,
@@ -162,9 +162,19 @@ def _kernel_value(method: Representation, d: int, sine: float, kernel: float,
     return KernelValue(kernel, error, method, _power(sine, 2 - d))
 
 
+def _check_integer(x: float, name: str, minimum: int) -> None:
+    """ValueError unless x is a whole number >= minimum.  int(x) raises for inf
+    and nan; an int never passes through float, so no size of int overflows."""
+    try:
+        whole = int(x) == x
+    except (OverflowError, ValueError):
+        whole = False
+    if not whole or x < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {x}")
+
+
 def _check_dimension(d: int) -> None:
-    if int(d) != d or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d}")
+    _check_integer(d, "dimension", 2)
 
 
 def _check_radius(radius: float, name: str = "radius") -> None:
@@ -303,7 +313,7 @@ def i_d_hyp2f1(d: int, theta: float, euler: bool = False) -> KernelValue:
     else:
         kernel = _scaled(c * gauss_2f1(0.5, d / 2.0, 1.5, z), _power(s, d - 2))
         method = Representation.HYP2F1
-    return _kernel_value(method, d, s, kernel, abs(kernel) * DEFAULT_SERIES.rel_tol)
+    return _kernel_value(method, d, s, kernel, abs(kernel) * TOLERANCE)
 
 
 def _ferrers_in_sine(d: int, x: float, w: float) -> float:
@@ -371,7 +381,7 @@ def i_d_ferrers(d: int, theta: float) -> KernelValue:
     x, s = math.cos(theta), math.sin(theta)
     if x * x > _FERRERS_SWITCH:
         kernel = _ferrers_in_sine(d, x, s * s)
-        error = abs(kernel) * DEFAULT_SERIES.rel_tol
+        error = abs(kernel) * TOLERANCE
     else:
         nu = d / 2.0 - 1.0
         q = ferrers_q(FerrersOrderDegree(nu, -nu, x))
@@ -385,7 +395,7 @@ def i_d_ferrers(d: int, theta: float) -> KernelValue:
         # Q takes its power of sin theta from the rounded cos theta and the
         # prefactor from the rounded sin theta; powers up to about (d-2)/2 of
         # each amplify those roundings
-        error = abs(kernel) * (DEFAULT_SERIES.rel_tol + (d - 2) * sys.float_info.epsilon)
+        error = abs(kernel) * (TOLERANCE + (d - 2) * sys.float_info.epsilon)
     return _kernel_value(Representation.FERRERS_Q, d, s, kernel, error)
 
 
@@ -424,8 +434,7 @@ def solution_scale(d: int, radius: float) -> tuple[float, int]:
     radius that is not positive and finite.
     """
     _check_radius(radius)
-    if int(d) != d or d < 1:
-        raise ValueError(f"dimension must be an integer >= 1, got {d}")
+    _check_integer(d, "dimension", 1)
     if d % 2 == 0:
         n, twos, pis = math.factorial(d // 2 - 1), 1, d // 2
     else:

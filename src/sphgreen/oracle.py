@@ -23,13 +23,15 @@ from .kernel import (
     SeriesWindowError,
     _check_dimension,
     _check_radius,
+    _power,
+    _scaled,
     euclidean_fundamental,
     fundamental_solution,
     i_d_quadrature,
     radial_kernel,
+    solution_scale,
 )
 from .quadrature import TOLERANCE
-from .specfun import gamma_real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -193,7 +195,7 @@ def euclidean_limit_errors(d: int, r: float, radii: Sequence[float]) -> list[flo
     an additive constant; a limit comparison must remove that offset.
     """
     radii = list(radii)
-    if any(b <= a for a, b in zip(radii, radii[1:])) or radii[0] <= r:
+    if not radii or radii[0] <= r or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing and each exceed r")
     g = euclidean_fundamental(d, r)
     errors = []
@@ -254,8 +256,9 @@ def _finite_sum_cot(d: int, theta: float) -> float:
     return math.factorial((d - 3) // 2) * total
 
 
-def check_cross_representation(d: int, thetas: Sequence[float] | None = None) -> CheckReport:
-    """Every other kernel route against the quadrature oracle.
+def check_cross_representation(d: int) -> CheckReport:
+    """Every other kernel route against the quadrature oracle at 50 angles
+    evenly spaced over [0.05, pi - 0.05].
 
     Each route is evaluated through ``radial_kernel`` and skipped only at the
     angles it refuses with SeriesWindowError (the hypergeometric series
@@ -263,10 +266,9 @@ def check_cross_representation(d: int, thetas: Sequence[float] | None = None) ->
     form is compared too, as ``finite_sum_cot``.  Measured value is the worst
     relative deviation.
     """
-    if thetas is None:
-        import numpy as np
+    import numpy as np
 
-        thetas = np.linspace(0.05, math.pi - 0.05, 50)
+    thetas = np.linspace(0.05, math.pi - 0.05, 50)
     worst = 0.0
     worst_at = ""
     routes = 0
@@ -294,7 +296,7 @@ def check_cross_representation(d: int, thetas: Sequence[float] | None = None) ->
         expected=0.0,
         tolerance=1e-9,
         passed=worst <= 1e-9,
-        detail=f"{routes} route evaluations over {len(list(thetas))} angles; "
+        detail=f"{routes} route evaluations over {len(thetas)} angles; "
                f"worst: {worst_at}; quadrature tol={TOLERANCE}")
 
 
@@ -330,8 +332,11 @@ def check_distance_oracle(d: int, pairs: int = 1000) -> CheckReport:
 
 
 def hypersphere_volume(d: int, radius: float) -> float:
-    """2 pi^{(d+1)/2} R^d / Gamma((d+1)/2), the d-sphere's total volume."""
-    return 2.0 * math.pi ** ((d + 1) / 2.0) * radius**d / gamma_real((d + 1) / 2.0)
+    """R^d / c0(d+1), the d-sphere's total volume: the unit d-sphere's area is
+    the reciprocal of the solution constant.  Rounded once, the value is inf
+    or 0.0 only where the exact one lies outside double range."""
+    m, e = solution_scale(d + 1, 1.0)
+    return _scaled(1.0 / m, (1.0, -e), _power(radius, d))
 
 
 # Gauss-Legendre nodes per axis of ``box_volume``

@@ -11,11 +11,11 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "SeriesControl",
+    "TOLERANCE",
+    "MAX_TERMS",
     "FerrersOrderDegree",
     "GammaPoleError",
     "NonConvergenceError",
-    "DEFAULT_SERIES",
     "gamma_real",
     "reciprocal_gamma",
     "double_factorial",
@@ -24,6 +24,9 @@ __all__ = [
     "ferrers_p",
     "ferrers_q",
 ]
+
+TOLERANCE = 1e-15
+MAX_TERMS = 100000
 
 _SQRT_PI = math.sqrt(math.pi)
 # largest argument before Gamma overflows a double
@@ -41,23 +44,6 @@ class NonConvergenceError(ArithmeticError):
         super().__init__(message)
         self.partial_sum = partial_sum
         self.terms = terms
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for hypergeometric series evaluation."""
-
-    rel_tol: float = 1e-15
-    max_terms: int = 100000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_SERIES = SeriesControl()
 
 
 def _is_integer(z: float) -> bool:
@@ -114,12 +100,11 @@ def reciprocal_gamma(z: float) -> float:
     return 0.0 if math.isinf(g) else 1.0 / g
 
 
-def gauss_2f1(a: float, b: float, c: float, z: float,
-              ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric series sum_n (a)_n (b)_n / ((c)_n n!) z^n.
 
-    Summation stops once three consecutive terms fall below ``ctl.rel_tol``
-    relative to the running sum; hitting ``ctl.max_terms`` first raises
+    Summation stops once three consecutive terms fall below ``TOLERANCE``
+    relative to the running sum; hitting ``MAX_TERMS`` first raises
     NonConvergenceError (expected as z -> 1 with c - a - b <= 0).
     """
     if c <= 0.0 and _is_integer(c):
@@ -129,12 +114,12 @@ def gauss_2f1(a: float, b: float, c: float, z: float,
     # tol * max(|total|, 1e-300) == max(tol * |total|, floor) exactly, because
     # multiplying by tol > 0 preserves order after rounding; this form makes
     # no builtin call per term
-    tol = ctl.rel_tol
+    tol, max_terms = TOLERANCE, MAX_TERMS
     floor = tol * 1e-300
     total = 1.0
     term = 1.0
     below = 0
-    for n in range(ctl.max_terms):
+    for n in range(max_terms):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
         mag = term if term >= 0.0 else -term
@@ -145,8 +130,8 @@ def gauss_2f1(a: float, b: float, c: float, z: float,
         else:
             below = 0
     raise NonConvergenceError(
-        f"2F1({a},{b};{c};{z}) did not converge in {ctl.max_terms} terms",
-        total, ctl.max_terms)
+        f"2F1({a},{b};{c};{z}) did not converge in {max_terms} terms",
+        total, max_terms)
 
 
 @dataclass(frozen=True)
@@ -186,7 +171,7 @@ def _cos_half_pi(v: float) -> float:
     return math.cos(0.5 * math.pi * v)
 
 
-def _ferrers_terms(pd: FerrersOrderDegree, ctl: SeriesControl):
+def _ferrers_terms(pd: FerrersOrderDegree):
     """The two building blocks shared by the P and Q definitions.
 
     Each is (gamma ratio) * (power prefactor) * 2F1; a vanishing trigonometric
@@ -201,22 +186,22 @@ def _ferrers_terms(pd: FerrersOrderDegree, ctl: SeriesControl):
                 * reciprocal_gamma((nu - mu + 1.0) / 2.0)
                 * x * pow_fac
                 * gauss_2f1((1.0 - nu - mu) / 2.0, (nu - mu + 2.0) / 2.0,
-                            1.5, x * x, ctl))
+                            1.5, x * x))
 
     def even_term():
         return (gamma_real((nu + mu + 1.0) / 2.0)
                 * reciprocal_gamma((nu - mu + 2.0) / 2.0)
                 * pow_fac
                 * gauss_2f1((-nu - mu) / 2.0, (nu - mu + 1.0) / 2.0,
-                            0.5, x * x, ctl))
+                            0.5, x * x))
 
     return odd_term, even_term
 
 
-def ferrers_p(pd: FerrersOrderDegree, ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def ferrers_p(pd: FerrersOrderDegree) -> float:
     """Ferrers function of the first kind P_nu^mu(x) on the cut."""
     nu, mu = pd.degree, pd.order
-    odd_term, even_term = _ferrers_terms(pd, ctl)
+    odd_term, even_term = _ferrers_terms(pd)
     s = _sin_half_pi(nu + mu)
     c = _cos_half_pi(nu + mu)
     value = 0.0
@@ -227,10 +212,10 @@ def ferrers_p(pd: FerrersOrderDegree, ctl: SeriesControl = DEFAULT_SERIES) -> fl
     return value
 
 
-def ferrers_q(pd: FerrersOrderDegree, ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def ferrers_q(pd: FerrersOrderDegree) -> float:
     """Ferrers function of the second kind Q_nu^mu(x) on the cut."""
     nu, mu = pd.degree, pd.order
-    odd_term, even_term = _ferrers_terms(pd, ctl)
+    odd_term, even_term = _ferrers_terms(pd)
     s = _sin_half_pi(nu + mu)
     c = _cos_half_pi(nu + mu)
     value = 0.0

@@ -50,10 +50,9 @@ def report(number: int, passed: bool, summary: str) -> None:
 
 def test_criterion_1_cross_representation_agreement():
     start = time.perf_counter()
-    thetas = np.linspace(0.05, math.pi - 0.05, 50)
     worst = 0.0
     for d in range(2, 11):
-        result = check_cross_representation(d, thetas=thetas)
+        result = check_cross_representation(d)
         worst = max(worst, result.measured)
         assert result.passed, result.line()
     elapsed = time.perf_counter() - start

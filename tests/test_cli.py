@@ -85,6 +85,8 @@ class TestEval:
 
     @pytest.mark.parametrize("command, flag, value, message", [
         ("eval", "--d", "1", "dimension must be an integer >= 2, got 1"),
+        pytest.param("eval", "--d", "-1" + "0" * 400, "dimension must be an integer >= 2",
+                     id="eval---d-beyond-float-range"),
         ("eval", "--d", "2.5", "invalid int value: '2.5'"),
         ("eval", "--radius", "abc", "invalid float value: 'abc'"),
         ("eval", "--radius", "0", "radius must be positive, got 0.0"),
@@ -481,6 +483,7 @@ class TestImportHygiene:
             ("table", "--d", "4", "--theta-min", "0.1", "--theta-max", "3.0",
              "--n", "5", "--methods", "finite_sum,recurrence",
              "--out", str(tmp_path / "t.csv")),
+            ("check", "ode"),
         )
         assert "sphgreen.oracle" in modules and "sphgreen.quadrature" in modules
         assert "numpy" not in modules and "scipy" not in modules

@@ -306,8 +306,9 @@ class TestKernelProperties:
         assert kv.value == i_d_finite_sum(5, 1.1).value
 
     def test_dimension_validation(self):
-        with pytest.raises(ValueError):
-            i_d_finite_sum(1, 1.0)
+        for d in (1, math.inf, math.nan, -10**400):
+            with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+                i_d_finite_sum(d, 1.0)
 
     def test_pole_adjacent_overflow_saturates(self):
         # far past double range the cot/inverse-sine powers saturate with the
@@ -409,8 +410,11 @@ class TestEuclideanFundamental:
         assert euclidean_fundamental(1300, 1.0) == math.inf
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            euclidean_fundamental(0, 1.0)
+        for d in (0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+                solution_scale(d, 1.0)
+            with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+                euclidean_fundamental(d, 1.0)
         with pytest.raises(ValueError):
             euclidean_fundamental(3, 0.0)
 

@@ -12,6 +12,7 @@ from sphgreen.oracle import (
     check_ode_order,
     check_volume,
     euclidean_limit_errors,
+    hypersphere_volume,
 )
 from sphgreen.quadrature import ToleranceNotMetError, integrate
 
@@ -166,10 +167,9 @@ class TestEuclideanLimit:
         assert not report.passed
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            check_euclidean_limit(3, 1.0, [100.0, 10.0])
-        with pytest.raises(ValueError):
-            check_euclidean_limit(3, 1.0, [0.5, 10.0])
+        for radii in ([100.0, 10.0], [0.5, 10.0], []):
+            with pytest.raises(ValueError, match="radii must be strictly increasing"):
+                check_euclidean_limit(3, 1.0, radii)
 
 
 class TestCrossRepresentation:
@@ -187,3 +187,17 @@ class TestGeometryChecks:
     def test_volume(self):
         report = check_volume(3)
         assert report.passed
+
+    @pytest.mark.parametrize("d", [2, 3, 10, 200, 400, 1000])
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+    def test_hypersphere_volume_against_mpmath(self, d, radius):
+        from mpmath import mp, mpf
+
+        with mp.workdps(40):
+            half = mpf(d + 1) / 2
+            want = float(2 * mp.pi**half * mpf(radius) ** d / mp.gamma(half))
+        got = hypersphere_volume(d, radius)
+        if want == 0.0:  # the exact value underflows
+            assert got == 0.0
+        else:
+            assert abs(got - want) <= 4.0 * math.ulp(want), (got, want)

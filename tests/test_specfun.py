@@ -1,16 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sphgreen import specfun
 from sphgreen.specfun import (
-    DEFAULT_SERIES,
     FerrersOrderDegree,
     GammaPoleError,
     NonConvergenceError,
-    SeriesControl,
     double_factorial,
     ferrers_p,
     ferrers_q,
@@ -35,8 +35,12 @@ def brute_force_2f1(a, b, c, z, terms=100000):
     return total
 
 
-def reference_gauss_2f1(a, b, c, z, ctl=DEFAULT_SERIES):
-    """The abs/max summation loop ``gauss_2f1`` used to run, frozen as the bit reference."""
+def reference_gauss_2f1(a, b, c, z):
+    """The abs/max summation loop ``gauss_2f1`` used to run, frozen as the bit reference.
+
+    It reads the same module constants as ``gauss_2f1``, so a test that
+    patches them changes both loops.
+    """
     if c <= 0.0 and c == round(c):
         raise GammaPoleError(f"2F1 undefined for nonpositive integer c={c}")
     if not abs(z) < 1.0:
@@ -44,16 +48,16 @@ def reference_gauss_2f1(a, b, c, z, ctl=DEFAULT_SERIES):
     total = 1.0
     term = 1.0
     below = 0
-    for n in range(ctl.max_terms):
+    for n in range(specfun.MAX_TERMS):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
-        if abs(term) <= ctl.rel_tol * max(abs(total), 1e-300):
+        if abs(term) <= specfun.TOLERANCE * max(abs(total), 1e-300):
             below += 1
             if below == 3:
                 return total
         else:
             below = 0
-    raise NonConvergenceError("reference loop did not converge", total, ctl.max_terms)
+    raise NonConvergenceError("reference loop did not converge", total, specfun.MAX_TERMS)
 
 
 def outcome(fn, *args):
@@ -175,17 +179,16 @@ class TestGauss2F1:
             gauss_2f1(1.0, 1.0, 1.5, 1.0)
 
     def test_nonconvergence_near_one(self):
-        ctl = SeriesControl(rel_tol=1e-15, max_terms=60)
-        with pytest.raises(NonConvergenceError):
-            gauss_2f1(0.5, 5.0, 1.5, 0.999, ctl)
+        with mock.patch.object(specfun, "MAX_TERMS", 60), pytest.raises(NonConvergenceError):
+            gauss_2f1(0.5, 5.0, 1.5, 0.999)
 
     @pytest.mark.parametrize("d", [2, 3, 40, 60])
     def test_kernel_series_exhausts_its_cap_near_a_pole(self, d):
         # 0.013 from a pole the series in cos^2 theta cannot meet its stopping
-        # rule in DEFAULT_SERIES.max_terms terms; the Ferrers route sums in
-        # sin^2 theta there instead
+        # rule in MAX_TERMS terms; the Ferrers route sums in sin^2 theta there
+        # instead
         with pytest.raises(NonConvergenceError):
-            gauss_2f1(0.5, d / 2.0, 1.5, math.cos(0.013) ** 2, DEFAULT_SERIES)
+            gauss_2f1(0.5, d / 2.0, 1.5, math.cos(0.013) ** 2)
 
     def test_euler_transformation(self):
         rng = np.random.default_rng(42)
@@ -295,9 +298,8 @@ class TestGauss2F1BitIdentity:
     @example(a=1e300, b=1e300, c=1.0, z=0.5, max_terms=10, rel_tol=1e-15)
     @example(a=0.0, b=0.0, c=1.0, z=-0.0, max_terms=1, rel_tol=1e-15)
     def test_random_parameters(self, a, b, c, z, max_terms, rel_tol):
-        ctl = SeriesControl(rel_tol=rel_tol, max_terms=max_terms)
-        assert (outcome(gauss_2f1, a, b, c, z, ctl)
-                == outcome(reference_gauss_2f1, a, b, c, z, ctl))
+        with mock.patch.multiple(specfun, TOLERANCE=rel_tol, MAX_TERMS=max_terms):
+            assert outcome(gauss_2f1, a, b, c, z) == outcome(reference_gauss_2f1, a, b, c, z)
 
     @BIT_SETTINGS
     @given(d=st.integers(2, 60), z=st.floats(0.0, 0.98, allow_nan=False))
