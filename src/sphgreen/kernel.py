@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -162,14 +163,14 @@ def _kernel_value(method: Representation, d: int, sine: float, kernel: float,
     return KernelValue(kernel, error, method, _power(sine, 2 - d))
 
 
-def _check_integer(x: float, name: str, minimum: int) -> None:
-    """ValueError unless x is a whole number >= minimum.  int(x) raises for inf
-    and nan; an int never passes through float, so no size of int overflows."""
+def _check_integer(x: int, name: str, minimum: int) -> None:
+    """ValueError unless x is an integer >= minimum.  An integer is what
+    ``range()`` accepts (``operator.index``), so 3.0, inf and nan are not."""
     try:
-        whole = int(x) == x
-    except (OverflowError, ValueError):
+        whole = operator.index(x) >= minimum
+    except TypeError:
         whole = False
-    if not whole or x < minimum:
+    if not whole:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {x}")
 
 
@@ -207,6 +208,8 @@ def i_d_quadrature(d: int, theta: float) -> KernelValue:
     u0 = asinh(cot theta).  The integrand is at most 1 and rises to 1 at |u0|
     over a width of about 1/(d-2); the interval is cut at |u0| - 2^k/(d-2)
     while that step is below |u0|/16, so that no piece hides the peak.
+    The error adds (d-2) (1 + |u0|) eps |K| to the integration estimate: the
+    rounding of u0 and of sin(theta), both raised to the power d - 2.
     """
     _check_dimension(d)
     _check_theta(theta)
@@ -224,6 +227,7 @@ def i_d_quadrature(d: int, theta: float) -> KernelValue:
         piece, err = integrate(integrand, lo, hi)
         value += piece
         estimate += err
+    estimate += (d - 2) * (1.0 + u0) * sys.float_info.epsilon * value
     return _kernel_value(Representation.QUADRATURE, d, s, math.copysign(value, c), estimate)
 
 

@@ -448,10 +448,11 @@ class TestParserReuse:
 
 
 class TestImportHygiene:
-    """Default routes run on the standard library; SciPy/NumPy load on demand."""
+    """No command imports SciPy; default routes and every route's eval run on
+    the standard library, and NumPy loads on demand."""
 
     @staticmethod
-    def loaded_after(tmp_path, *commands):
+    def loaded_after(tmp_path, *commands, codes=None):
         import json
         import os
         import subprocess
@@ -470,8 +471,8 @@ class TestImportHygiene:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, env=env, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        codes, modules = json.loads(proc.stdout)
-        assert codes == [0] * len(commands)
+        exits, modules = json.loads(proc.stdout)
+        assert exits == (codes or [0] * len(commands))
         return set(modules)
 
     def test_default_routes_import_neither_scipy_nor_numpy(self, tmp_path):
@@ -488,7 +489,16 @@ class TestImportHygiene:
         assert "sphgreen.oracle" in modules and "sphgreen.quadrature" in modules
         assert "numpy" not in modules and "scipy" not in modules
 
-    def test_quadrature_route_imports_scipy(self, tmp_path):
-        modules = self.loaded_after(
-            tmp_path, ("eval", "--d", "7", "--theta", "1", "--method", "quadrature"))
-        assert "scipy.integrate" in modules
+    def test_every_route_and_suite_runs_without_scipy(self, tmp_path):
+        every_route = (
+            ("eval", "--d", "7", "--theta", "1", "--method", "quadrature"),
+            ("eval", "--d", "7", "--theta", "1", "--method", "all"),
+            ("table", "--d", "4", "--theta-min", "0.1", "--theta-max", "3.0",
+             "--n", "4", "--methods", "all", "--out", str(tmp_path / "t.csv")),
+        )
+        modules = self.loaded_after(tmp_path, *every_route)
+        assert "scipy" not in modules and "numpy" not in modules
+        # check limit exits 1 on its d = 2 clause (see test_limit_suite_reports_d2_failure)
+        suites = [("check", suite) for suite in ("ode", "delta", "limit", "xrep", "geometry")]
+        modules = self.loaded_after(tmp_path, *suites, codes=[0, 0, 1, 0, 0])
+        assert "scipy" not in modules

@@ -53,10 +53,10 @@ class TestDegeneracy:
                 assert degeneracy(QuantumNumbers(d, l)) == expected
 
     def test_validation(self):
-        for d in (1, math.inf, math.nan):
+        for d in (1, 3.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
                 QuantumNumbers(d, 0)
-        for l in (-1, math.inf, math.nan):
+        for l in (-1, 3.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="angular number must be an integer >= 0"):
                 QuantumNumbers(3, l)
 

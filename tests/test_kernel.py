@@ -44,6 +44,10 @@ def closed_form(d, theta):
     }[d]
 
 
+# near both poles, near pi/2 and at 1.0 (mirrored in the test)
+QUADRATURE_ANGLES = [1e-12, 1e-6, 0.013, 1.0, math.pi / 2 - 1e-9]
+
+
 class TestQuadratureRoute:
     def test_equator_matches_finite_sum(self):
         # math.pi / 2 lies below pi/2, so I_d there is cos(math.pi / 2) =
@@ -79,6 +83,16 @@ class TestQuadratureRoute:
         kv = i_d_quadrature(d, theta)
         want = kernel_reference(d, theta)
         assert abs(kv.kernel - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("d", [3, 10, 60, 1000, 3000])
+    @pytest.mark.parametrize("theta", QUADRATURE_ANGLES + [math.pi - t for t in QUADRATURE_ANGLES]
+                             + [math.pi / 2])
+    def test_within_reported_error(self, d, theta, kernel_reference):
+        # the estimate covers the rounding of u0 and sin(theta) as well as
+        # the integration: at d = 3000, pi - 1e-12 the former is 1e3 times the latter
+        kv = i_d_quadrature(d, theta)
+        want = kernel_reference(d, theta)
+        assert abs(kv.kernel - want) <= kv.kernel_error + 4.0 * sys.float_info.epsilon * abs(want)
 
 
 class TestFiniteSumRoute:
@@ -306,7 +320,7 @@ class TestKernelProperties:
         assert kv.value == i_d_finite_sum(5, 1.1).value
 
     def test_dimension_validation(self):
-        for d in (1, math.inf, math.nan, -10**400):
+        for d in (1, 3.0, math.inf, math.nan, -10**400):
             with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
                 i_d_finite_sum(d, 1.0)
 
@@ -410,7 +424,7 @@ class TestEuclideanFundamental:
         assert euclidean_fundamental(1300, 1.0) == math.inf
 
     def test_rejects_bad_inputs(self):
-        for d in (0, math.inf, math.nan):
+        for d in (0, 3.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
                 solution_scale(d, 1.0)
             with pytest.raises(ValueError, match="dimension must be an integer >= 1"):

@@ -14,7 +14,7 @@ from sphgreen.oracle import (
     euclidean_limit_errors,
     hypersphere_volume,
 )
-from sphgreen.quadrature import ToleranceNotMetError, integrate
+from sphgreen.quadrature import _CENTER_WEIGHT, _RULE, ToleranceNotMetError, integrate
 
 
 class TestIntegrate:
@@ -38,6 +38,19 @@ class TestIntegrate:
     def test_endpoint_singularity(self):
         value, _ = integrate(lambda x: x**-0.5, 0.0, 1.0)
         assert value == pytest.approx(2.0, rel=1e-10)
+
+    @pytest.mark.parametrize("k", range(34))
+    def test_rule_literals_integrate_monomials(self, k):
+        # on [-1, 1], K21 is exact for x^k to k = 31 and G10 to k = 19 (odd k
+        # by symmetry), so each literal is right to rounding; x^32 and x^20
+        # show that the degrees are sharp
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        kronrod = math.fsum([_CENTER_WEIGHT * 0.0**k]
+                            + [wk * (x**k + (-x) ** k) for x, wk, _ in _RULE])
+        gauss = math.fsum(wg * (x**k + (-x) ** k) for x, _, wg in _RULE)
+        ulp = math.ulp(1.0)
+        assert (abs(kronrod - exact) <= 2 * ulp) == (k <= 31 or k % 2 == 1)
+        assert (abs(gauss - exact) <= 2 * ulp) == (k <= 19 or k % 2 == 1)
 
     def test_reversed_limits_rejected(self):
         with pytest.raises(ValueError):
