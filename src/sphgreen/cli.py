@@ -104,13 +104,13 @@ def cmd_eval(args) -> int:
 
 def _parse_methods(text: str) -> list[Representation]:
     names = [m.strip() for m in text.split(",") if m.strip()]
-    if "all" in names:
-        return list(Representation)
     for name in names:
-        if name not in METHOD_ORDER:
+        if name not in METHOD_ORDER + ("all",):
             raise ValueError(f"unknown method {name!r}")
     if not names:
         raise ValueError("no methods given")
+    if "all" in names:
+        return list(Representation)
     # canonical order keeps output deterministic
     return [rep for rep in Representation if rep.value in names]
 

@@ -2,7 +2,8 @@
 
 I_d(theta) = integral of 1/sin^{d-1} from theta to pi/2, evaluated through
 several equivalent routes (defining integral, closed-form finite sums, the
-antiderivative recurrence, two hypergeometric series and a Ferrers-Q form),
+antiderivative recurrence, two hypergeometric series and a Ferrers-Q form,
+which reduces to the direct hypergeometric series where cos^2 theta <= 1/2),
 plus the normalized fundamental solution on the sphere and the Euclidean
 reference solution.
 
@@ -22,14 +23,7 @@ import sys
 from dataclasses import dataclass
 
 from .quadrature import integrate
-from .specfun import (
-    TOLERANCE,
-    FerrersOrderDegree,
-    NonConvergenceError,
-    double_factorial,
-    ferrers_q,
-    gauss_2f1,
-)
+from .specfun import TOLERANCE, NonConvergenceError, double_factorial, gauss_2f1
 
 __all__ = [
     "Representation",
@@ -315,9 +309,14 @@ def i_d_hyp2f1(d: int, theta: float, euler: bool = False) -> KernelValue:
         kernel = c * gauss_2f1(1.0, (3.0 - d) / 2.0, 1.5, z)
         method = Representation.HYP2F1_EULER
     else:
-        kernel = _scaled(c * gauss_2f1(0.5, d / 2.0, 1.5, z), _power(s, d - 2))
+        kernel = _gauss_series(d, c, s)
         method = Representation.HYP2F1
     return _kernel_value(method, d, s, kernel, abs(kernel) * TOLERANCE)
+
+
+def _gauss_series(d: int, c: float, s: float) -> float:
+    """K_d = sin^{d-2} cos 2F1(1/2, d/2; 3/2; cos^2) for c = cos, s = sin theta."""
+    return _scaled(c * gauss_2f1(0.5, d / 2.0, 1.5, c * c), _power(s, d - 2))
 
 
 def _ferrers_in_sine(d: int, x: float, w: float) -> float:
@@ -355,7 +354,7 @@ def _ferrers_in_sine(d: int, x: float, w: float) -> float:
         head = total / (d - 2)
     if d % 2:
         return x * head
-    coef = 0.5 * (double_factorial(d - 3) / double_factorial(d - 2)) * w ** (d // 2 - 1)
+    coef = 0.5 * _finite_sum_coefficients(d)[1] * w ** (d // 2 - 1)
     tail = w / (1.0 - w)
     bracket = math.log(4.0) - math.log(w)  # 2 ln 2 + H_n - 2 O_n - ln w at n = 0
     term = 1.0
@@ -372,13 +371,16 @@ def _ferrers_in_sine(d: int, x: float, w: float) -> float:
 def i_d_ferrers(d: int, theta: float) -> KernelValue:
     """Ferrers-Q route: K_d = p(d) sin^{d/2-1} Q_{d/2-1}^{1-d/2}(cos theta).
 
-    The prefactor p(d) = (d-2)! / (Gamma(d/2) 2^{d/2-1}) equals (d-3)!! for
-    even d and (d-3)!! sqrt(2/pi) for odd d, and the product is
-    sin^{d-2} cos theta 2F1(1/2, d/2; 3/2; cos^2 theta).  Where cos^2 theta
-    exceeds ``_FERRERS_SWITCH`` that product is summed in sin^2 theta
-    (``_ferrers_in_sine``), which holds down to ``THETA_EDGE``; elsewhere Q
-    comes from ``ferrers_q``.  Where that Q underflows below the normal
-    double range (from d = 343 at theta = 1) the route is refused.
+    The prefactor is p(d) = (d-2)! / (Gamma(d/2) 2^{d/2-1}), and the product
+    is sin^{d-2} cos theta 2F1(1/2, d/2; 3/2; cos^2 theta): by Legendre's
+    duplication formula (DLMF 5.5.5), Gamma((d-1)/2) Gamma(d/2) =
+    2^{2-d} sqrt(pi) (d-2)!, so the gamma and power-of-two factors of Q and
+    p(d) multiply to exactly 1.  Where cos^2 theta exceeds ``_FERRERS_SWITCH``
+    that product is summed in sin^2 theta (``_ferrers_in_sine``), which holds
+    down to ``THETA_EDGE``; elsewhere it is the Gauss series in cos^2 theta
+    that the ``hyp2f1`` route sums.  There the error adds (d-2) eps |K|:
+    sin^{d-2} comes from the rounded sin theta and 2F1 from the rounded
+    cos^2 theta, and the power d - 2 amplifies both roundings.
     """
     _check_dimension(d)
     _check_theta(theta)
@@ -387,18 +389,7 @@ def i_d_ferrers(d: int, theta: float) -> KernelValue:
         kernel = _ferrers_in_sine(d, x, s * s)
         error = abs(kernel) * TOLERANCE
     else:
-        nu = d / 2.0 - 1.0
-        q = ferrers_q(FerrersOrderDegree(nu, -nu, x))
-        if abs(q) < sys.float_info.min:
-            raise SeriesWindowError(
-                f"Ferrers Q = {q} underflows the normal double range at d={d}, "
-                f"theta={theta}: use finite_sum, recurrence or quadrature here")
-        if d % 2:
-            q *= math.sqrt(2.0 * s / math.pi)
-        kernel = _scaled(q, _int_pair(double_factorial(d - 3)), _power(s, (d - 2) // 2))
-        # Q takes its power of sin theta from the rounded cos theta and the
-        # prefactor from the rounded sin theta; powers up to about (d-2)/2 of
-        # each amplify those roundings
+        kernel = _gauss_series(d, x, s)
         error = abs(kernel) * (TOLERANCE + (d - 2) * sys.float_info.epsilon)
     return _kernel_value(Representation.FERRERS_Q, d, s, kernel, error)
 
@@ -464,6 +455,7 @@ def fundamental_solution(d: int, radius: float, theta: float,
 def euclidean_fundamental(d: int, r: float) -> float:
     """Fundamental solution of -Laplace in flat d-space at distance r."""
     _check_radius(r, "distance")
+    _check_integer(d, "dimension", 1)
     if d == 2:
         return math.log(1.0 / r) / (2.0 * math.pi)
     return _scaled(1.0 / (d - 2), solution_scale(d, r))
