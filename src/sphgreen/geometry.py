@@ -12,8 +12,10 @@ entry produces the leading Cartesian component after x0), and the
 separation-angle product formula enumerates them in that same outermost-first
 order.
 
-Only the two embeddings build arrays; they import NumPy when first called, so
-the rest of the module runs on the standard library alone.
+Only the embeddings build arrays: ``_embed_rows`` embeds many points at once,
+and ``embed`` and ``embed_direction`` wrap it for one.  It imports NumPy when
+first called, so the rest of the module, ``geodesic_distance`` included, runs
+on the standard library alone.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_HALF_PI = 0.5 * math.pi
 
 
 def _clamped_acos(x: float) -> float:
@@ -78,20 +81,35 @@ class HyperPoint:
                 raise ValueError(f"direction angle must lie in [0, pi], got {a}")
 
 
-def embed_direction(direction: tuple[float, ...]) -> np.ndarray:
-    """Unit vector in R^d for a direction on S^{d-1} (d = len(direction) + 1)."""
+def _embed_rows(radius, polar, direction) -> np.ndarray:
+    """Ambient coordinates of n points as an (n, d+1) array.
+
+    ``radius`` and ``polar`` hold one value per point (shape (n,)) and
+    ``direction`` one row of d-1 direction angles per point.  Column 0 is
+    R cos(theta); the rest is R sin(theta) times the direction unit vector,
+    whose entries take the direction angles outermost first.
+    """
     import numpy as np
 
-    phi = direction[0]
-    k = len(direction) + 1
-    v = np.empty(k)
-    sin_prod = 1.0
-    for i, ang in enumerate(reversed(direction[1:])):
-        v[i] = sin_prod * math.cos(ang)
-        sin_prod *= math.sin(ang)
-    v[k - 2] = sin_prod * math.cos(phi)
-    v[k - 1] = sin_prod * math.sin(phi)
-    return v
+    direction = np.asarray(direction, dtype=float)
+    n, k = direction.shape
+    out = np.empty((n, k + 2))
+    out[:, 0] = radius * np.cos(polar)
+    sin_prod = np.ones(n)
+    for i in range(k - 1):
+        ang = direction[:, k - 1 - i]
+        out[:, i + 1] = sin_prod * np.cos(ang)
+        sin_prod = sin_prod * np.sin(ang)
+    out[:, k] = sin_prod * np.cos(direction[:, 0])
+    out[:, k + 1] = sin_prod * np.sin(direction[:, 0])
+    out[:, 1:] *= (radius * np.sin(polar)).reshape(n, 1)
+    return out
+
+
+def embed_direction(direction: tuple[float, ...]) -> np.ndarray:
+    """Unit vector in R^d for a direction on S^{d-1} (d = len(direction) + 1)."""
+    # sin(pi/2) rounds to exactly 1, so the unit vector is left unscaled
+    return _embed_rows(1.0, _HALF_PI, [direction])[0, 1:]
 
 
 def embed(p: HyperPoint) -> np.ndarray:
@@ -100,12 +118,7 @@ def embed(p: HyperPoint) -> np.ndarray:
     x0 = R cos(theta) and the remaining block is R sin(theta) times the
     direction unit vector, so (x, x) = R^2.
     """
-    import numpy as np
-
-    out = np.empty(p.dimension + 1)
-    out[0] = p.radius * math.cos(p.polar)
-    out[1:] = p.radius * math.sin(p.polar) * embed_direction(p.direction)
-    return out
+    return _embed_rows(p.radius, p.polar, [p.direction])[0]
 
 
 def separation_angle(u: tuple[float, ...], v: tuple[float, ...]) -> float:

@@ -257,17 +257,27 @@ def i_d_finite_sum(d: int, theta: float) -> KernelValue:
     """
     _check_dimension(d)
     _check_theta(theta)
-    ratios, prefactor = _finite_sum_coefficients(d)
     c, s = math.cos(theta), math.sin(theta)
+    kernel = _finite_sum_kernel(d, c, s, log_cot_half(theta) if d % 2 == 0 else None)
+    return _kernel_value(Representation.FINITE_SUM, d, s, kernel, 0.0)
+
+
+def _finite_sum_kernel(d, c, s, log_cot=None):
+    """The finite sum K_d of ``i_d_finite_sum`` from c = cos theta, s = sin theta
+    and, for even d only, log_cot = asinh(cot theta).
+
+    Arithmetic operators only, so c, s and log_cot may be floats or arrays of
+    the same shape.
+    """
+    ratios, prefactor = _finite_sum_coefficients(d)
     s2 = s * s
     acc = 0.0
     for ratio in ratios:
         acc = acc * s2 + ratio
     kernel = c * acc
     if d % 2 == 0:
-        kernel += log_cot_half(theta) * s ** (d - 2)
-    kernel *= prefactor
-    return _kernel_value(Representation.FINITE_SUM, d, s, kernel, 0.0)
+        kernel += log_cot * s ** (d - 2)
+    return kernel * prefactor
 
 
 def i_d_recurrence(d: int, theta: float) -> KernelValue:
@@ -293,9 +303,10 @@ def i_d_recurrence(d: int, theta: float) -> KernelValue:
 def i_d_hyp2f1(d: int, theta: float, euler: bool = False) -> KernelValue:
     """Hypergeometric series route, valid while cos^2(theta) <= 0.98.
 
-    Direct form: K_d = sin^{d-2} cos 2F1(1/2, d/2; 3/2; cos^2 theta).  With
-    ``euler`` the transformed series K_d = cos 2F1(1, (3-d)/2; 3/2; cos^2 theta)
-    is used instead.
+    Direct form: K_d = sin^{d-2} cos 2F1(1/2, d/2; 3/2; cos^2 theta), with the
+    error bound of ``_gauss_series``.  With ``euler`` the transformed series
+    K_d = cos 2F1(1, (3-d)/2; 3/2; cos^2 theta) is used instead, reported to
+    the series tolerance.
     """
     _check_dimension(d)
     _check_theta(theta)
@@ -307,16 +318,21 @@ def i_d_hyp2f1(d: int, theta: float, euler: bool = False) -> KernelValue:
             "recurrence or quadrature here")
     if euler:
         kernel = c * gauss_2f1(1.0, (3.0 - d) / 2.0, 1.5, z)
-        method = Representation.HYP2F1_EULER
-    else:
-        kernel = _gauss_series(d, c, s)
-        method = Representation.HYP2F1
-    return _kernel_value(method, d, s, kernel, abs(kernel) * TOLERANCE)
+        return _kernel_value(Representation.HYP2F1_EULER, d, s, kernel,
+                             abs(kernel) * TOLERANCE)
+    return _kernel_value(Representation.HYP2F1, d, s, *_gauss_series(d, c, s))
 
 
-def _gauss_series(d: int, c: float, s: float) -> float:
-    """K_d = sin^{d-2} cos 2F1(1/2, d/2; 3/2; cos^2) for c = cos, s = sin theta."""
-    return _scaled(c * gauss_2f1(0.5, d / 2.0, 1.5, c * c), _power(s, d - 2))
+def _gauss_series(d: int, c: float, s: float) -> tuple[float, float]:
+    """K_d = sin^{d-2} cos 2F1(1/2, d/2; 3/2; cos^2) for c = cos, s = sin theta,
+    and its error bound.
+
+    The bound adds (d-2) eps |K| to the series tolerance: sin^{d-2} comes
+    from the rounded sin theta and 2F1 from the rounded cos^2 theta, and the
+    power d - 2 amplifies both roundings.
+    """
+    kernel = _scaled(c * gauss_2f1(0.5, d / 2.0, 1.5, c * c), _power(s, d - 2))
+    return kernel, abs(kernel) * (TOLERANCE + (d - 2) * sys.float_info.epsilon)
 
 
 def _ferrers_in_sine(d: int, x: float, w: float) -> float:
@@ -378,20 +394,15 @@ def i_d_ferrers(d: int, theta: float) -> KernelValue:
     p(d) multiply to exactly 1.  Where cos^2 theta exceeds ``_FERRERS_SWITCH``
     that product is summed in sin^2 theta (``_ferrers_in_sine``), which holds
     down to ``THETA_EDGE``; elsewhere it is the Gauss series in cos^2 theta
-    that the ``hyp2f1`` route sums.  There the error adds (d-2) eps |K|:
-    sin^{d-2} comes from the rounded sin theta and 2F1 from the rounded
-    cos^2 theta, and the power d - 2 amplifies both roundings.
+    that the ``hyp2f1`` route sums, with the same error bound.
     """
     _check_dimension(d)
     _check_theta(theta)
     x, s = math.cos(theta), math.sin(theta)
     if x * x > _FERRERS_SWITCH:
         kernel = _ferrers_in_sine(d, x, s * s)
-        error = abs(kernel) * TOLERANCE
-    else:
-        kernel = _gauss_series(d, x, s)
-        error = abs(kernel) * (TOLERANCE + (d - 2) * sys.float_info.epsilon)
-    return _kernel_value(Representation.FERRERS_Q, d, s, kernel, error)
+        return _kernel_value(Representation.FERRERS_Q, d, s, kernel, abs(kernel) * TOLERANCE)
+    return _kernel_value(Representation.FERRERS_Q, d, s, *_gauss_series(d, x, s))
 
 
 def radial_kernel(d: int, theta: float,

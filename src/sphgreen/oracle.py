@@ -7,6 +7,12 @@ zero-curvature limit against the Euclidean solution, and the
 cross-representation sweep against adaptive quadrature.  ``SUITES`` groups
 them into the suites that ``sphgreen check`` runs.  NumPy is imported by the
 checks that use it, when they are first called.
+
+The distance and delta checks run their grids as arrays through the library's
+own code (``geometry._embed_rows``, ``kernel._finite_sum_kernel``); the polar
+side of the distance check stays the scalar ``geodesic_distance`` that
+``sphgreen distance`` runs.  The cross-representation sweep stays scalar: its
+series routes loop for a number of terms that depends on the angle.
 """
 
 from __future__ import annotations
@@ -16,13 +22,14 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .geometry import HyperPoint, embed, geodesic_distance
+from .geometry import HyperPoint, _embed_rows, geodesic_distance
 from .harmonics import DegenerateBranchError, QuantumNumbers, RadialSolutionKind, ode_convergence_order
 from .kernel import (
     Representation,
     SeriesWindowError,
     _check_dimension,
     _check_radius,
+    _finite_sum_kernel,
     _power,
     _scaled,
     euclidean_fundamental,
@@ -54,17 +61,20 @@ __all__ = [
 
 
 @functools.cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
+def _polar_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on [0, pi]: nodes, weights and the
+    sines of the nodes, computed once per n.
 
     The arrays are shared by every caller, so they are made read-only.
     """
     import numpy as np
 
     x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    theta = 0.5 * math.pi * (x + 1.0)
+    rule = theta, 0.5 * math.pi * w, np.sin(theta)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 @dataclass
@@ -161,18 +171,19 @@ def check_delta_identity(d: int, radius: float, nodes: int = 400) -> CheckReport
     tolerance = 1e-6 if d == 2 else 1e-5
     import numpy as np
 
-    x, w = _gauss_legendre(nodes)
-    theta = 0.5 * math.pi * (x + 1.0)
-    w_theta = 0.5 * math.pi * w
-    measured = 0.0
-    for t, wt in zip(theta, w_theta):
-        s_val = fundamental_solution(d, radius, t, Representation.FINITE_SUM)
-        minus_lap_phi = d * math.cos(t) / radius**2
-        measured += wt * minus_lap_phi * s_val * radius**d * math.sin(t) ** (d - 1)
+    theta, w_theta, s = _polar_rule(nodes)
+    c = np.cos(theta)
+    kernel = _finite_sum_kernel(d, c, s, np.arcsinh(c / s) if d % 2 == 0 else None)
+    # S = K c0(d) R^(2-d) sin^(2-d), scaled as _scaled does for one value
+    m, e = solution_scale(d, radius)
+    sm, se = np.frexp(s)
+    pm, pe = np.frexp(sm ** (2 - d))
+    s_val = np.ldexp(kernel * m * pm, e + se * (2 - d) + pe)
+    minus_lap_phi = d * c / radius**2
+    measured = float(np.sum(w_theta * minus_lap_phi * s_val * radius**d * s ** (d - 1)))
     for k in range(2, d):
-        measured *= float(w_theta @ np.sin(theta) ** (k - 1))
-    measured *= float(np.sum(math.pi * w))  # azimuth carries no weight
-    measured = float(measured)
+        measured *= float(w_theta @ s ** (k - 1))
+    measured *= 2.0 * float(w_theta.sum())  # azimuth carries no weight
     dist_one = abs(measured - 1.0)
     dist_two = abs(measured - 2.0)
     matched = "phi(x)-phi(antipode)=2" if dist_two <= dist_one else "phi(x)=1"
@@ -300,28 +311,52 @@ def check_cross_representation(d: int) -> CheckReport:
                f"worst: {worst_at}; quadrature tol={TOLERANCE}")
 
 
+def _point_bounds(d: int) -> tuple[list[float], list[float]]:
+    """Bounds of one random point's d draws, in draw order: the azimuth, the
+    d-2 direction angles, then the polar angle."""
+    return [0.0] * d, [2.0 * math.pi] + [math.pi] * (d - 1)
+
+
+def _point(d: int, radius: float, row: list[float]) -> HyperPoint:
+    """The HyperPoint of one row of draws laid out as ``_point_bounds``."""
+    return HyperPoint(d, radius, row[-1], tuple(row[:-1]))
+
+
 def random_hyperpoint(rng: np.random.Generator, d: int, radius: float) -> HyperPoint:
     """Uniform-in-coordinates random point (adequate for identity testing)."""
-    direction = (rng.uniform(0.0, 2.0 * math.pi),) + tuple(
-        rng.uniform(0.0, math.pi) for _ in range(d - 2))
-    return HyperPoint(d, radius, rng.uniform(0.0, math.pi), direction)
+    return _point(d, radius, rng.uniform(*_point_bounds(d)).tolist())
+
+
+def _pair_rows(d: int, pairs: int, seed: int) -> np.ndarray:
+    """One row of 1 + 2d uniform draws per pair: the radius in [0.5, 3), then
+    point a and point b laid out as ``_point_bounds``.  The block holds the
+    same doubles as the same draws made one at a time."""
+    import numpy as np
+
+    lo, hi = _point_bounds(d)
+    return np.random.default_rng(seed).uniform([0.5] + lo * 2, [3.0] + hi * 2,
+                                               size=(pairs, 1 + 2 * d))
 
 
 def check_distance_oracle(d: int, pairs: int = 1000) -> CheckReport:
-    """Polar-form geodesic distance against the ambient-embedding distance."""
+    """Polar-form geodesic distance against the ambient-embedding distance.
+
+    The ambient side embeds every point of ``_pair_rows`` at once; the polar
+    side calls ``geodesic_distance``, the function under test, per pair.
+    """
     import numpy as np
 
     seed = 20260809 + d
-    rng = np.random.default_rng(seed)
+    u = _pair_rows(d, pairs, seed)
+    radius = u[:, 0]
+    xa, xb = (_embed_rows(radius, u[:, i + d - 1], u[:, i:i + d - 1]) for i in (1, d + 1))
+    inner = np.einsum("ij,ij->i", xa, xb) / radius**2
+    via_ambient = radius * np.arccos(np.clip(inner, -1.0, 1.0))
     worst = 0.0
-    for _ in range(pairs):
-        radius = rng.uniform(0.5, 3.0)
-        a = random_hyperpoint(rng, d, radius)
-        b = random_hyperpoint(rng, d, radius)
-        via_polar = geodesic_distance(a, b)
-        inner = float(embed(a) @ embed(b)) / radius**2
-        via_ambient = radius * math.acos(min(1.0, max(-1.0, inner)))
-        worst = max(worst, abs(via_polar - via_ambient))
+    for row, ambient in zip(u.tolist(), via_ambient.tolist()):
+        a = _point(d, row[0], row[1:d + 1])
+        b = _point(d, row[0], row[d + 1:])
+        worst = max(worst, abs(geodesic_distance(a, b) - ambient))
     return CheckReport(
         name=f"distance-oracle d={d}",
         measured=worst,
@@ -354,11 +389,9 @@ def box_volume(d: int, radius: float) -> float:
     """
     _check_dimension(d)
     _check_radius(radius)
-    x, w = _gauss_legendre(VOLUME_NODES)
-    nodes = [0.5 * math.pi * (xi + 1.0) for xi in x]
-    axis_sums = [sum(0.5 * math.pi * wi * math.sin(t) ** k for wi, t in zip(w, nodes))
-                 for k in (d - 1, *range(1, d - 1))]
-    axis_sums.append(sum(math.pi * wi for wi in w))
+    _, w, s = _polar_rule(VOLUME_NODES)
+    axis_sums = [float(w @ s**k) for k in (d - 1, *range(1, d - 1))]
+    axis_sums.append(2.0 * float(w.sum()))
     return float(radius) ** d * math.prod(axis_sums)
 
 

@@ -6,6 +6,7 @@ import pytest
 from sphgreen.geometry import (
     HyperPoint,
     embed,
+    embed_direction,
     geodesic_distance,
     separation_angle,
     volume_weight,
@@ -55,6 +56,24 @@ class TestEmbed:
     def test_equator_point_d2(self):
         x = embed(HyperPoint(2, 1.0, math.pi / 2.0, (0.0,)))
         np.testing.assert_allclose(x, [0.0, 1.0, 0.0], atol=1e-15)
+
+    def test_rows_match_scalar_embed(self):
+        from sphgreen.geometry import _embed_rows
+
+        rng = np.random.default_rng(11)
+        for d in range(2, 8):
+            points = [random_hyperpoint(rng, d, rng.uniform(0.5, 4.0)) for _ in range(100)]
+            rows = _embed_rows(np.array([p.radius for p in points]),
+                               np.array([p.polar for p in points]),
+                               np.array([p.direction for p in points]))
+            for row, p in zip(rows, points):
+                want = embed(p)
+                assert np.all(np.abs(row - want) <= np.spacing(np.abs(want)))
+
+    def test_direction_is_the_unit_block(self):
+        direction = (0.4, 1.1, 2.0)
+        x = embed(HyperPoint(4, 1.0, math.pi / 2.0, direction))
+        np.testing.assert_array_equal(embed_direction(direction), x[1:])
 
     def test_norm_is_radius(self):
         rng = np.random.default_rng(7)

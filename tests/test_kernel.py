@@ -210,6 +210,14 @@ class TestHypergeometricRoutes:
         with pytest.raises(NonConvergenceError, match="hyp2f1 route"):
             i_d_hyp2f1(400, 0.15)
 
+    @pytest.mark.parametrize("d, theta", [(1000, 1.0), (2000, 1.2)])
+    def test_large_d_within_reported_error(self, d, theta, kernel_reference):
+        # sin^(d-2) and 2F1 amplify the rounding of sin and cos^2 by about d - 2
+        kv = i_d_hyp2f1(d, theta)
+        want = kernel_reference(d, theta)
+        assert abs(kv.kernel - want) <= kv.kernel_error + 4.0 * sys.float_info.epsilon * abs(want)
+        assert kv.kernel_error == i_d_ferrers(d, theta).kernel_error
+
     def test_window_enforced(self):
         with pytest.raises(SeriesWindowError):
             i_d_hyp2f1(3, 0.05)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from sphgreen.geometry import HyperPoint
 from sphgreen.harmonics import QuantumNumbers, RadialSolutionKind
 from sphgreen.oracle import (
     check_cross_representation,
@@ -136,6 +137,23 @@ class TestDeltaIdentity:
         b3 = check_delta_identity(3, 5.0, nodes=400).measured
         assert abs(a3 - b3) <= 1e-9
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("radius", [1.0, 5.0])
+    def test_matches_scalar_loop(self, d, radius):
+        # the array path against one fundamental_solution call per node
+        from sphgreen.kernel import Representation, fundamental_solution
+        from sphgreen.oracle import _polar_rule
+
+        theta, w_theta, s = _polar_rule(400)
+        total = 0.0
+        for t, wt, st in zip(theta.tolist(), w_theta.tolist(), s.tolist()):
+            value = fundamental_solution(d, radius, t, Representation.FINITE_SUM)
+            total += wt * d * math.cos(t) / radius**2 * value * radius**d * st ** (d - 1)
+        if d == 3:
+            total *= float(w_theta @ s)
+        total *= 2.0 * math.pi
+        assert check_delta_identity(d, radius).measured == pytest.approx(total, rel=1e-14)
+
     def test_node_doubling_stability(self):
         a = check_delta_identity(2, 1.0, nodes=200).measured
         b = check_delta_identity(2, 1.0, nodes=400).measured
@@ -196,6 +214,53 @@ class TestGeometryChecks:
     def test_distance_oracle(self):
         report = check_distance_oracle(3, pairs=300)
         assert report.passed and report.measured <= 1e-10
+
+    def test_distance_oracle_tests_the_cli_function(self, monkeypatch):
+        # the check measures the geodesic_distance that `sphgreen distance` runs
+        import sphgreen.oracle as oracle
+        from sphgreen.geometry import geodesic_distance
+
+        monkeypatch.setattr(oracle, "geodesic_distance",
+                            lambda a, b: geodesic_distance(a, b) + 1e-9)
+        report = check_distance_oracle(3, 50)
+        assert not report.passed
+        assert report.measured == pytest.approx(1e-9, rel=1e-3)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_block_draws_match_random_hyperpoint(self, d):
+        import numpy as np
+
+        from sphgreen.oracle import _pair_rows, _point, random_hyperpoint
+
+        seed = 20260809 + d
+        rng = np.random.default_rng(seed)
+        scalar = np.random.default_rng(seed)
+        for row in _pair_rows(d, 200, seed).tolist():
+            radius = rng.uniform(0.5, 3.0)
+            scalar_radius = scalar.uniform(0.5, 3.0)
+            assert radius == row[0] == scalar_radius
+            for point in (row[1:d + 1], row[d + 1:]):
+                drawn = random_hyperpoint(rng, d, radius)
+                assert drawn == _point(d, radius, point)
+                # and the stream of one scalar draw per angle
+                azimuth = scalar.uniform(0.0, 2.0 * math.pi)
+                angles = [scalar.uniform(0.0, math.pi) for _ in range(d - 1)]
+                assert drawn == HyperPoint(d, radius, angles[-1], (azimuth, *angles[:-1]))
+
+    def test_finite_sum_helper_on_arrays(self):
+        # the delta identity's array evaluation against the scalar route at its nodes
+        import numpy as np
+
+        from sphgreen.kernel import _finite_sum_kernel, i_d_finite_sum
+        from sphgreen.oracle import _polar_rule
+
+        theta, _, s = _polar_rule(400)
+        c = np.cos(theta)
+        log_cot = np.arcsinh(c / s)
+        for d in range(2, 61):
+            got = _finite_sum_kernel(d, c, s, log_cot if d % 2 == 0 else None)
+            want = np.array([i_d_finite_sum(d, t).kernel for t in theta.tolist()])
+            assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want))), d
 
     def test_volume(self):
         report = check_volume(3)
