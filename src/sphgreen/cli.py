@@ -120,7 +120,8 @@ def _table_rows(args, reps: list[Representation], scale: tuple[float, int]):
     step = (args.theta_max - args.theta_min) / (args.n - 1)
     d, radius = str(args.d), fmt(args.radius)
     for i in range(args.n):
-        theta = args.theta_min + i * step
+        # i * step can round past --theta-max, which is itself a valid angle
+        theta = min(args.theta_min + i * step, args.theta_max)
         angle = fmt(theta)
         for rep in reps:
             try:

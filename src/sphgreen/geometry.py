@@ -21,7 +21,7 @@ on the standard library alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .kernel import _check_dimension, _check_radius
@@ -47,30 +47,32 @@ def _clamped_acos(x: float) -> float:
     return math.acos(min(1.0, max(-1.0, x)))
 
 
-@dataclass(frozen=True)
-class HyperPoint:
+class HyperPoint(namedtuple("HyperPoint", "dimension radius polar direction")):
     """A point of the dimension-d, radius-R hypersphere.
 
     ``polar`` is the geodesic angle theta in [0, pi] from the origin
     (R, 0, ..., 0); ``direction`` holds the d-1 direction angles described in
-    the module docstring.
+    the module docstring, as a tuple of floats.
     """
 
-    dimension: int
-    radius: float
-    polar: float
-    direction: tuple[float, ...]
+    __slots__ = ()
+
+    def __new__(cls, dimension: int, radius: float, polar: float,
+                direction: tuple[float, ...]):
+        _check_dimension(dimension)
+        _check_radius(radius)
+        if not 0.0 <= polar <= math.pi:
+            raise ValueError(f"polar angle must lie in [0, pi], got {polar}")
+        self = super().__new__(cls, int(dimension), float(radius), float(polar),
+                               tuple(float(a) for a in direction))
+        self.__post_init__()
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __post_init__(self):
-        _check_dimension(self.dimension)
-        _check_radius(self.radius)
-        if not 0.0 <= self.polar <= math.pi:
-            raise ValueError(f"polar angle must lie in [0, pi], got {self.polar}")
-        object.__setattr__(self, "dimension", int(self.dimension))
-        object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "polar", float(self.polar))
-        direction = tuple(float(a) for a in self.direction)
-        object.__setattr__(self, "direction", direction)
+        """The direction checks, run once per construction by ``__new__``."""
+        direction = self.direction
         if len(direction) != self.dimension - 1:
             raise ValueError(
                 f"need {self.dimension - 1} direction angles, got {len(direction)}")

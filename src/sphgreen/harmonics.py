@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .kernel import _check_dimension, _check_integer
 from .specfun import FerrersOrderDegree, ferrers_p, ferrers_q
@@ -49,14 +49,17 @@ class RadialSolutionKind(enum.Enum):
         return 1 if self in (RadialSolutionKind.U1_PLUS, RadialSolutionKind.U2_PLUS) else -1
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
-    dimension: int
-    angular: int
+class QuantumNumbers(namedtuple("QuantumNumbers", "dimension angular")):
+    """Dimension d >= 2 and angular quantum number l >= 0, both integers."""
 
-    def __post_init__(self):
-        _check_dimension(self.dimension)
-        _check_integer(self.angular, "angular number", 0)
+    __slots__ = ()
+
+    def __new__(cls, dimension: int, angular: int):
+        _check_dimension(dimension)
+        _check_integer(angular, "angular number", 0)
+        return super().__new__(cls, dimension, angular)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
 
 def radial_harmonic(q: QuantumNumbers, kind: RadialSolutionKind, theta: float) -> float:

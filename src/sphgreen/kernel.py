@@ -20,7 +20,7 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .quadrature import integrate
 from .specfun import TOLERANCE, NonConvergenceError, double_factorial, gauss_2f1
@@ -115,19 +115,16 @@ def _scaled(x: float, *pairs: tuple[float, int]) -> float:
         return math.copysign(math.inf, x)
 
 
-@dataclass(frozen=True)
-class KernelValue:
+class KernelValue(namedtuple("KernelValue", "kernel kernel_error method sine_power")):
     """K_d(theta) = sin^{d-2}(theta) I_d(theta) from one route, with a rough error bound.
 
-    ``sine_power`` is sin^{2-d}(theta) as a (mantissa, exponent) pair.
+    ``kernel`` and ``kernel_error`` are floats, ``method`` the Representation
+    and ``sine_power`` sin^{2-d}(theta) as a (mantissa, exponent) pair.
     ``value`` and ``est_error`` are I_d and its error bound; ``overflowed``
     says that I_d lies outside double range (``value`` is +-inf).
     """
 
-    kernel: float
-    kernel_error: float
-    method: Representation
-    sine_power: tuple[float, int]
+    __slots__ = ()
 
     def scaled(self, scale: tuple[float, int]) -> tuple[float, float]:
         """(value, error bound) of scale * I_d, for a (mantissa, exponent) scale."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, Sequence
 
 from .geometry import HyperPoint, _embed_rows, geodesic_distance
@@ -77,16 +77,11 @@ def _polar_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rule
 
 
-@dataclass
-class CheckReport:
+class CheckReport(namedtuple(
+        "CheckReport", "name measured expected tolerance passed detail", defaults=("",))):
     """Outcome of one verification run."""
 
-    name: str
-    measured: float
-    expected: float
-    tolerance: float
-    passed: bool
-    detail: str = ""
+    __slots__ = ()
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

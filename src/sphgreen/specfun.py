@@ -8,7 +8,7 @@ second kind (associated Legendre functions on the cut).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "TOLERANCE",
@@ -134,8 +134,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
         total, max_terms)
 
 
-@dataclass(frozen=True)
-class FerrersOrderDegree:
+class FerrersOrderDegree(namedtuple("FerrersOrderDegree", "degree order argument")):
     """Degree nu, order mu and argument x of a Ferrers function.
 
     The argument must lie strictly inside (-1, 1) and nu + mu must not be a
@@ -143,18 +142,19 @@ class FerrersOrderDegree:
     down there).
     """
 
-    degree: float
-    order: float
-    argument: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not -1.0 < self.argument < 1.0:
-            raise ValueError(f"argument must lie in (-1, 1), got {self.argument}")
-        s = self.degree + self.order
+    def __new__(cls, degree: float, order: float, argument: float):
+        if not -1.0 < argument < 1.0:
+            raise ValueError(f"argument must lie in (-1, 1), got {argument}")
+        s = degree + order
         if s < -0.5 and _is_integer(s):
             raise ValueError(
                 f"degree + order = {s} is a negative integer; "
                 "Ferrers definitions used here require nu + mu not in -N")
+        return super().__new__(cls, degree, order, argument)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
 
 def _sin_half_pi(v: float) -> float:

@@ -277,6 +277,16 @@ class TestTable:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert [row[2] for row in rows] == ["1e-12", "3.141592653588793"]
 
+    def test_last_row_is_theta_max_where_the_grid_rounds_past_it(self, capsys, tmp_path):
+        # theta_min + 160 * step rounds to 4.4e-16 past --theta-max, i.e. past pi - THETA_EDGE
+        out_path = tmp_path / "t.csv"
+        code, out, err = run(capsys, "table", "--d", "4", "--theta-min", "0.1537646852041436",
+                             "--theta-max", "3.141592653588793", "--n", "161",
+                             "--methods", "finite_sum", "--out", str(out_path))
+        assert code == 0 and out == err == ""
+        rows = list(csv.reader(io.StringIO(out_path.read_text())))[1:]
+        assert len(rows) == 161 and rows[-1][2] == "3.141592653588793"
+
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run(capsys, "table", "--d", "3", "--n", "3",
                          "--theta-min", "2", "--theta-max", "1")
@@ -451,7 +461,8 @@ class TestParserReuse:
 
 class TestImportHygiene:
     """No command imports SciPy; default routes and every route's eval run on
-    the standard library, and NumPy loads on demand."""
+    the standard library, and NumPy loads on demand.  No module imports
+    ``dataclasses`` (with ``inspect`` and ``ast``, about 10 ms of start-up)."""
 
     @staticmethod
     def loaded_after(tmp_path, *commands, codes=None):
@@ -477,9 +488,9 @@ class TestImportHygiene:
         assert exits == (codes or [0] * len(commands))
         return set(modules)
 
-    def test_default_routes_import_neither_scipy_nor_numpy(self, tmp_path):
-        modules = self.loaded_after(
-            tmp_path,
+    @staticmethod
+    def default_routes(tmp_path):
+        return (
             ("eval", "--d", "7", "--theta", "1"),
             ("distance", "--d", "3", "--point-a", "0.7,1.1,0.9",
              "--point-b", "1.2,0.3,2.0"),
@@ -488,8 +499,24 @@ class TestImportHygiene:
              "--out", str(tmp_path / "t.csv")),
             ("check", "ode"),
         )
+
+    def test_default_routes_import_neither_scipy_nor_numpy(self, tmp_path):
+        modules = self.loaded_after(tmp_path, *self.default_routes(tmp_path))
         assert "sphgreen.oracle" in modules and "sphgreen.quadrature" in modules
         assert "numpy" not in modules and "scipy" not in modules
+
+    def test_no_command_imports_dataclasses(self, tmp_path):
+        modules = self.loaded_after(tmp_path, *self.default_routes(tmp_path))
+        assert "sphgreen.geometry" in modules and "sphgreen.harmonics" in modules
+        assert "dataclasses" not in modules
+
+    def test_source_never_mentions_dataclass(self):
+        from pathlib import Path
+
+        package = Path(__file__).resolve().parents[1] / "src" / "sphgreen"
+        sources = sorted(package.glob("*.py"))
+        assert sources
+        assert [p.name for p in sources if "dataclass" in p.read_text()] == []
 
     def test_every_route_and_suite_runs_without_scipy(self, tmp_path):
         every_route = (

@@ -44,6 +44,45 @@ class TestHyperPointValidation:
         with pytest.raises(ValueError):
             HyperPoint(3, 1.0, 0.5, (0.0, 3.5))
 
+    def test_rejects_float_dimension(self):
+        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+            HyperPoint(3.0, 1.0, 0.5, (0.1, 0.2))
+
+    def test_fields_are_converted_and_printed(self):
+        p = HyperPoint(3, 1, 0, [0, 1])
+        assert [type(v) for v in p] == [int, float, float, tuple]
+        assert [type(a) for a in p.direction] == [float, float]
+        assert repr(HyperPoint(3, 1, 0.5, (0.1, 0.2))) == (
+            "HyperPoint(dimension=3, radius=1.0, polar=0.5, direction=(0.1, 0.2))")
+
+    def test_fields_are_immutable_and_replace_checks(self):
+        p = HyperPoint(3, 1.0, 0.5, (0.1, 0.2))
+        for name in p._fields:
+            with pytest.raises(AttributeError):
+                setattr(p, name, getattr(p, name))
+        assert p._replace(polar=1.0) == (3, 1.0, 1.0, (0.1, 0.2))
+        with pytest.raises(ValueError, match="polar angle"):
+            p._replace(polar=4.0)
+        with pytest.raises(ValueError, match="azimuth"):
+            p._replace(direction=(7.0, 0.2))
+
+    def test_post_init_runs_once_per_construction(self, monkeypatch):
+        # the benchmark tracer counts points through this hook
+        seen = []
+        checks = HyperPoint.__post_init__
+
+        def counted(point):
+            seen.append(point)
+            checks(point)
+
+        monkeypatch.setattr(HyperPoint, "__post_init__", counted)
+        points = [HyperPoint(3, 1.0, 0.5, (0.1, 0.2)), HyperPoint(2, 2.0, 1.0, (0.3,))]
+        points.append(points[0]._replace(polar=0.7))
+        assert seen == points
+        with pytest.raises(ValueError, match="azimuth"):
+            HyperPoint(2, 1.0, 0.5, (7.0,))
+        assert len(seen) == 4
+
 
 class TestEmbed:
     def test_origin(self):

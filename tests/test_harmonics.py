@@ -60,6 +60,15 @@ class TestDegeneracy:
             with pytest.raises(ValueError, match="angular number must be an integer >= 0"):
                 QuantumNumbers(3, l)
 
+    def test_fields_are_immutable_and_replace_checks(self):
+        q = QuantumNumbers(3, 1)
+        for name in q._fields:
+            with pytest.raises(AttributeError):
+                setattr(q, name, getattr(q, name))
+        assert q._replace(angular=2) == (3, 2)
+        with pytest.raises(ValueError, match="angular number"):
+            q._replace(angular=-1)
+
 
 class TestRadialHarmonic:
     def test_circle_second_kind(self):

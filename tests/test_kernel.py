@@ -302,6 +302,12 @@ class TestFerrersAccuracy:
 
 
 class TestKernelProperties:
+    def test_value_fields_are_immutable(self):
+        kv = radial_kernel(5, 1.1)
+        for name in kv._fields:
+            with pytest.raises(AttributeError):
+                setattr(kv, name, getattr(kv, name))
+
     def test_odd_symmetry(self):
         for d in range(2, 11):
             for theta in np.linspace(0.3, math.pi / 2.0, 25):

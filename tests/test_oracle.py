@@ -5,6 +5,7 @@ import pytest
 from sphgreen.geometry import HyperPoint
 from sphgreen.harmonics import QuantumNumbers, RadialSolutionKind
 from sphgreen.oracle import (
+    CheckReport,
     check_cross_representation,
     check_delta_identity,
     check_distance_oracle,
@@ -63,6 +64,19 @@ class TestIntegrate:
             integrate(lambda x: math.sin(1.0 / x), 1e-9, 1.0)
         assert math.isfinite(failure.value.value)
         assert failure.value.error_estimate > 0.0
+
+
+class TestCheckReport:
+    def test_detail_defaults_to_empty(self):
+        report = CheckReport("x", 1.0, 1.0, 0.1, True)
+        assert report.detail == ""
+        assert report.line() == "PASS x: measured=1.0 expected=1.0 tol=0.1"
+
+    def test_fields_are_immutable(self):
+        report = CheckReport("x", 1.0, 1.0, 0.1, False, "why")
+        for name in report._fields:
+            with pytest.raises(AttributeError):
+                setattr(report, name, getattr(report, name))
 
 
 class TestLaplaceAnnihilation:

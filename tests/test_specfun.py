@@ -230,6 +230,15 @@ class TestFerrersDomain:
         FerrersOrderDegree(0.5, -0.5, 0.3)
         FerrersOrderDegree(1.0, 1.0, 0.3)
 
+    def test_fields_are_immutable_and_replace_checks(self):
+        pd = FerrersOrderDegree(1.0, 1.0, 0.3)
+        for name in pd._fields:
+            with pytest.raises(AttributeError):
+                setattr(pd, name, getattr(pd, name))
+        assert pd._replace(argument=0.5) == (1.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match="argument must lie in"):
+            pd._replace(argument=1.0)
+
 
 class TestFerrersP:
     def test_degree_zero_is_one(self):
