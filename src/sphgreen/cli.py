@@ -120,8 +120,8 @@ def _table_rows(args, reps: list[Representation], scale: tuple[float, int]):
     step = (args.theta_max - args.theta_min) / (args.n - 1)
     d, radius = str(args.d), fmt(args.radius)
     for i in range(args.n):
-        # i * step can round past --theta-max, which is itself a valid angle
-        theta = min(args.theta_min + i * step, args.theta_max)
+        # the last row is --theta-max itself, which (n - 1) * step can miss by an ulp
+        theta = args.theta_min + i * step if i < args.n - 1 else args.theta_max
         angle = fmt(theta)
         for rep in reps:
             try:

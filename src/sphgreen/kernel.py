@@ -3,9 +3,9 @@
 I_d(theta) = integral of 1/sin^{d-1} from theta to pi/2, evaluated through
 several equivalent routes (defining integral, closed-form finite sums, the
 antiderivative recurrence, two hypergeometric series and a Ferrers-Q form,
-which reduces to the direct hypergeometric series where cos^2 theta <= 1/2),
-plus the normalized fundamental solution on the sphere and the Euclidean
-reference solution.
+which is the direct hypergeometric series where cos^2 theta <= 1/2 and the
+finite sum elsewhere), plus the normalized fundamental solution on the
+sphere and the Euclidean reference solution.
 
 Every route computes the bounded kernel K_d = sin^{d-2}(theta) I_d(theta).
 ``_scaled`` multiplies it by the unbounded factors c0(d), R^{2-d} and
@@ -23,7 +23,7 @@ import sys
 from collections import namedtuple
 
 from .quadrature import integrate
-from .specfun import TOLERANCE, NonConvergenceError, double_factorial, gauss_2f1
+from .specfun import TOLERANCE, NonConvergenceError, _gauss_2f1_sums, double_factorial, gauss_2f1
 
 __all__ = [
     "Representation",
@@ -58,8 +58,6 @@ _FERRERS_SWITCH = 0.5
 _POWER_CHUNK = 1000
 # (pi - math.pi) / math.pi
 _PI_ROUNDING = 3.8981718325193755e-17
-# distinct dimensions whose finite-sum coefficients stay cached
-_COEFFICIENT_CACHE = 256
 
 
 class SeriesWindowError(ValueError):
@@ -222,41 +220,42 @@ def i_d_quadrature(d: int, theta: float) -> KernelValue:
     return _kernel_value(Representation.QUADRATURE, d, s, math.copysign(value, c), estimate)
 
 
-@functools.lru_cache(maxsize=_COEFFICIENT_CACHE)
-def _finite_sum_coefficients(d: int) -> tuple[tuple[float, ...], float]:
-    """The d-only factors of the finite sum: the ratios (j-1)!!/j!! for
-    j = 1 - d%2, 3 - d%2, ..., d-3 in Horner order, and (d-3)!!/(d-2)!!.
+@functools.lru_cache(maxsize=256)
+def _finite_sum_table(d: int) -> tuple[float, ...]:
+    """The coefficients of P(w) / (d-2), highest power first (none at d = 2).
 
-    Each is a correctly rounded int/int quotient, finite where the factorials
-    themselves leave the double range.  Both double factorials grow by one
-    factor per step, so the fill takes O(d) integer products.
+    P(w) = 1 + w (d-3)/(d-4) + w^2 (d-3)(d-5)/((d-4)(d-6)) + ...: from 1/(d-2)
+    each coefficient is the previous one times k/(k-1), k = d-3, d-5, ... >= 2,
+    so O(d) float products, none out of double range, up to r = (d-3)!!/(d-2)!!.
     """
-    ratios = []
-    numerator = denominator = 1  # (j-1)!! and j!! at j = 0 or 1
-    for j in range(1 - d % 2, d - 2, 2):
-        if j > 1:
-            numerator *= j - 1
-            denominator *= j
-        ratios.append(numerator / denominator)
-    return tuple(ratios), double_factorial(d - 3) / double_factorial(d - 2)
+    table = [1.0 / (d - 2)] if d > 2 else []
+    for k in range(d - 3, 1, -2):
+        table.append(table[-1] * (k / (k - 1)))
+    return tuple(reversed(table))
+
+
+def _rounding_bound(d: int, kernel: float) -> float:
+    """2 d eps |K| for a sum of about d/2 terms of one sign: each coefficient,
+    its power of the rounded sin^2 theta and Horner's rule (or the recurrence's
+    climb) carry about d/2 roundings of eps/2 each (Higham 2002, ch. 3 and 5)."""
+    return 2.0 * d * sys.float_info.epsilon * abs(kernel)
 
 
 def i_d_finite_sum(d: int, theta: float) -> KernelValue:
-    """Closed-form evaluation, exact in O(d) arithmetic operations.
+    """Closed-form evaluation in O(d) arithmetic operations.
 
     I_d = (d-3)!!/(d-2)!! [B + cos(theta) sum_j (j-1)!!/j!! s^{-(j+1)}] with
     s = sin(theta), over j = d-3, d-5, ... >= 0, and B = log cot(theta/2) for
     even d, B = 0 for odd d (the double-factorial inverse-sine variant).  So
-    K_d = (d-3)!!/(d-2)!! [B s^{d-2} + cos(theta) sum_j (j-1)!!/j!! s^{d-3-j}],
-    summed by Horner's rule in s^2.  The double-factorial ratios depend on d
-    alone and are computed once per d (``_finite_sum_coefficients``, a
-    bounded LRU cache).
+    K_d = cos(theta) P(s^2)/(d-2) + r B s^{d-2} with r = (d-3)!!/(d-2)!!: the
+    products of the two double-factorial ratios are the coefficients of
+    ``_finite_sum_table``.
     """
     _check_dimension(d)
     _check_theta(theta)
     c, s = math.cos(theta), math.sin(theta)
     kernel = _finite_sum_kernel(d, c, s, log_cot_half(theta) if d % 2 == 0 else None)
-    return _kernel_value(Representation.FINITE_SUM, d, s, kernel, 0.0)
+    return _kernel_value(Representation.FINITE_SUM, d, s, kernel, _rounding_bound(d, kernel))
 
 
 def _finite_sum_kernel(d, c, s, log_cot=None):
@@ -266,15 +265,14 @@ def _finite_sum_kernel(d, c, s, log_cot=None):
     Arithmetic operators only, so c, s and log_cot may be floats or arrays of
     the same shape.
     """
-    ratios, prefactor = _finite_sum_coefficients(d)
+    table = _finite_sum_table(d)
     s2 = s * s
     acc = 0.0
-    for ratio in ratios:
-        acc = acc * s2 + ratio
-    kernel = c * acc
-    if d % 2 == 0:
-        kernel += log_cot * s ** (d - 2)
-    return kernel * prefactor
+    for coef in table:
+        acc = acc * s2 + coef
+    if d % 2:
+        return c * acc
+    return c * acc + (table[0] if table else 1.0) * log_cot * s ** (d - 2)
 
 
 def i_d_recurrence(d: int, theta: float) -> KernelValue:
@@ -282,19 +280,17 @@ def i_d_recurrence(d: int, theta: float) -> KernelValue:
 
     K_m = sin^{m-1} J_m scales the antiderivative recurrence of J_m = integral
     of 1/sin^m.  Bases: K_1 = log cot(theta/2) and K_2 = cos(theta).  All
-    terms share the sign of cos(theta), so the climb is cancellation-free.
+    terms share the sign of cos(theta), so the climb is cancellation-free and
+    its error is within ``_rounding_bound``.
     """
     _check_dimension(d)
     _check_theta(theta)
     c, s = math.cos(theta), math.sin(theta)
     s2 = s * s
-    if d % 2 == 0:
-        kernel, start = log_cot_half(theta), 1
-    else:
-        kernel, start = c, 2
+    kernel, start = (c, 2) if d % 2 else (log_cot_half(theta), 1)
     for m in range(start + 2, d, 2):
         kernel = c / (m - 1) + (m - 2) / (m - 1) * s2 * kernel
-    return _kernel_value(Representation.RECURRENCE, d, s, kernel, 0.0)
+    return _kernel_value(Representation.RECURRENCE, d, s, kernel, _rounding_bound(d, kernel))
 
 
 def i_d_hyp2f1(d: int, theta: float, euler: bool = False) -> KernelValue:
@@ -302,8 +298,9 @@ def i_d_hyp2f1(d: int, theta: float, euler: bool = False) -> KernelValue:
 
     Direct form: K_d = sin^{d-2} cos 2F1(1/2, d/2; 3/2; cos^2 theta), with the
     error bound of ``_gauss_series``.  With ``euler`` the transformed series
-    K_d = cos 2F1(1, (3-d)/2; 3/2; cos^2 theta) is used instead, reported to
-    the series tolerance.
+    K_d = cos 2F1(1, (3-d)/2; 3/2; cos^2 theta), whose terms t_n alternate and
+    cancel for large d, reports |cos| sum |t_n| (TOLERANCE + 2 n eps) over its
+    n terms and is refused where that exceeds 1e-9 |K| (``check xrep``'s tolerance).
     """
     _check_dimension(d)
     _check_theta(theta)
@@ -314,9 +311,14 @@ def i_d_hyp2f1(d: int, theta: float, euler: bool = False) -> KernelValue:
             f"cos^2(theta) = {z:.6f} > {SERIES_WINDOW}: use finite_sum, "
             "recurrence or quadrature here")
     if euler:
-        kernel = c * gauss_2f1(1.0, (3.0 - d) / 2.0, 1.5, z)
-        return _kernel_value(Representation.HYP2F1_EULER, d, s, kernel,
-                             abs(kernel) * TOLERANCE)
+        total, magnitude, terms = _gauss_2f1_sums(1.0, (3.0 - d) / 2.0, 1.5, z)
+        kernel = c * total
+        error = abs(c) * magnitude * (TOLERANCE + 2 * terms * sys.float_info.epsilon)
+        if not error <= 1e-9 * abs(kernel):
+            raise SeriesWindowError(
+                f"hyp2f1_euler: error bound {error:.3g} > 1e-9 |K| for K = {kernel:.6g} "
+                "(the series cancels): use finite_sum, recurrence or quadrature here")
+        return _kernel_value(Representation.HYP2F1_EULER, d, s, kernel, error)
     return _kernel_value(Representation.HYP2F1, d, s, *_gauss_series(d, c, s))
 
 
@@ -332,53 +334,39 @@ def _gauss_series(d: int, c: float, s: float) -> tuple[float, float]:
     return kernel, abs(kernel) * (TOLERANCE + (d - 2) * sys.float_info.epsilon)
 
 
-def _ferrers_in_sine(d: int, x: float, w: float) -> float:
-    """K_d = sin^{d-2} x 2F1(1/2, d/2; 3/2; x^2) as a series in w = 1 - x^2 = sin^2.
+def _log_cot_in_sine(x: float, w: float) -> float:
+    """log cot(theta/2) as a series in w = sin^2 theta, for x = cos theta.
 
     The z -> 1-z connection (A&S 15.3.6 for odd d, 15.3.10 and 15.3.12 for
     even d; DLMF 15.8) with a = 1/2, b = d/2, c = 3/2 and m = d/2 - 1 gives
-    K_d = x [P(w) / (d-2) + r w^m L(w) / 2] with r = (d-3)!!/(d-2)!!:
+    K_d = sin^{d-2} x 2F1(1/2, d/2; 3/2; x^2) = x [P(w)/(d-2) + r w^m L(w)/2]:
 
-    - P(w) = 1 + w (d-3)/(d-4) + w^2 (d-3)(d-5)/((d-4)(d-6)) + ..., whose
-      factors k/(k-1) run over k = d-3, d-5, ... >= 2.  For odd d it is the
-      terminating polynomial left once 1/Gamma((3-d)/2) = 0 removes the
-      other term; for even d it is the finite part of the logarithmic case.
-      It is absent at d = 2.
+    - P(w) is the polynomial of ``_finite_sum_table`` and r its highest
+      coefficient.  For odd d it is the terminating polynomial left once
+      1/Gamma((3-d)/2) = 0 removes the other term; for even d it is the
+      finite part of the logarithmic case.  It is absent at d = 2 (r = 1).
     - L(w) = sum_n (1/2)_n/n! w^n (2 ln 2 + H_n - 2 O_n - ln w), present for
       even d only, with H_n = sum_{k<=n} 1/k and O_n = sum_{k<=n} 1/(2k-1):
       psi(b+n) cancels psi(n+m+1), and psi(n+1/2) - psi(n+1) =
       -2 ln 2 - H_n + 2 O_n, so no Euler gamma is needed.
 
-    Every term is positive.  For w < 1/2 the tail after a term of P is at
-    most 1/(1-w)^2 - 1 times that term, and after a term of L at most
-    w/(1-w) times it; each sum stops once that bound is below half an ulp of
-    the kernel summed so far.
+    At d = 2 this reads K_2 = x L(w)/2 = log cot(theta/2), which is returned,
+    so every K_d is the finite sum with log cot(theta/2) summed from L.  Every
+    term of L is positive, and for w < 1/2 the tail after one is at most
+    w/(1-w) times it; the sum stops once that bound is below half an ulp of it.
     """
     half_ulp = 0.5 * sys.float_info.epsilon
-    tail = 1.0 / ((1.0 - w) * (1.0 - w)) - 1.0
-    head = 0.0
-    if d > 2:
-        term = total = 1.0
-        for k in range(d - 3, 1, -2):
-            term *= w * k / (k - 1)
-            total += term
-            if term * tail <= half_ulp * total:
-                break
-        head = total / (d - 2)
-    if d % 2:
-        return x * head
-    coef = 0.5 * _finite_sum_coefficients(d)[1] * w ** (d // 2 - 1)
     tail = w / (1.0 - w)
     bracket = math.log(4.0) - math.log(w)  # 2 ln 2 + H_n - 2 O_n - ln w at n = 0
     term = 1.0
     total = bracket
     n = 0
-    while coef * term * bracket * tail > half_ulp * (head + coef * total):
+    while term * bracket * tail > half_ulp * total:
         n += 1
         term *= w * (n - 0.5) / n
         bracket -= 1.0 / (n * (2 * n - 1))
         total += term * bracket
-    return x * (head + coef * total)
+    return 0.5 * x * total
 
 
 def i_d_ferrers(d: int, theta: float) -> KernelValue:
@@ -389,16 +377,18 @@ def i_d_ferrers(d: int, theta: float) -> KernelValue:
     duplication formula (DLMF 5.5.5), Gamma((d-1)/2) Gamma(d/2) =
     2^{2-d} sqrt(pi) (d-2)!, so the gamma and power-of-two factors of Q and
     p(d) multiply to exactly 1.  Where cos^2 theta exceeds ``_FERRERS_SWITCH``
-    that product is summed in sin^2 theta (``_ferrers_in_sine``), which holds
-    down to ``THETA_EDGE``; elsewhere it is the Gauss series in cos^2 theta
-    that the ``hyp2f1`` route sums, with the same error bound.
+    that product is summed in sin^2 theta, which holds down to ``THETA_EDGE``:
+    the finite sum, whose log cot(theta/2) comes from ``_log_cot_in_sine``.
+    Elsewhere it is the Gauss series in cos^2 theta that the ``hyp2f1`` route
+    sums, with the same error bound.
     """
     _check_dimension(d)
     _check_theta(theta)
     x, s = math.cos(theta), math.sin(theta)
     if x * x > _FERRERS_SWITCH:
-        kernel = _ferrers_in_sine(d, x, s * s)
-        return _kernel_value(Representation.FERRERS_Q, d, s, kernel, abs(kernel) * TOLERANCE)
+        log_cot = _log_cot_in_sine(x, s * s) if d % 2 == 0 else None
+        kernel = _finite_sum_kernel(d, x, s, log_cot)
+        return _kernel_value(Representation.FERRERS_Q, d, s, kernel, _rounding_bound(d, kernel))
     return _kernel_value(Representation.FERRERS_Q, d, s, *_gauss_series(d, x, s))
 
 

@@ -156,11 +156,13 @@ def check_delta_identity(d: int, radius: float, nodes: int = 400) -> CheckReport
     the integral of (-Laplace phi) * S over the sphere is accumulated on a
     Gauss-Legendre product grid.  The integrand factorizes over the
     coordinate axes, so the tensor-product sum is taken as the product of the
-    per-axis sums.  The measured value is reported against both candidates
-    phi(origin) = 1 and phi(origin) - phi(antipode) = 2.
+    per-axis sums.  S = c0(d) R^(2-d) sin^(2-d) K times the weight R^d sin^(d-1)
+    is K sin times c0(d) R^(2-d) and R^(d-2): those two and the product of the
+    axis sums stay (mantissa, exponent) pairs for ``kernel._scaled``, so the
+    check holds at any d.  The measured value is reported against both
+    candidates phi(origin) = 1 and phi(origin) - phi(antipode) = 2.
     """
-    if d not in (2, 3):
-        raise ValueError(f"delta identity check supports d in {{2, 3}}, got {d}")
+    _check_dimension(d)
     if nodes < 50:
         raise ValueError(f"need at least 50 nodes per axis, got {nodes}")
     tolerance = 1e-6 if d == 2 else 1e-5
@@ -169,16 +171,14 @@ def check_delta_identity(d: int, radius: float, nodes: int = 400) -> CheckReport
     theta, w_theta, s = _polar_rule(nodes)
     c = np.cos(theta)
     kernel = _finite_sum_kernel(d, c, s, np.arcsinh(c / s) if d % 2 == 0 else None)
-    # S = K c0(d) R^(2-d) sin^(2-d), scaled as _scaled does for one value
-    m, e = solution_scale(d, radius)
-    sm, se = np.frexp(s)
-    pm, pe = np.frexp(sm ** (2 - d))
-    s_val = np.ldexp(kernel * m * pm, e + se * (2 - d) + pe)
-    minus_lap_phi = d * c / radius**2
-    measured = float(np.sum(w_theta * minus_lap_phi * s_val * radius**d * s ** (d - 1)))
+    polar = float(np.sum(w_theta * d * c * kernel * s))
+    am, ae = 1.0, 0  # the product of the d - 2 direction-axis sums
     for k in range(2, d):
-        measured *= float(w_theta @ s ** (k - 1))
-    measured *= 2.0 * float(w_theta.sum())  # azimuth carries no weight
+        am, e = math.frexp(am * float(w_theta @ s ** (k - 1)))
+        ae += e
+    # the azimuth carries no weight
+    measured = _scaled(polar * 2.0 * float(w_theta.sum()), solution_scale(d, radius),
+                       _power(radius, d - 2), (am, ae))
     dist_one = abs(measured - 1.0)
     dist_two = abs(measured - 2.0)
     matched = "phi(x)-phi(antipode)=2" if dist_two <= dist_one else "phi(x)=1"
@@ -410,7 +410,8 @@ LIMIT_RADII = (10.0, 100.0, 1000.0, 10000.0)
 SUITES = {
     "ode": lambda: [check_ode_order(QuantumNumbers(d, l), kind)
                     for d in range(2, 8) for l in range(3) for kind in RadialSolutionKind],
-    "delta": lambda: [check_delta_identity(d, radius) for d in (2, 3) for radius in (1.0, 5.0)],
+    "delta": lambda: [check_delta_identity(d, radius)
+                      for d in (2, 3, 4, 60) for radius in (1.0, 5.0)],
     "limit": lambda: [*_euclidean_limit_reports(3, 1.0, LIMIT_RADII),
                       check_euclidean_limit(2, 1.0, LIMIT_RADII)],
     "xrep": lambda: [check_cross_representation(d) for d in range(2, 11)],

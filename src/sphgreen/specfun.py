@@ -107,6 +107,12 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     relative to the running sum; hitting ``MAX_TERMS`` first raises
     NonConvergenceError (expected as z -> 1 with c - a - b <= 0).
     """
+    return _gauss_2f1_sums(a, b, c, z)[0]
+
+
+def _gauss_2f1_sums(a: float, b: float, c: float, z: float) -> tuple[float, float, int]:
+    """The series of ``gauss_2f1``: its sum, the sum of the terms' magnitudes
+    and the number of terms summed."""
     if c <= 0.0 and _is_integer(c):
         raise GammaPoleError(f"2F1 undefined for nonpositive integer c={c}")
     if not abs(z) < 1.0:
@@ -116,17 +122,17 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     # no builtin call per term
     tol, max_terms = TOLERANCE, MAX_TERMS
     floor = tol * 1e-300
-    total = 1.0
-    term = 1.0
+    total = magnitude = term = 1.0
     below = 0
     for n in range(max_terms):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
         mag = term if term >= 0.0 else -term
+        magnitude += mag
         if mag <= tol * (total if total >= 0.0 else -total) or mag <= floor:
             below += 1
             if below == 3:
-                return total
+                return total, magnitude, n + 2
         else:
             below = 0
     raise NonConvergenceError(

@@ -1,0 +1,86 @@
+"""Every route's kernel against the 40-digit reference, within the bound it reports.
+
+The grid covers d = 2..60 and a few large d of both parities, at angles near
+both poles, near pi/2, on each side of ``_FERRERS_SWITCH`` (where the Ferrers
+route changes series) and at cos^2 theta = ``SERIES_WINDOW``, each mirrored.
+A series route may refuse (``SeriesWindowError``, or ``NonConvergenceError``
+where its series overflows); a value it does return must hold its bound.
+
+``hyp2f1`` is left out: near z = cos^2 theta = 1 its stop rule, three terms
+below ``specfun.TOLERANCE`` of the sum, leaves a tail of about term z/(1-z),
+so it still under-reports there (ROADMAP item 1, second bullet).
+"""
+
+import functools
+import math
+import time
+
+import pytest
+
+from sphgreen.kernel import (
+    _FERRERS_SWITCH,
+    SERIES_WINDOW,
+    SeriesWindowError,
+    _finite_sum_table,
+    i_d_ferrers,
+    i_d_finite_sum,
+    i_d_hyp2f1,
+    i_d_recurrence,
+)
+from sphgreen.specfun import NonConvergenceError
+
+DIMENSIONS = [*range(2, 61), 100, 101, 200, 1000, 3000, 3001]
+_SWITCH = math.acos(math.sqrt(_FERRERS_SWITCH))
+_NORTH = [1e-12, 1e-6, _SWITCH - 1e-9, _SWITCH + 1e-9,
+          math.acos(math.sqrt(SERIES_WINDOW)), math.pi / 2 - 1e-9]
+ANGLES = _NORTH + [math.pi - t for t in _NORTH]
+
+ROUTES = {
+    "finite_sum": i_d_finite_sum,
+    "recurrence": i_d_recurrence,
+    "ferrers": i_d_ferrers,
+    "hyp2f1_euler": functools.partial(i_d_hyp2f1, euler=True),
+}
+# the routes valid on all of (0, pi) never refuse
+REFUSALS = {"finite_sum": (), "recurrence": (),
+            "ferrers": NonConvergenceError,
+            "hyp2f1_euler": (SeriesWindowError, NonConvergenceError)}
+
+_references = {}
+
+
+@pytest.mark.parametrize("d", DIMENSIONS)
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_within_reported_error(route, d, kernel_reference):
+    kept = 0
+    for theta in ANGLES:
+        if (d, theta) not in _references:
+            _references[d, theta] = kernel_reference(d, theta)
+        want = _references[d, theta]
+        try:
+            kv = ROUTES[route](d, theta)
+        except REFUSALS[route]:
+            continue
+        kept += 1
+        assert abs(kv.kernel - want) <= kv.kernel_error + 4.0 * math.ulp(want), (theta, kv, want)
+    # a route that refused everywhere would test nothing
+    assert kept >= (2 if route == "hyp2f1_euler" else len(ANGLES) - 2)
+
+
+def test_euler_refuses_where_the_series_cancels():
+    # 2F1(1, -98.5; 3/2; 0.913) sums to -3.3e9 from 102 terms whose magnitudes sum to 7.1e26
+    with pytest.raises(SeriesWindowError, match="hyp2f1_euler"):
+        i_d_hyp2f1(200, 0.3, euler=True)
+    kv = i_d_hyp2f1(20, 0.3, euler=True)
+    assert 0.0 < kv.kernel_error <= 1e-9 * abs(kv.kernel)
+
+
+@pytest.mark.parametrize("d", [100000, 100001])
+def test_cold_large_d_is_fast(d):
+    # the coefficient table is O(d) float products, no big integers
+    _finite_sum_table.cache_clear()
+    start = time.perf_counter()
+    kv = i_d_finite_sum(d, 1.0)
+    assert time.perf_counter() - start < 1.0
+    want = i_d_recurrence(d, 1.0)
+    assert abs(kv.kernel - want.kernel) <= kv.kernel_error + want.kernel_error

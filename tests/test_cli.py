@@ -139,9 +139,23 @@ class TestEval:
         for name, first, second in lines:
             assert first == "inf" or (first == "skipped" and name in SERIES_ROUTES)
 
-    def test_deviation_sees_disagreeing_infinities(self, capsys):
+    def test_deviation_sees_disagreeing_infinities(self, capsys, monkeypatch):
         # every printed value is +-inf; inf against -inf is a NaN quotient,
-        # which must not read as agreement, while equal infinities agree
+        # which must not read as agreement, while equal infinities agree.
+        # Every route now gets the sign right, so the recurrence's is flipped
+        # at theta = 0.3 to make a disagreeing pair
+        from sphgreen import cli
+        from sphgreen.kernel import Representation
+
+        kernel = cli.radial_kernel
+
+        def flipped(d, theta, rep):
+            kv = kernel(d, theta, rep)
+            if rep is Representation.RECURRENCE and theta == 0.3:
+                return kv._replace(kernel=-kv.kernel)
+            return kv
+
+        monkeypatch.setattr(cli, "radial_kernel", flipped)
         for theta, want in (("0.3", "inf"), ("1e-11", "0.0")):
             argv = ("eval", "--d", "340", "--theta", theta, "--method", "all")
             code, out, _ = run(capsys, *argv)
@@ -287,6 +301,18 @@ class TestTable:
         rows = list(csv.reader(io.StringIO(out_path.read_text())))[1:]
         assert len(rows) == 161 and rows[-1][2] == "3.141592653588793"
 
+    def test_last_row_is_theta_max_where_the_grid_ends_under_it(self, capsys):
+        # theta_min + 23 * step rounds to 1.538417566394774, an ulp under --theta-max;
+        # every other row keeps theta_min + i * step
+        lo, hi, n = 0.09291248952955893, 1.5384175663947741, 24
+        step = (hi - lo) / (n - 1)
+        assert lo + (n - 1) * step < hi
+        code, out, err = run(capsys, "table", "--d", "5", "--theta-min", repr(lo),
+                             "--theta-max", repr(hi), "--n", str(n), "--methods", "finite_sum")
+        assert code == 0 and err == ""
+        thetas = [float(row[2]) for row in list(csv.reader(io.StringIO(out)))[1:]]
+        assert thetas == [lo + i * step for i in range(n - 1)] + [hi]
+
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run(capsys, "table", "--d", "3", "--n", "3",
                          "--theta-min", "2", "--theta-max", "1")
@@ -331,7 +357,9 @@ class TestCheck:
     def test_delta_suite_passes(self, capsys):
         code, out, _ = run(capsys, "check", "delta")
         assert code == 0
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 8
+        for d in (2, 3, 4, 60):
+            assert f"PASS delta-identity d={d} R=5.0:" in out
 
     def test_ode_suite_passes(self, capsys):
         code, out, _ = run(capsys, "check", "ode")

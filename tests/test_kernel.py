@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from sphgreen.kernel import (
     Representation,
-    _finite_sum_coefficients,
     SeriesWindowError,
     euclidean_fundamental,
     fundamental_solution,
@@ -23,7 +22,7 @@ from sphgreen.kernel import (
     solution_scale,
 )
 from sphgreen.oracle import _finite_sum_cot
-from sphgreen.specfun import NonConvergenceError, double_factorial
+from sphgreen.specfun import NonConvergenceError
 
 # 20 angles away from the poles, on both sides of the equator
 THETA_GRID = np.linspace(0.3, math.pi - 0.3, 20)
@@ -130,48 +129,6 @@ class TestFiniteSumRoute:
         want = i_d_recurrence(d, 1.0).value
         assert math.isfinite(want)
         assert abs(got - want) <= 1e-12 * abs(want)
-
-
-def finite_sum_kernel_uncached(d, theta):
-    """K_d by the finite sum, rebuilding every ratio (j-1)!!/j!! from its exact
-    integers on every call (the products are extended by two factors per j)."""
-    c, s = math.cos(theta), math.sin(theta)
-    acc, num, den = 0.0, 1, 1
-    for j in range(1 - d % 2, d - 2, 2):
-        if j > 1:
-            num, den = num * (j - 1), den * j
-        acc = acc * (s * s) + num / den
-    kernel = c * acc
-    if d % 2 == 0:
-        kernel += log_cot_half(theta) * s ** (d - 2)
-    return kernel * (double_factorial(d - 3) / double_factorial(d - 2))
-
-
-class TestFiniteSumCoefficientCache:
-    ANGLES = (1e-12, 1e-6, 0.3, 1.0, math.pi / 2.0)
-
-    def test_bit_identical_to_uncached_sum(self):
-        angles = self.ANGLES + tuple(math.pi - t for t in self.ANGLES)
-        for d in range(2, 401):
-            for theta in angles:
-                got = i_d_finite_sum(d, theta)
-                want = finite_sum_kernel_uncached(d, theta)
-                assert got.kernel.hex() == want.hex(), (d, theta)
-
-    @pytest.mark.parametrize("d", [999, 1000])
-    def test_coefficients_are_exact_quotients(self, d):
-        ratios, prefactor = _finite_sum_coefficients(d)
-        assert ratios == tuple(double_factorial(j - 1) / double_factorial(j)
-                               for j in range(1 - d % 2, d - 2, 2))
-        assert prefactor == double_factorial(d - 3) / double_factorial(d - 2)
-
-    def test_cache_is_bounded(self):
-        maxsize = _finite_sum_coefficients.cache_info().maxsize
-        assert maxsize is not None and maxsize < math.inf
-        for _ in range(2):
-            for d in range(2, 401):
-                i_d_finite_sum(d, 1.0)
-                assert _finite_sum_coefficients.cache_info().currsize <= maxsize
 
 
 class TestRecurrenceRoute:

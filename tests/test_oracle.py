@@ -173,9 +173,19 @@ class TestDeltaIdentity:
         b = check_delta_identity(2, 1.0, nodes=400).measured
         assert abs(a - b) <= 1e-7
 
+    @pytest.mark.parametrize("d", [4, 5, 60, 100, 1000, 3000])
+    def test_any_dimension(self, d):
+        # c0(d), R^(2-d) and the product of the axis sums leave the double
+        # range from d in the low hundreds; as scaled pairs they never do
+        a = check_delta_identity(d, 1.0)
+        b = check_delta_identity(d, 5.0)
+        assert a.passed and b.passed
+        assert abs(a.measured - 2.0) <= 1e-9
+        assert abs(a.measured - b.measured) <= 1e-13
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            check_delta_identity(4, 1.0)
+        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+            check_delta_identity(1, 1.0)
         with pytest.raises(ValueError):
             check_delta_identity(2, 1.0, nodes=10)
 
