@@ -49,8 +49,8 @@ __all__ = [
 THETA_EDGE = 1e-12
 # direct series routes are only offered while cos^2(theta) stays below this
 SERIES_WINDOW = 0.98
-# the Ferrers route sums its series in sin^2(theta) where cos^2(theta) exceeds
-# this, and in cos^2(theta) elsewhere, so that either sum converges like 2^-n
+# the Ferrers route is the finite sum where cos^2(theta) exceeds this, and the
+# Gauss series in cos^2(theta), which converges like 2^-n, elsewhere
 _FERRERS_SWITCH = 0.5
 
 # a frexp mantissa in [1/2, 1) raised to at most this power stays within
@@ -334,41 +334,6 @@ def _gauss_series(d: int, c: float, s: float) -> tuple[float, float]:
     return kernel, abs(kernel) * (TOLERANCE + (d - 2) * sys.float_info.epsilon)
 
 
-def _log_cot_in_sine(x: float, w: float) -> float:
-    """log cot(theta/2) as a series in w = sin^2 theta, for x = cos theta.
-
-    The z -> 1-z connection (A&S 15.3.6 for odd d, 15.3.10 and 15.3.12 for
-    even d; DLMF 15.8) with a = 1/2, b = d/2, c = 3/2 and m = d/2 - 1 gives
-    K_d = sin^{d-2} x 2F1(1/2, d/2; 3/2; x^2) = x [P(w)/(d-2) + r w^m L(w)/2]:
-
-    - P(w) is the polynomial of ``_finite_sum_table`` and r its highest
-      coefficient.  For odd d it is the terminating polynomial left once
-      1/Gamma((3-d)/2) = 0 removes the other term; for even d it is the
-      finite part of the logarithmic case.  It is absent at d = 2 (r = 1).
-    - L(w) = sum_n (1/2)_n/n! w^n (2 ln 2 + H_n - 2 O_n - ln w), present for
-      even d only, with H_n = sum_{k<=n} 1/k and O_n = sum_{k<=n} 1/(2k-1):
-      psi(b+n) cancels psi(n+m+1), and psi(n+1/2) - psi(n+1) =
-      -2 ln 2 - H_n + 2 O_n, so no Euler gamma is needed.
-
-    At d = 2 this reads K_2 = x L(w)/2 = log cot(theta/2), which is returned,
-    so every K_d is the finite sum with log cot(theta/2) summed from L.  Every
-    term of L is positive, and for w < 1/2 the tail after one is at most
-    w/(1-w) times it; the sum stops once that bound is below half an ulp of it.
-    """
-    half_ulp = 0.5 * sys.float_info.epsilon
-    tail = w / (1.0 - w)
-    bracket = math.log(4.0) - math.log(w)  # 2 ln 2 + H_n - 2 O_n - ln w at n = 0
-    term = 1.0
-    total = bracket
-    n = 0
-    while term * bracket * tail > half_ulp * total:
-        n += 1
-        term *= w * (n - 0.5) / n
-        bracket -= 1.0 / (n * (2 * n - 1))
-        total += term * bracket
-    return 0.5 * x * total
-
-
 def i_d_ferrers(d: int, theta: float) -> KernelValue:
     """Ferrers-Q route: K_d = p(d) sin^{d/2-1} Q_{d/2-1}^{1-d/2}(cos theta).
 
@@ -377,17 +342,15 @@ def i_d_ferrers(d: int, theta: float) -> KernelValue:
     duplication formula (DLMF 5.5.5), Gamma((d-1)/2) Gamma(d/2) =
     2^{2-d} sqrt(pi) (d-2)!, so the gamma and power-of-two factors of Q and
     p(d) multiply to exactly 1.  Where cos^2 theta exceeds ``_FERRERS_SWITCH``
-    that product is summed in sin^2 theta, which holds down to ``THETA_EDGE``:
-    the finite sum, whose log cot(theta/2) comes from ``_log_cot_in_sine``.
-    Elsewhere it is the Gauss series in cos^2 theta that the ``hyp2f1`` route
-    sums, with the same error bound.
+    it is the finite sum (the z -> 1-z connection, A&S 15.3.6 and 15.3.10),
+    equal to ``i_d_finite_sum`` bit for bit; elsewhere it is the Gauss series
+    that the ``hyp2f1`` route sums, with the same error bound.
     """
     _check_dimension(d)
     _check_theta(theta)
     x, s = math.cos(theta), math.sin(theta)
     if x * x > _FERRERS_SWITCH:
-        log_cot = _log_cot_in_sine(x, s * s) if d % 2 == 0 else None
-        kernel = _finite_sum_kernel(d, x, s, log_cot)
+        kernel = _finite_sum_kernel(d, x, s, log_cot_half(theta) if d % 2 == 0 else None)
         return _kernel_value(Representation.FERRERS_Q, d, s, kernel, _rounding_bound(d, kernel))
     return _kernel_value(Representation.FERRERS_Q, d, s, *_gauss_series(d, x, s))
 

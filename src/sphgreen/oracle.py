@@ -11,8 +11,9 @@ checks that use it, when they are first called.
 The distance and delta checks run their grids as arrays through the library's
 own code (``geometry._embed_rows``, ``kernel._finite_sum_kernel``); the polar
 side of the distance check stays the scalar ``geodesic_distance`` that
-``sphgreen distance`` runs.  The cross-representation sweep stays scalar: its
-series routes loop for a number of terms that depends on the angle.
+``sphgreen distance`` runs.  The cross-representation sweep stays scalar, on
+the standard library alone: its series routes loop for a number of terms that
+depends on the angle.
 """
 
 from __future__ import annotations
@@ -161,10 +162,16 @@ def check_delta_identity(d: int, radius: float, nodes: int = 400) -> CheckReport
     axis sums stay (mantissa, exponent) pairs for ``kernel._scaled``, so the
     check holds at any d.  The measured value is reported against both
     candidates phi(origin) = 1 and phi(origin) - phi(antipode) = 2.
+
+    sin^(d-1) peaks with a width of about 1/sqrt(d), so fewer than 6 sqrt(d)
+    nodes per axis (the default 400 covers d <= 4444) raise ValueError.
     """
     _check_dimension(d)
     if nodes < 50:
         raise ValueError(f"need at least 50 nodes per axis, got {nodes}")
+    if nodes < 6.0 * math.sqrt(d):
+        raise ValueError(f"{nodes} nodes per axis cannot resolve sin^(d-1) at d={d}: "
+                         f"need at least 6 sqrt(d), {math.ceil(6.0 * math.sqrt(d))}")
     tolerance = 1e-6 if d == 2 else 1e-5
     import numpy as np
 
@@ -272,9 +279,9 @@ def check_cross_representation(d: int) -> CheckReport:
     form is compared too, as ``finite_sum_cot``.  Measured value is the worst
     relative deviation.
     """
-    import numpy as np
-
-    thetas = np.linspace(0.05, math.pi - 0.05, 50)
+    lo, hi = 0.05, math.pi - 0.05
+    step = (hi - lo) / 49
+    thetas = [lo + i * step for i in range(49)] + [hi]  # the doubles of numpy's linspace
     worst = 0.0
     worst_at = ""
     routes = 0

@@ -2,7 +2,8 @@
 
 The grid covers d = 2..60 and a few large d of both parities, at angles near
 both poles, near pi/2, on each side of ``_FERRERS_SWITCH`` (where the Ferrers
-route changes series) and at cos^2 theta = ``SERIES_WINDOW``, each mirrored.
+route changes from the finite sum to the Gauss series) and at
+cos^2 theta = ``SERIES_WINDOW``, each mirrored.
 A series route may refuse (``SeriesWindowError``, or ``NonConvergenceError``
 where its series overflows); a value it does return must hold its bound.
 

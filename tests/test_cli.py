@@ -559,3 +559,7 @@ class TestImportHygiene:
         suites = [("check", suite) for suite in ("ode", "delta", "limit", "xrep", "geometry")]
         modules = self.loaded_after(tmp_path, *suites, codes=[0, 0, 1, 0, 0])
         assert "scipy" not in modules
+
+    def test_check_xrep_imports_no_numpy(self, tmp_path):
+        modules = self.loaded_after(tmp_path, ("check", "xrep"))
+        assert "sphgreen.oracle" in modules and "numpy" not in modules

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphgreen.kernel import (
+    _FERRERS_SWITCH,
     Representation,
     SeriesWindowError,
     euclidean_fundamental,
@@ -223,6 +224,20 @@ class TestFerrersRoute:
 # Ferrers route changes series
 FERRERS_ANGLES = [1e-12, 1e-6, 0.013, 0.0142, 0.0145, 0.02, 0.05,
                   math.pi / 4 - 1e-9, math.pi / 4 + 1e-9, 1.0]
+
+
+# the angles of a k pi/200 grid, and 1e-12 and 1e-6 from each pole, where
+# cos^2 theta exceeds the switch
+SWITCH_ANGLES = [t for t in [1e-12, 1e-6, math.pi - 1e-6, math.pi - 1e-12]
+                 + [k * math.pi / 200 for k in range(1, 200)]
+                 if math.cos(t) ** 2 > _FERRERS_SWITCH]
+
+
+@pytest.mark.parametrize("d", [*range(2, 61), 100, 101, 1000, 3001])
+def test_ferrers_is_the_finite_sum_above_the_switch(d):
+    for theta in SWITCH_ANGLES:
+        kv, want = i_d_ferrers(d, theta), i_d_finite_sum(d, theta)
+        assert (kv.kernel, kv.kernel_error) == (want.kernel, want.kernel_error), theta
 
 
 class TestFerrersAccuracy:

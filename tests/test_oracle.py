@@ -189,6 +189,14 @@ class TestDeltaIdentity:
         with pytest.raises(ValueError):
             check_delta_identity(2, 1.0, nodes=10)
 
+    def test_refuses_a_rule_too_coarse_for_d(self):
+        # sin^(d-1) is about 1/sqrt(d) wide: at d = 10000, 400 nodes per axis
+        # leave |m - 2| = 6e-3, 600 leave 2.7e-9
+        with pytest.raises(ValueError, match="400 nodes .* d=10000: .* 600"):
+            check_delta_identity(10000, 1.0)
+        report = check_delta_identity(10000, 1.0, nodes=600)
+        assert report.passed and abs(report.measured - 2.0) <= 1e-8
+
 
 class TestEuclideanLimit:
     RADII = [10.0, 100.0, 1000.0, 10000.0]
