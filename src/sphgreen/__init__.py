@@ -7,62 +7,47 @@ Gauss hypergeometric series and a Ferrers-function form) and cross-validates
 them against quadrature and finite-difference oracles.
 
 All functions are pure; everything here is safe to call concurrently.
+``import sphgreen`` loads none of its modules: each public name imports the
+module that defines it on first use (PEP 562).
 """
 
-from .geometry import (
-    HyperPoint,
-    embed,
-    embed_direction,
-    geodesic_distance,
-    separation_angle,
-    volume_weight,
-)
-from .harmonics import (
-    DegenerateBranchError,
-    QuantumNumbers,
-    RadialSolutionKind,
-    angular_eigenvalue,
-    degeneracy,
-    ode_convergence_order,
-    ode_residual,
-    radial_harmonic,
-)
-from .kernel import (
-    KernelValue,
-    Representation,
-    SeriesWindowError,
-    euclidean_fundamental,
-    fundamental_solution,
-    i_d_ferrers,
-    i_d_finite_sum,
-    i_d_hyp2f1,
-    i_d_quadrature,
-    i_d_recurrence,
-    normalization_constant,
-    radial_kernel,
-    solution_scale,
-)
-from .oracle import (
-    CheckReport,
-    check_cross_representation,
-    check_delta_identity,
-    check_distance_oracle,
-    check_euclidean_limit,
-    check_laplace_annihilation,
-    check_volume,
-)
-from .quadrature import ToleranceNotMetError, integrate
-from .specfun import (
-    FerrersOrderDegree,
-    GammaPoleError,
-    NonConvergenceError,
-    double_factorial,
-    ferrers_p,
-    ferrers_q,
-    gamma_real,
-    gauss_2f1,
-    pochhammer,
-    reciprocal_gamma,
-)
+import importlib
+
+# module -> the names the package re-exports from it
+_EXPORTS = {
+    "geometry": ("HyperPoint", "embed", "embed_direction", "geodesic_distance",
+                 "separation_angle", "volume_weight"),
+    "harmonics": ("DegenerateBranchError", "QuantumNumbers", "RadialSolutionKind",
+                  "angular_eigenvalue", "degeneracy", "ode_convergence_order",
+                  "ode_residual", "radial_harmonic"),
+    "kernel": ("KernelValue", "Representation", "SeriesWindowError", "euclidean_fundamental",
+               "fundamental_solution", "i_d_ferrers", "i_d_finite_sum", "i_d_hyp2f1",
+               "i_d_quadrature", "i_d_recurrence", "normalization_constant", "radial_kernel",
+               "solution_scale"),
+    "oracle": ("CheckReport", "check_cross_representation", "check_delta_identity",
+               "check_distance_oracle", "check_euclidean_limit", "check_laplace_annihilation",
+               "check_volume"),
+    "quadrature": ("ToleranceNotMetError", "integrate"),
+    "specfun": ("FerrersOrderDegree", "GammaPoleError", "NonConvergenceError",
+                "double_factorial", "ferrers_p", "ferrers_q", "gamma_real", "gauss_2f1",
+                "pochhammer", "reciprocal_gamma"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # a submodule, such as sphgreen.kernel, is an attribute once imported
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_MODULE_OF[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -54,7 +54,18 @@ def double_factorial(n: int) -> int:
     """n!! = n(n-2)... down to 1 or 2, with (-1)!! = 0!! = 1."""
     if n < -1:
         raise ValueError(f"double factorial requires n >= -1, got {n}")
-    return math.prod(range(n, 1, -2))
+    if n % 2 == 0:
+        return math.factorial(n // 2) << (n // 2)
+    return _odd_product(1, n)
+
+
+def _odd_product(lo: int, hi: int) -> int:
+    """lo (lo + 2) ... hi for odd lo, split in halves so that big factors stay balanced
+    (one running product is quadratic in the number of factors)."""
+    if hi - lo < 128:
+        return math.prod(range(lo, hi + 1, 2))
+    mid = (lo + hi) // 4 * 2 + 1
+    return _odd_product(lo, mid) * _odd_product(mid + 2, hi)
 
 
 def pochhammer(z: float, n: int) -> float:

@@ -384,6 +384,24 @@ class TestCheck:
         code, _, _ = run(capsys, "check", "nope")
         assert code == 2
 
+    def test_suite_names_are_the_oracle_suites(self):
+        from sphgreen.cli import SUITE_NAMES
+        from sphgreen.oracle import SUITES
+
+        assert list(SUITE_NAMES) == sorted(SUITES)
+
+    def test_unknown_suite_message_is_argparse_over_the_suites(self, capsys):
+        import argparse
+
+        from sphgreen.oracle import SUITES
+
+        reference = argparse.ArgumentParser(prog="sphgreen check")
+        reference.add_argument("suite", choices=sorted(SUITES))
+        with pytest.raises(SystemExit):
+            reference.parse_args(["bogus"])
+        want = capsys.readouterr().err
+        assert run(capsys, "check", "bogus") == (2, "", want)
+
 
 class TestDistance:
     def test_identical_points(self, capsys):
@@ -559,6 +577,45 @@ class TestImportHygiene:
         suites = [("check", suite) for suite in ("ode", "delta", "limit", "xrep", "geometry")]
         modules = self.loaded_after(tmp_path, *suites, codes=[0, 0, 1, 0, 0])
         assert "scipy" not in modules
+
+    @staticmethod
+    def loaded_by_fresh_cli(tmp_path, *argv, code=0):
+        """The sphgreen modules a fresh ``python -m sphgreen.cli ARGV`` imports."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "sphgreen.cli", *argv],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == code, proc.stderr
+        names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                 if line.startswith("import time:")}
+        return {name for name in names if name.startswith("sphgreen.")}
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--d", "7", "--theta", "1"),
+        ("eval", "--d", "7", "--theta", "1", "--method", "all"),
+        ("table", "--d", "4", "--theta-min", "0.1", "--theta-max", "3.0", "--n", "4"),
+    ], ids=["eval", "eval-all", "table"])
+    def test_eval_and_table_load_only_the_kernel(self, tmp_path, argv):
+        # ``-m`` runs sphgreen.cli as __main__, so it is not listed
+        assert self.loaded_by_fresh_cli(tmp_path, *argv) == {
+            "sphgreen.kernel", "sphgreen.quadrature", "sphgreen.specfun"}
+
+    def test_distance_loads_geometry_but_no_oracle(self, tmp_path):
+        modules = self.loaded_by_fresh_cli(tmp_path, "distance", "--d", "3", "--point-a",
+                                           "0.7,1.1,0.9", "--point-b", "1.2,0.3,2.0")
+        assert "sphgreen.geometry" in modules
+        assert not modules & {"sphgreen.oracle", "sphgreen.harmonics"}
+
+    @pytest.mark.parametrize("suite", ["delta", "geometry", "limit", "ode", "xrep"])
+    def test_every_suite_runs_in_a_fresh_process(self, tmp_path, suite):
+        # check limit exits 1 on its d = 2 clause (see test_limit_suite_reports_d2_failure)
+        modules = self.loaded_by_fresh_cli(tmp_path, "check", suite,
+                                           code=1 if suite == "limit" else 0)
+        assert {"sphgreen.oracle", "sphgreen.harmonics", "sphgreen.geometry"} <= modules
 
     def test_check_xrep_imports_no_numpy(self, tmp_path):
         modules = self.loaded_after(tmp_path, ("check", "xrep"))

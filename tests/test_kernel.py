@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -394,6 +395,12 @@ class TestFundamentalSolution:
     def test_scale_is_the_kernel_factor(self):
         assert math.ldexp(*solution_scale(4, 2.0)) == normalization_constant(4) / 4.0
         assert math.ldexp(*solution_scale(2, 1e-300)) == normalization_constant(2)
+
+    def test_large_odd_scale_is_fast(self):
+        # (d - 2)!! of an odd d is a product tree, not one running product
+        start = time.perf_counter()
+        solution_scale(100001, 1.0)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestEuclideanFundamental:

@@ -131,6 +131,11 @@ class TestDoubleFactorial:
         for n in range(16):
             assert double_factorial(2 * n) == 2**n * math.factorial(n)
 
+    @pytest.mark.parametrize("ns", [range(-1, 401), (9999, 10000, 99999)])
+    def test_equals_the_running_product(self, ns):
+        for n in ns:
+            assert double_factorial(n) == math.prod(range(n, 1, -2)), n
+
 
 class TestPochhammer:
     def test_empty_product(self):
