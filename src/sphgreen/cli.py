@@ -20,16 +20,16 @@ import math
 import sys
 
 from .kernel import (
+    _REFUSALS,
     Representation,
     SeriesWindowError,
     _check_dimension,
     _check_radius,
     _check_theta,
+    _deviation,
     radial_kernel,
     solution_scale,
 )
-from .quadrature import ToleranceNotMetError
-from .specfun import NonConvergenceError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -67,15 +67,6 @@ def _checked(convert, check):
     return parse
 
 
-def _relative_deviation(a: float, b: float) -> float:
-    """|a - b| / max(1, |a|, |b|); 0 for equal values (equal infinities too),
-    inf for any other pair whose quotient is not finite."""
-    if a == b:
-        return 0.0
-    deviation = abs(a - b) / max(1.0, abs(a), abs(b))
-    return deviation if math.isfinite(deviation) else math.inf
-
-
 def cmd_eval(args) -> int:
     scale = solution_scale(args.d, args.radius)
     if args.method != "all":
@@ -86,16 +77,14 @@ def cmd_eval(args) -> int:
     for rep in Representation:
         try:
             value, err = radial_kernel(args.d, args.theta, rep).scaled(scale)
-        except SeriesWindowError:
-            print(f"{rep.value} skipped series-window")
-            continue
-        except (NonConvergenceError, ToleranceNotMetError):
-            # one route failing to converge must not take down the others
-            print(f"{rep.value} skipped no-convergence")
+        except _REFUSALS as exc:
+            # one route refusing must not take down the others
+            reason = "series-window" if isinstance(exc, SeriesWindowError) else "no-convergence"
+            print(f"{rep.value} skipped {reason}")
             continue
         values[rep] = value
         print(f"{rep.value} {fmt(value)} {fmt(err)}")
-    deviation = max((_relative_deviation(a, b)
+    deviation = max((_deviation(a, b, max(1.0, abs(a), abs(b)))
                      for a, b in itertools.combinations(values.values(), 2)), default=0.0)
     print(f"max_pairwise_relative_deviation {fmt(deviation)}")
     return EXIT_OK
@@ -125,7 +114,7 @@ def _table_rows(args, reps: list[Representation], scale: tuple[float, int]):
         for rep in reps:
             try:
                 value, err = radial_kernel(args.d, theta, rep).scaled(scale)
-            except (SeriesWindowError, NonConvergenceError, ToleranceNotMetError):
+            except _REFUSALS:
                 value, err = math.nan, math.nan
             yield d, radius, angle, rep.value, fmt(value), fmt(err)
 
@@ -230,7 +219,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (SeriesWindowError, NonConvergenceError, ToleranceNotMetError) as exc:
+    except _REFUSALS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except ValueError as exc:

@@ -24,7 +24,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from .kernel import _check_dimension, _check_radius
+from .kernel import _check_dimension, _check_radius, _pair_product, _power, _scaled
 
 if TYPE_CHECKING:
     import numpy as np
@@ -159,9 +159,10 @@ def volume_weight(p: HyperPoint) -> float:
     """Density of the volume measure w.r.t. the coordinate differentials.
 
     R^d sin^{d-1}(theta) times sin^{k-1}(alpha_k) for k = 2..d-1; the azimuth
-    carries no weight.
+    carries no weight.  The factors are (mantissa, exponent) pairs rounded
+    once, so the weight holds at any d and R.
     """
-    w = p.radius**p.dimension * math.sin(p.polar) ** (p.dimension - 1)
-    for k, ang in enumerate(p.direction[1:], start=2):
-        w *= math.sin(ang) ** (k - 1)
-    return w
+    d = p.dimension
+    factors = [_power(p.radius, d), _power(math.sin(p.polar), d - 1)]
+    factors += (_power(math.sin(ang), k - 1) for k, ang in enumerate(p.direction[1:], start=2))
+    return _scaled(1.0, _pair_product(factors))

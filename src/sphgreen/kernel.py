@@ -22,7 +22,7 @@ import operator
 import sys
 from collections import namedtuple
 
-from .quadrature import integrate
+from .quadrature import ToleranceNotMetError, integrate
 from .specfun import TOLERANCE, NonConvergenceError, _gauss_2f1_sums, double_factorial, gauss_2f1
 
 __all__ = [
@@ -68,6 +68,10 @@ class SeriesWindowError(ValueError):
     """
 
 
+# what a route raises where it refuses an angle or does not converge
+_REFUSALS = (SeriesWindowError, NonConvergenceError, ToleranceNotMetError)
+
+
 class Representation(enum.Enum):
     """Evaluation route for the radial kernel; FINITE_SUM is the default."""
 
@@ -86,7 +90,7 @@ def _int_pair(n: int) -> tuple[float, int]:
 
 
 def _power(x: float, n: int) -> tuple[float, int]:
-    """x^n for x > 0 as a (mantissa, exponent) pair, whatever its size."""
+    """x^n for x > 0 (or x = 0 and n > 0) as a (mantissa, exponent) pair, whatever its size."""
     m, e = math.frexp(x)
     pm, pe = 1.0, e * n
     while n:
@@ -95,6 +99,25 @@ def _power(x: float, n: int) -> tuple[float, int]:
         pe += g
         n -= k
     return pm, pe
+
+
+def _pair_product(pairs) -> tuple[float, int]:
+    """The product of any number of (mantissa, exponent) pairs as one pair,
+    renormalised after each factor so that no partial product leaves range."""
+    pm, pe = 1.0, 0
+    for m, e in pairs:
+        pm, g = math.frexp(pm * m)
+        pe += g + e
+    return pm, pe
+
+
+def _deviation(a: float, b: float, scale: float) -> float:
+    """|a - b| / scale; 0 for equal values (equal infinities too), and inf for
+    any other pair whose quotient is not finite (NaN included)."""
+    if a == b:
+        return 0.0
+    deviation = abs(a - b) / scale
+    return deviation if math.isfinite(deviation) else math.inf
 
 
 def _scaled(x: float, *pairs: tuple[float, int]) -> float:

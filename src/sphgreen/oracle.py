@@ -26,11 +26,13 @@ from typing import TYPE_CHECKING, Sequence
 from .geometry import HyperPoint, _embed_rows, geodesic_distance
 from .harmonics import DegenerateBranchError, QuantumNumbers, RadialSolutionKind, ode_convergence_order
 from .kernel import (
+    _REFUSALS,
     Representation,
-    SeriesWindowError,
     _check_dimension,
     _check_radius,
+    _deviation,
     _finite_sum_kernel,
+    _pair_product,
     _power,
     _scaled,
     euclidean_fundamental,
@@ -76,6 +78,13 @@ def _polar_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for a in rule:
         a.flags.writeable = False
     return rule
+
+
+def _check_nodes(d: int, nodes: int) -> None:
+    """ValueError below 6 sqrt(d) nodes per axis: sin^(d-1) is about 1/sqrt(d) wide."""
+    if nodes < 6.0 * math.sqrt(d):
+        raise ValueError(f"{nodes} nodes per axis cannot resolve sin^(d-1) at d={d}: "
+                         f"need at least 6 sqrt(d), {math.ceil(6.0 * math.sqrt(d))}")
 
 
 class CheckReport(namedtuple(
@@ -133,12 +142,10 @@ def check_ode_order(q: QuantumNumbers, kind: RadialSolutionKind) -> CheckReport:
     for theta in ODE_ANGLES:
         try:
             order = ode_convergence_order(q, kind, theta)
-        except ValueError as exc:
-            return CheckReport(name, 0.0, 0.0, math.inf, True,
-                               f"skipped: outside Ferrers parameter domain ({exc})")
-        except DegenerateBranchError as exc:
-            return CheckReport(name, 0.0, 0.0, math.inf, True,
-                               f"skipped: degenerate branch ({exc})")
+        except (ValueError, DegenerateBranchError) as exc:
+            reason = ("degenerate branch" if isinstance(exc, DegenerateBranchError)
+                      else "outside Ferrers parameter domain")
+            return CheckReport(name, 0.0, 0.0, math.inf, True, f"skipped: {reason} ({exc})")
         if order is None:
             note = "; some residuals at rounding floor"
         elif worst is None or abs(order - 2.0) > abs(worst - 2.0):
@@ -160,18 +167,14 @@ def check_delta_identity(d: int, radius: float, nodes: int = 400) -> CheckReport
     per-axis sums.  S = c0(d) R^(2-d) sin^(2-d) K times the weight R^d sin^(d-1)
     is K sin times c0(d) R^(2-d) and R^(d-2): those two and the product of the
     axis sums stay (mantissa, exponent) pairs for ``kernel._scaled``, so the
-    check holds at any d.  The measured value is reported against both
-    candidates phi(origin) = 1 and phi(origin) - phi(antipode) = 2.
-
-    sin^(d-1) peaks with a width of about 1/sqrt(d), so fewer than 6 sqrt(d)
-    nodes per axis (the default 400 covers d <= 4444) raise ValueError.
+    check holds at any d, where the nodes resolve sin^(d-1) (``_check_nodes``:
+    the default 400 cover d <= 4444).  The measured value is reported against
+    both candidates phi(origin) = 1 and phi(origin) - phi(antipode) = 2.
     """
     _check_dimension(d)
     if nodes < 50:
         raise ValueError(f"need at least 50 nodes per axis, got {nodes}")
-    if nodes < 6.0 * math.sqrt(d):
-        raise ValueError(f"{nodes} nodes per axis cannot resolve sin^(d-1) at d={d}: "
-                         f"need at least 6 sqrt(d), {math.ceil(6.0 * math.sqrt(d))}")
+    _check_nodes(d, nodes)
     tolerance = 1e-6 if d == 2 else 1e-5
     import numpy as np
 
@@ -179,13 +182,10 @@ def check_delta_identity(d: int, radius: float, nodes: int = 400) -> CheckReport
     c = np.cos(theta)
     kernel = _finite_sum_kernel(d, c, s, np.arcsinh(c / s) if d % 2 == 0 else None)
     polar = float(np.sum(w_theta * d * c * kernel * s))
-    am, ae = 1.0, 0  # the product of the d - 2 direction-axis sums
-    for k in range(2, d):
-        am, e = math.frexp(am * float(w_theta @ s ** (k - 1)))
-        ae += e
-    # the azimuth carries no weight
+    # the product of the d - 2 direction-axis sums; the azimuth carries no weight
+    axes = _pair_product(math.frexp(float(w_theta @ s ** (k - 1))) for k in range(2, d))
     measured = _scaled(polar * 2.0 * float(w_theta.sum()), solution_scale(d, radius),
-                       _power(radius, d - 2), (am, ae))
+                       _power(radius, d - 2), axes)
     dist_one = abs(measured - 1.0)
     dist_two = abs(measured - 2.0)
     matched = "phi(x)-phi(antipode)=2" if dist_two <= dist_one else "phi(x)=1"
@@ -258,8 +258,8 @@ def _finite_sum_cot(d: int, theta: float) -> float:
     """Odd-d I_d by the paper's factorial-weighted cotangent powers.
 
     ((d-3)/2)! sum_{k=1}^{(d-1)/2} cot^{2k-1} / ((2k-1) (k-1)! ((d-2k-1)/2)!),
-    the printed variant that ``i_d_finite_sum`` does not evaluate.  The
-    factorials overflow a double from d = 343.
+    the printed variant that ``i_d_finite_sum`` does not evaluate.  It raises
+    OverflowError from d = 239, where cot^(d-2) at theta = 0.05 leaves range.
     """
     cot = math.cos(theta) / math.sin(theta)
     total = 0.0
@@ -274,10 +274,10 @@ def check_cross_representation(d: int) -> CheckReport:
     evenly spaced over [0.05, pi - 0.05].
 
     Each route is evaluated through ``radial_kernel`` and skipped only at the
-    angles it refuses with SeriesWindowError (the hypergeometric series
-    outside their window).  For odd d the cotangent variant of the closed
-    form is compared too, as ``finite_sum_cot``.  Measured value is the worst
-    relative deviation.
+    angles it refuses (``kernel._REFUSALS``), as ``eval --method all`` does.
+    For odd d the cotangent variant of the closed form is compared too, as
+    ``finite_sum_cot``, where it stays in double range.  Measured value is
+    the worst relative deviation (``kernel._deviation``).
     """
     lo, hi = 0.05, math.pi - 0.05
     step = (hi - lo) / 49
@@ -293,13 +293,16 @@ def check_cross_representation(d: int) -> CheckReport:
             if rep is not Representation.QUADRATURE:
                 try:
                     candidates[rep.value] = radial_kernel(d, theta, rep).value
-                except SeriesWindowError:
+                except _REFUSALS:
                     pass
         if d % 2:
-            candidates["finite_sum_cot"] = _finite_sum_cot(d, theta)
+            try:
+                candidates["finite_sum_cot"] = _finite_sum_cot(d, theta)
+            except OverflowError:
+                pass
         for name, value in candidates.items():
             routes += 1
-            dev = abs(value - reference) / denom
+            dev = _deviation(value, reference, denom)
             if dev > worst:
                 worst = dev
                 worst_at = f"{name} at theta={theta:.4f}"
@@ -387,25 +390,32 @@ def box_volume(d: int, radius: float) -> float:
     single-angle factors, so the Gauss-Legendre product rule collapses to
     R^d times a product of per-axis sums: sin^{d-1} over theta in [0, pi],
     sin^{k-1} over alpha_k in [0, pi] for k = 2..d-1, and 1 over the azimuth
-    in [0, 2 pi].
+    in [0, 2 pi].  Kept as (mantissa, exponent) pairs, the product holds at any
+    R, and ``VOLUME_NODES`` resolve sin^(d-1) up to d = 1820 (``_check_nodes``).
     """
+    return _scaled(1.0, _box_volume_pair(d, radius))
+
+
+def _box_volume_pair(d: int, radius: float) -> tuple[float, int]:
+    """``box_volume`` as a (mantissa, exponent) pair."""
     _check_dimension(d)
     _check_radius(radius)
+    _check_nodes(d, VOLUME_NODES)
     _, w, s = _polar_rule(VOLUME_NODES)
     axis_sums = [float(w @ s**k) for k in (d - 1, *range(1, d - 1))]
     axis_sums.append(2.0 * float(w.sum()))
-    return float(radius) ** d * math.prod(axis_sums)
+    return _pair_product([*map(math.frexp, axis_sums), _power(radius, d)])
 
 
 def check_volume(d: int) -> CheckReport:
-    """Volume-weight integral over the unit coordinate box vs the known volume."""
-    measured = float(box_volume(d, 1.0))
-    expected = hypersphere_volume(d, 1.0)
-    rel = abs(measured - expected) / expected
+    """Volume-weight integral over the unit coordinate box vs the known volume
+    1 / c0(d+1): the relative error |box c0(d+1) - 1| holds past double range."""
+    box = _box_volume_pair(d, 1.0)
+    rel = abs(_scaled(1.0, box, solution_scale(d + 1, 1.0)) - 1.0)
     return CheckReport(
         name=f"volume d={d} R=1.0",
-        measured=measured,
-        expected=expected,
+        measured=_scaled(1.0, box),
+        expected=hypersphere_volume(d, 1.0),
         tolerance=1e-6,
         passed=rel <= 1e-6,
         detail=f"relative error {rel:.3e}; {VOLUME_NODES} nodes/axis")

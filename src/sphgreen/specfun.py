@@ -174,70 +174,45 @@ class FerrersOrderDegree(namedtuple("FerrersOrderDegree", "degree order argument
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
 
-def _sin_half_pi(v: float) -> float:
-    """sin(pi v / 2), exact at integer v."""
+def _half_pi_sin_cos(v: float) -> tuple[float, float]:
+    """sin(pi v / 2) and cos(pi v / 2), exact at integer v."""
     if _is_integer(v):
-        return (0.0, 1.0, 0.0, -1.0)[int(round(v)) % 4]
-    return math.sin(0.5 * math.pi * v)
+        return ((0.0, 1.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0))[int(round(v)) % 4]
+    return math.sin(0.5 * math.pi * v), math.cos(0.5 * math.pi * v)
 
 
-def _cos_half_pi(v: float) -> float:
-    """cos(pi v / 2), exact at integer v."""
-    if _is_integer(v):
-        return (1.0, 0.0, -1.0, 0.0)[int(round(v)) % 4]
-    return math.cos(0.5 * math.pi * v)
-
-
-def _ferrers_terms(pd: FerrersOrderDegree):
-    """The two building blocks shared by the P and Q definitions.
-
-    Each is (gamma ratio) * (power prefactor) * 2F1; a vanishing trigonometric
-    coefficient suppresses its term before the gammas are touched, so the
-    gamma poles that the definitions implicitly cancel never raise.
-    """
+def _two_term_sum(pd: FerrersOrderDegree, odd_weight: float | None,
+                  even_weight: float | None) -> float:
+    """odd_weight times the odd block plus even_weight times the even block of
+    the two-term P and Q definitions (DLMF 14.3).  A block is Gamma(g) / Gamma(r)
+    (1 - x^2)^(-mu/2) 2F1(a, b; c; x^2), the odd one times x.  A None weight
+    (its trigonometric factor vanishes) skips its block, so the gamma poles
+    that the definitions implicitly cancel never raise."""
     nu, mu, x = pd.degree, pd.order, pd.argument
     pow_fac = (1.0 - x * x) ** (-mu / 2.0)
-
-    def odd_term():
-        return (gamma_real((nu + mu + 2.0) / 2.0)
-                * reciprocal_gamma((nu - mu + 1.0) / 2.0)
-                * x * pow_fac
-                * gauss_2f1((1.0 - nu - mu) / 2.0, (nu - mu + 2.0) / 2.0,
-                            1.5, x * x))
-
-    def even_term():
-        return (gamma_real((nu + mu + 1.0) / 2.0)
-                * reciprocal_gamma((nu - mu + 2.0) / 2.0)
-                * pow_fac
-                * gauss_2f1((-nu - mu) / 2.0, (nu - mu + 1.0) / 2.0,
-                            0.5, x * x))
-
-    return odd_term, even_term
+    value = 0.0
+    for weight, g, r, lead, a, b, c in (
+            (odd_weight, (nu + mu + 2.0) / 2.0, (nu - mu + 1.0) / 2.0, x,
+             (1.0 - nu - mu) / 2.0, (nu - mu + 2.0) / 2.0, 1.5),
+            (even_weight, (nu + mu + 1.0) / 2.0, (nu - mu + 2.0) / 2.0, 1.0,
+             (-nu - mu) / 2.0, (nu - mu + 1.0) / 2.0, 0.5)):
+        if weight is not None:
+            value += weight * (gamma_real(g) * reciprocal_gamma(r) * lead * pow_fac
+                               * gauss_2f1(a, b, c, x * x))
+    return value
 
 
 def ferrers_p(pd: FerrersOrderDegree) -> float:
     """Ferrers function of the first kind P_nu^mu(x) on the cut."""
-    nu, mu = pd.degree, pd.order
-    odd_term, even_term = _ferrers_terms(pd)
-    s = _sin_half_pi(nu + mu)
-    c = _cos_half_pi(nu + mu)
-    value = 0.0
-    if s != 0.0:
-        value += 2.0 ** (mu + 1.0) / _SQRT_PI * s * odd_term()
-    if c != 0.0:
-        value += 2.0**mu / _SQRT_PI * c * even_term()
-    return value
+    mu = pd.order
+    s, c = _half_pi_sin_cos(pd.degree + mu)
+    return _two_term_sum(pd, 2.0 ** (mu + 1.0) / _SQRT_PI * s if s else None,
+                         2.0**mu / _SQRT_PI * c if c else None)
 
 
 def ferrers_q(pd: FerrersOrderDegree) -> float:
     """Ferrers function of the second kind Q_nu^mu(x) on the cut."""
-    nu, mu = pd.degree, pd.order
-    odd_term, even_term = _ferrers_terms(pd)
-    s = _sin_half_pi(nu + mu)
-    c = _cos_half_pi(nu + mu)
-    value = 0.0
-    if c != 0.0:
-        value += _SQRT_PI * 2.0**mu * c * odd_term()
-    if s != 0.0:
-        value -= _SQRT_PI * 2.0 ** (mu - 1.0) * s * even_term()
-    return value
+    mu = pd.order
+    s, c = _half_pi_sin_cos(pd.degree + mu)
+    return _two_term_sum(pd, _SQRT_PI * 2.0**mu * c if c else None,
+                         -_SQRT_PI * 2.0 ** (mu - 1.0) * s if s else None)

@@ -175,6 +175,33 @@ class TestEval:
         assert code == 0
         assert "hyp2f1 skipped no-convergence" in out.splitlines()
 
+    @pytest.mark.parametrize("error", ["SeriesWindowError", "NonConvergenceError",
+                                       "ToleranceNotMetError"])
+    def test_every_refusal_is_handled_alike(self, capsys, monkeypatch, error):
+        # eval --method all skips the route, table prints nan, a single route exits 3
+        import sphgreen.cli as cli
+        from sphgreen import kernel, quadrature, specfun
+
+        exc = {"SeriesWindowError": kernel.SeriesWindowError("refused"),
+               "NonConvergenceError": specfun.NonConvergenceError("refused", 0.0, 1),
+               "ToleranceNotMetError": quadrature.ToleranceNotMetError("refused", 0.0, 1.0)}[error]
+        real = cli.radial_kernel
+
+        def route(d, theta, rep):
+            if rep is kernel.Representation.RECURRENCE:
+                raise exc
+            return real(d, theta, rep)
+
+        monkeypatch.setattr(cli, "radial_kernel", route)
+        reason = "series-window" if error == "SeriesWindowError" else "no-convergence"
+        code, out, _ = run(capsys, "eval", "--d", "5", "--theta", "1", "--method", "all")
+        assert code == 0 and f"recurrence skipped {reason}" in out.splitlines()
+        code, out, _ = run(capsys, "table", "--d", "5", "--theta-min", "0.5", "--theta-max", "1",
+                           "--n", "2", "--methods", "recurrence")
+        assert code == 0 and out.splitlines()[1].endswith(",recurrence,nan,nan")
+        code, out, err = run(capsys, "eval", "--d", "5", "--theta", "1", "--method", "recurrence")
+        assert (code, out, err) == (3, "", "error: refused\n")
+
     def test_large_d_ferrers_where_q_underflows(self, capsys):
         # the Ferrers Q of this route underflows, the Gauss series it reduces to does not
         code, out, _ = run(capsys, "eval", "--d", "343", "--theta", "1", "--method", "all")

@@ -210,6 +210,25 @@ class TestVolumeWeight:
         total = box_volume(3, 2.0)
         assert total == pytest.approx(2.0 * math.pi**2 * 8.0, rel=1e-9)
 
+    def test_weight_past_double_range(self):
+        # R^d alone overflows a double at d = 400, R = 10
+        from mpmath import mp, mpf
+
+        p = HyperPoint(400, 10.0, 0.3, (0.0,) + (math.pi / 2,) * 398)
+        with mp.workdps(40):
+            want = mpf(10) ** 400 * mp.sin(mpf(0.3)) ** 399
+            for k, ang in enumerate(p.direction[1:], start=2):
+                want *= mp.sin(mpf(ang)) ** (k - 1)
+        assert abs(volume_weight(p) / want - 1) <= 1e-12
+
+    def test_box_volume_past_double_range(self):
+        from mpmath import mp, mpf
+
+        with mp.workdps(40):
+            half = mpf(401) / 2
+            want = 2 * mp.pi**half * mpf(10) ** 400 / mp.gamma(half)
+        assert abs(box_volume(400, 10.0) / want - 1) <= 1e-9
+
     def test_box_integral_matches_known_volumes(self):
         for d in (2, 3, 4):
             total = box_volume(d, 1.0)

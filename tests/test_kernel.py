@@ -403,6 +403,18 @@ class TestFundamentalSolution:
         assert time.perf_counter() - start < 1.0
 
 
+class TestPairProduct:
+    def test_many_pairs_stay_in_range(self):
+        from sphgreen.kernel import _pair_product
+
+        # 0.5^2000 and 3^1000 each leave double range long before the end
+        assert _pair_product([(0.5, 0)] * 2000) == (0.5, -1999)
+        m, e = _pair_product([math.frexp(3.0)] * 1000)
+        assert abs(math.log2(m) + e - 1000 * math.log2(3.0)) <= 1e-12
+        assert _pair_product([]) == (1.0, 0)
+        assert _pair_product([(0.75, 2), (0.0, 0)]) == (0.0, 2)
+
+
 class TestEuclideanFundamental:
     def test_three_dimensional(self):
         assert euclidean_fundamental(3, 1.0) == pytest.approx(1.0 / (4.0 * math.pi),

@@ -241,6 +241,50 @@ class TestCrossRepresentation:
             report = check_cross_representation(d)
             assert report.passed, report.line()
 
+    @pytest.mark.parametrize("d", [239, 1000])
+    def test_large_d(self, d):
+        # d = 239: cot^(d-2) of the cotangent variant overflows at theta = 0.05
+        # and is skipped; d = 1000: hyp2f1 does not converge and is skipped, as
+        # `eval --method all` skips it
+        report = check_cross_representation(d)
+        assert report.passed, report.line()
+
+    @staticmethod
+    def _patch(monkeypatch, reference=None, recurrence=None, every_route=None):
+        """Replace the kernel of the quadrature reference, of the recurrence
+        route or of every other route by the given value."""
+        import sphgreen.oracle as oracle
+        from sphgreen.kernel import Representation, i_d_quadrature, radial_kernel
+
+        def route(d, theta, rep):
+            kv = radial_kernel(d, theta, rep)
+            if every_route is not None:
+                return kv._replace(kernel=every_route)
+            if rep is Representation.RECURRENCE and recurrence is not None:
+                return kv._replace(kernel=recurrence)
+            return kv
+
+        monkeypatch.setattr(oracle, "radial_kernel", route)
+        if reference is not None:
+            monkeypatch.setattr(oracle, "i_d_quadrature",
+                                lambda d, theta: i_d_quadrature(d, theta)._replace(kernel=reference))
+
+    def test_nan_route_fails(self, monkeypatch):
+        self._patch(monkeypatch, recurrence=math.nan)
+        report = check_cross_representation(4)
+        assert not report.passed and report.measured == math.inf
+        assert "recurrence" in report.detail
+
+    def test_finite_route_against_infinite_reference_fails(self, monkeypatch):
+        self._patch(monkeypatch, reference=math.inf)
+        report = check_cross_representation(4)
+        assert not report.passed and report.measured == math.inf
+
+    def test_equal_infinities_deviate_by_zero(self, monkeypatch):
+        self._patch(monkeypatch, reference=math.inf, every_route=math.inf)
+        report = check_cross_representation(4)
+        assert report.passed and report.measured == 0.0
+
 
 class TestGeometryChecks:
     def test_distance_oracle(self):
@@ -297,6 +341,31 @@ class TestGeometryChecks:
     def test_volume(self):
         report = check_volume(3)
         assert report.passed
+
+    @pytest.mark.parametrize("d", [448, 455, 1000])
+    def test_volume_past_double_range(self, d):
+        # the volume is subnormal at d = 448 and underflows to 0 from d = 455;
+        # the check's relative error comes from the (mantissa, exponent) pairs
+        from mpmath import mp, mpf
+
+        from sphgreen.oracle import _box_volume_pair
+
+        report = check_volume(d)
+        assert report.passed, report.line()
+        m, e = _box_volume_pair(d, 1.0)
+        with mp.workdps(40):
+            half = mpf(d + 1) / 2
+            exact = 2 * mp.pi**half / mp.gamma(half)
+            assert abs(mp.ldexp(mpf(m), e) / exact - 1) <= 1e-9
+            want = float(exact)
+        assert report.expected == want
+        assert abs(report.measured - want) <= 1e-9 * want + 4 * 5e-324
+
+    def test_volume_refuses_a_rule_too_coarse_for_d(self):
+        # 256 nodes per axis resolve sin^(d-1) up to d = 1820, as check delta's rule
+        check_volume(1820)
+        with pytest.raises(ValueError, match="256 nodes .* d=1821: .* 257"):
+            check_volume(1821)
 
     @pytest.mark.parametrize("d", [2, 3, 10, 200, 400, 1000])
     @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])

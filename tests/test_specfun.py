@@ -324,3 +324,109 @@ class TestGauss2F1BitIdentity:
         # the direct and Euler-transformed series of the hypergeometric routes
         for args in ((0.5, d / 2.0, 1.5, z), (1.0, (3.0 - d) / 2.0, 1.5, z)):
             assert outcome(gauss_2f1, *args) == outcome(reference_gauss_2f1, *args)
+
+
+def reference_ferrers(pd, second_kind):
+    """The closure-based Ferrers P and Q that the two-term sum replaced, frozen
+    as the bit reference.  It calls the special functions through the module,
+    so a test that wraps them sees both codes' calls."""
+    nu, mu, x = pd.degree, pd.order, pd.argument
+    pow_fac = (1.0 - x * x) ** (-mu / 2.0)
+
+    def odd_term():
+        return (specfun.gamma_real((nu + mu + 2.0) / 2.0)
+                * specfun.reciprocal_gamma((nu - mu + 1.0) / 2.0)
+                * x * pow_fac
+                * specfun.gauss_2f1((1.0 - nu - mu) / 2.0, (nu - mu + 2.0) / 2.0, 1.5, x * x))
+
+    def even_term():
+        return (specfun.gamma_real((nu + mu + 1.0) / 2.0)
+                * specfun.reciprocal_gamma((nu - mu + 2.0) / 2.0)
+                * pow_fac
+                * specfun.gauss_2f1((-nu - mu) / 2.0, (nu - mu + 1.0) / 2.0, 0.5, x * x))
+
+    v = nu + mu
+    if v == round(v):
+        s = (0.0, 1.0, 0.0, -1.0)[int(round(v)) % 4]
+        c = (1.0, 0.0, -1.0, 0.0)[int(round(v)) % 4]
+    else:
+        s, c = math.sin(0.5 * math.pi * v), math.cos(0.5 * math.pi * v)
+    value = 0.0
+    if second_kind:
+        if c != 0.0:
+            value += SQRT_PI * 2.0**mu * c * odd_term()
+        if s != 0.0:
+            value -= SQRT_PI * 2.0 ** (mu - 1.0) * s * even_term()
+    else:
+        if s != 0.0:
+            value += 2.0 ** (mu + 1.0) / SQRT_PI * s * odd_term()
+        if c != 0.0:
+            value += 2.0**mu / SQRT_PI * c * even_term()
+    return value
+
+
+def traced_outcome(fn, *args):
+    """``outcome`` of fn (ZeroDivisionError and OverflowError included) and the
+    calls it made to gamma_real, reciprocal_gamma and gauss_2f1, in order."""
+    calls = []
+
+    def recording(name):
+        real = getattr(specfun, name)
+        return lambda *a: calls.append((name, *map(repr, a))) or real(*a)
+
+    with mock.patch.multiple(specfun, **{name: recording(name) for name in
+                                         ("gamma_real", "reciprocal_gamma", "gauss_2f1")}):
+        try:
+            result = outcome(fn, *args)
+        except (ZeroDivisionError, OverflowError) as exc:
+            result = type(exc).__name__
+    return result, calls
+
+
+class TestFerrersBitIdentity:
+    """ferrers_p and ferrers_q return the bits of the closure code they
+    replaced, or raise the same error, after the same special-function calls."""
+
+    @BIT_SETTINGS
+    @given(nu=PARAMETER, mu=PARAMETER,
+           x=st.one_of(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                       st.sampled_from([0.0, -0.0, 0.5, -0.8, 1.0 - 2.0**-53])))
+    @example(nu=0.5, mu=1023.5, x=0.5)  # 2^(mu+1) overflows, 2^mu does not
+    @example(nu=1.5, mu=1024.5, x=0.1)
+    @example(nu=1200.0, mu=-1100.0, x=0.3)  # a weight underflows to 0.0
+    @example(nu=0.5, mu=0.5, x=-0.0)
+    def test_random_records(self, nu, mu, x):
+        try:
+            pd = FerrersOrderDegree(nu, mu, x)
+        except ValueError:
+            return
+        with mock.patch.object(specfun, "MAX_TERMS", 3000):
+            assert traced_outcome(ferrers_p, pd) == traced_outcome(reference_ferrers, pd, False)
+            assert traced_outcome(ferrers_q, pd) == traced_outcome(reference_ferrers, pd, True)
+
+    def test_calls_are_recorded(self):
+        # the comparison above is of calls as well as of values; reciprocal_gamma
+        # calls gamma_real through the module too
+        _, calls = traced_outcome(ferrers_q, FerrersOrderDegree(0.5, 0.25, 0.3))
+        block = ["gamma_real", "reciprocal_gamma", "gamma_real", "gauss_2f1"]
+        assert [c[0] for c in calls] == block * 2
+
+
+# the (nu, mu) of the radial harmonics that ``sphgreen check ode`` runs, where
+# nu + mu is not a negative integer
+ODE_DEGREE_ORDERS = sorted({(d / 2.0 - 1.0, sign * (d / 2.0 - 1.0 + l))
+                            for d in range(2, 8) for l in range(3) for sign in (1, -1)
+                            if sign == 1 or l == 0})
+
+
+class TestFerrersAgainstMpmath:
+    @pytest.mark.parametrize("nu, mu", ODE_DEGREE_ORDERS)
+    def test_ode_parameters(self, nu, mu):
+        from mpmath import legenp, legenq, mp
+
+        for x in (-0.8, 0.8, -0.3, 0.3, 0.1, 0.5, 0.9):
+            pd = FerrersOrderDegree(nu, mu, x)
+            for got, ref in ((ferrers_p(pd), legenp), (ferrers_q(pd), legenq)):
+                with mp.workdps(25):
+                    want = ref(nu, mu, x, type=2)
+                assert abs(got - want) <= 1e-12 * abs(want), (ref.__name__, x, got, want)
