@@ -140,6 +140,8 @@ def separation_angle(u: tuple[float, ...], v: tuple[float, ...]) -> float:
         cos_g += math.cos(a) * math.cos(b) * sin_prod
         sin_prod *= math.sin(a) * math.sin(b)
     cos_g += math.cos(u[0] - v[0]) * sin_prod
+    if math.isnan(cos_g):  # a NaN angle, which the clamp would turn into pi
+        raise ValueError(f"direction angles must be finite, got {u} and {v}")
     return _clamped_acos(cos_g)
 
 

@@ -124,7 +124,10 @@ def _scaled(x: float, *pairs: tuple[float, int]) -> float:
     """x times the (mantissa, exponent) pairs, brought into double range once.
 
     The result is +-inf or 0.0 only where the exact product lies outside
-    double range.  This is the one place where overflow is handled.
+    double range.  This is the one place where overflow is handled.  It does
+    not renormalise per factor, on purpose: that nearly doubles its cost, and
+    ``KernelValue.scaled`` calls it twice per ``table`` row.  So many factors
+    go through ``_pair_product`` first.
     """
     e = 0
     for m, k in pairs:

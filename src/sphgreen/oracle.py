@@ -80,11 +80,16 @@ def _polar_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rule
 
 
-def _check_nodes(d: int, nodes: int) -> None:
-    """ValueError below 6 sqrt(d) nodes per axis: sin^(d-1) is about 1/sqrt(d) wide."""
-    if nodes < 6.0 * math.sqrt(d):
-        raise ValueError(f"{nodes} nodes per axis cannot resolve sin^(d-1) at d={d}: "
-                         f"need at least 6 sqrt(d), {math.ceil(6.0 * math.sqrt(d))}")
+def _rule_for(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_polar_rule`` sized to resolve sin^(d-1), whose peak is about 1/sqrt(d) wide."""
+    return _polar_rule(max(256, math.ceil(6.0 * math.sqrt(d))))
+
+
+def _sphere_area(n: int, w: np.ndarray, s: np.ndarray) -> tuple[float, int]:
+    """The product-rule area of the unit n-sphere as a (mantissa, exponent) pair:
+    sin^j over [0, pi] by weights w at sines s for j = 1..n-1, times 2 pi."""
+    sums = [float(w @ s**j) for j in range(1, n)] + [2.0 * float(w.sum())]
+    return _pair_product(map(math.frexp, sums))
 
 
 class CheckReport(namedtuple(
@@ -156,36 +161,31 @@ def check_ode_order(q: QuantumNumbers, kind: RadialSolutionKind) -> CheckReport:
                        f"worst convergence order over theta in {ODE_ANGLES}{note}")
 
 
-def check_delta_identity(d: int, radius: float, nodes: int = 400) -> CheckReport:
+def check_delta_identity(d: int, radius: float) -> CheckReport:
     """Test-function identity by open-node product quadrature.
 
     With the source at the coordinate origin and the zonal test function
     phi = cos(theta'), for which -Laplace(phi) = d cos(theta')/R^2 exactly,
     the integral of (-Laplace phi) * S over the sphere is accumulated on a
     Gauss-Legendre product grid.  The integrand factorizes over the
-    coordinate axes, so the tensor-product sum is taken as the product of the
-    per-axis sums.  S = c0(d) R^(2-d) sin^(2-d) K times the weight R^d sin^(d-1)
-    is K sin times c0(d) R^(2-d) and R^(d-2): those two and the product of the
-    axis sums stay (mantissa, exponent) pairs for ``kernel._scaled``, so the
-    check holds at any d, where the nodes resolve sin^(d-1) (``_check_nodes``:
-    the default 400 cover d <= 4444).  The measured value is reported against
+    coordinate axes, so the tensor-product sum is the polar sum times the
+    area of the direction sphere S^(d-1) (``_sphere_area``).  S = c0(d)
+    R^(2-d) sin^(2-d) K times the weight R^d sin^(d-1) is K sin times c0(d)
+    R^(2-d) and R^(d-2): those two and the area stay (mantissa, exponent)
+    pairs for ``kernel._scaled``, and the rule grows with d (``_rule_for``),
+    so the check holds at any d.  The measured value is reported against
     both candidates phi(origin) = 1 and phi(origin) - phi(antipode) = 2.
     """
     _check_dimension(d)
-    if nodes < 50:
-        raise ValueError(f"need at least 50 nodes per axis, got {nodes}")
-    _check_nodes(d, nodes)
     tolerance = 1e-6 if d == 2 else 1e-5
     import numpy as np
 
-    theta, w_theta, s = _polar_rule(nodes)
+    theta, w_theta, s = _rule_for(d)
     c = np.cos(theta)
     kernel = _finite_sum_kernel(d, c, s, np.arcsinh(c / s) if d % 2 == 0 else None)
     polar = float(np.sum(w_theta * d * c * kernel * s))
-    # the product of the d - 2 direction-axis sums; the azimuth carries no weight
-    axes = _pair_product(math.frexp(float(w_theta @ s ** (k - 1))) for k in range(2, d))
-    measured = _scaled(polar * 2.0 * float(w_theta.sum()), solution_scale(d, radius),
-                       _power(radius, d - 2), axes)
+    measured = _scaled(polar, solution_scale(d, radius), _power(radius, d - 2),
+                       _sphere_area(d - 1, w_theta, s))
     dist_one = abs(measured - 1.0)
     dist_two = abs(measured - 2.0)
     matched = "phi(x)-phi(antipode)=2" if dist_two <= dist_one else "phi(x)=1"
@@ -195,7 +195,7 @@ def check_delta_identity(d: int, radius: float, nodes: int = 400) -> CheckReport
         expected=2.0,
         tolerance=tolerance,
         passed=dist_two <= tolerance,
-        detail=(f"nodes={nodes}/axis; |m-1|={dist_one:.3e}; |m-2|={dist_two:.3e}; "
+        detail=(f"nodes={len(theta)}/axis; |m-1|={dist_one:.3e}; |m-2|={dist_two:.3e}; "
                 f"matches {matched}"))
 
 
@@ -379,10 +379,6 @@ def hypersphere_volume(d: int, radius: float) -> float:
     return _scaled(1.0 / m, (1.0, -e), _power(radius, d))
 
 
-# Gauss-Legendre nodes per axis of ``box_volume``
-VOLUME_NODES = 256
-
-
 def box_volume(d: int, radius: float) -> float:
     """Integral of the volume weight over the full coordinate box.
 
@@ -390,27 +386,22 @@ def box_volume(d: int, radius: float) -> float:
     single-angle factors, so the Gauss-Legendre product rule collapses to
     R^d times a product of per-axis sums: sin^{d-1} over theta in [0, pi],
     sin^{k-1} over alpha_k in [0, pi] for k = 2..d-1, and 1 over the azimuth
-    in [0, 2 pi].  Kept as (mantissa, exponent) pairs, the product holds at any
-    R, and ``VOLUME_NODES`` resolve sin^(d-1) up to d = 1820 (``_check_nodes``).
+    in [0, 2 pi]: the product-rule area of the unit d-sphere (``_sphere_area``)
+    on a rule that grows with d (``_rule_for``).  Kept as (mantissa, exponent)
+    pairs, the product holds at any d and R.
     """
-    return _scaled(1.0, _box_volume_pair(d, radius))
-
-
-def _box_volume_pair(d: int, radius: float) -> tuple[float, int]:
-    """``box_volume`` as a (mantissa, exponent) pair."""
     _check_dimension(d)
     _check_radius(radius)
-    _check_nodes(d, VOLUME_NODES)
-    _, w, s = _polar_rule(VOLUME_NODES)
-    axis_sums = [float(w @ s**k) for k in (d - 1, *range(1, d - 1))]
-    axis_sums.append(2.0 * float(w.sum()))
-    return _pair_product([*map(math.frexp, axis_sums), _power(radius, d)])
+    _, w, s = _rule_for(d)
+    return _scaled(1.0, _sphere_area(d, w, s), _power(radius, d))
 
 
 def check_volume(d: int) -> CheckReport:
     """Volume-weight integral over the unit coordinate box vs the known volume
     1 / c0(d+1): the relative error |box c0(d+1) - 1| holds past double range."""
-    box = _box_volume_pair(d, 1.0)
+    _check_dimension(d)
+    _, w, s = _rule_for(d)
+    box = _sphere_area(d, w, s)
     rel = abs(_scaled(1.0, box, solution_scale(d + 1, 1.0)) - 1.0)
     return CheckReport(
         name=f"volume d={d} R=1.0",
@@ -418,7 +409,7 @@ def check_volume(d: int) -> CheckReport:
         expected=hypersphere_volume(d, 1.0),
         tolerance=1e-6,
         passed=rel <= 1e-6,
-        detail=f"relative error {rel:.3e}; {VOLUME_NODES} nodes/axis")
+        detail=f"relative error {rel:.3e}; {len(w)} nodes/axis")
 
 
 LIMIT_RADII = (10.0, 100.0, 1000.0, 10000.0)

@@ -164,6 +164,8 @@ class FerrersOrderDegree(namedtuple("FerrersOrderDegree", "degree order argument
     def __new__(cls, degree: float, order: float, argument: float):
         if not -1.0 < argument < 1.0:
             raise ValueError(f"argument must lie in (-1, 1), got {argument}")
+        if not (math.isfinite(degree) and math.isfinite(order)):
+            raise ValueError(f"degree and order must be finite, got {degree} and {order}")
         s = degree + order
         if s < -0.5 and _is_integer(s):
             raise ValueError(

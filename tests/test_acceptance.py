@@ -204,7 +204,7 @@ def test_criterion_6_delta_identity():
     results = {}
     for d in (2, 3):
         for radius in (1.0, 5.0):
-            results[(d, radius)] = check_delta_identity(d, radius, nodes=400).measured
+            results[(d, radius)] = check_delta_identity(d, radius).measured
     dev2 = max(abs(results[(2, r)] - 2.0) for r in (1.0, 5.0))
     dev3 = max(abs(results[(3, r)] - 2.0) for r in (1.0, 5.0))
     inv2 = abs(results[(2, 1.0)] - results[(2, 5.0)])

@@ -148,6 +148,18 @@ class TestSeparationAngle:
         with pytest.raises(ValueError):
             separation_angle((0.1,), (0.1, 0.2))
 
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_angle_rejected(self, which, position):
+        # clamping a NaN cosine to -1 would report the directions as antipodal
+        pair = [[0.3, 1.1, 2.0], [0.7, 0.4, 1.5]]
+        pair[which][position] = math.nan
+        with pytest.raises(ValueError, match="direction angles must be finite, got .*nan"):
+            separation_angle(tuple(pair[0]), tuple(pair[1]))
+        if position == 0:
+            with pytest.raises(ValueError, match="must be finite"):
+                separation_angle((pair[0][0],), (pair[1][0],))
+
 
 class TestGeodesicDistance:
     def test_coincident_points(self):

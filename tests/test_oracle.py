@@ -133,45 +133,54 @@ class TestDeltaIdentity:
         assert zonal == pytest.approx(2.0, rel=1e-12)
 
     def test_d2(self):
-        report = check_delta_identity(2, 1.0, nodes=400)
+        report = check_delta_identity(2, 1.0)
         assert abs(report.measured - 2.0) <= 1e-6
         assert report.passed
         assert "phi(x)-phi(antipode)" in report.detail
 
     def test_d3(self):
-        report = check_delta_identity(3, 1.0, nodes=400)
+        report = check_delta_identity(3, 1.0)
         assert abs(report.measured - 2.0) <= 1e-5
         assert report.passed
 
     def test_radius_invariance(self):
-        a = check_delta_identity(2, 1.0, nodes=400).measured
-        b = check_delta_identity(2, 5.0, nodes=400).measured
+        a = check_delta_identity(2, 1.0).measured
+        b = check_delta_identity(2, 5.0).measured
         assert abs(a - b) <= 1e-9
-        a3 = check_delta_identity(3, 1.0, nodes=400).measured
-        b3 = check_delta_identity(3, 5.0, nodes=400).measured
+        a3 = check_delta_identity(3, 1.0).measured
+        b3 = check_delta_identity(3, 5.0).measured
         assert abs(a3 - b3) <= 1e-9
 
-    @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("radius", [1.0, 5.0])
-    def test_matches_scalar_loop(self, d, radius):
-        # the array path against one fundamental_solution call per node
+    @staticmethod
+    def _scalar_loop(d, radius, rule):
+        # the check's sum with one fundamental_solution call per node
         from sphgreen.kernel import Representation, fundamental_solution
-        from sphgreen.oracle import _polar_rule
 
-        theta, w_theta, s = _polar_rule(400)
+        theta, w_theta, s = rule
         total = 0.0
         for t, wt, st in zip(theta.tolist(), w_theta.tolist(), s.tolist()):
             value = fundamental_solution(d, radius, t, Representation.FINITE_SUM)
             total += wt * d * math.cos(t) / radius**2 * value * radius**d * st ** (d - 1)
         if d == 3:
             total *= float(w_theta @ s)
-        total *= 2.0 * math.pi
+        return total * 2.0 * math.pi
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("radius", [1.0, 5.0])
+    def test_matches_scalar_loop(self, d, radius):
+        # the array path against one fundamental_solution call per node
+        from sphgreen.oracle import _rule_for
+
+        total = self._scalar_loop(d, radius, _rule_for(d))
         assert check_delta_identity(d, radius).measured == pytest.approx(total, rel=1e-14)
 
     def test_node_doubling_stability(self):
-        a = check_delta_identity(2, 1.0, nodes=200).measured
-        b = check_delta_identity(2, 1.0, nodes=400).measured
-        assert abs(a - b) <= 1e-7
+        from sphgreen.oracle import _polar_rule
+
+        a = check_delta_identity(2, 1.0)
+        assert "nodes=256/axis" in a.detail
+        b = self._scalar_loop(2, 1.0, _polar_rule(512))
+        assert abs(a.measured - b) <= 1e-7
 
     @pytest.mark.parametrize("d", [4, 5, 60, 100, 1000, 3000])
     def test_any_dimension(self, d):
@@ -186,16 +195,14 @@ class TestDeltaIdentity:
     def test_validation(self):
         with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
             check_delta_identity(1, 1.0)
-        with pytest.raises(ValueError):
-            check_delta_identity(2, 1.0, nodes=10)
 
-    def test_refuses_a_rule_too_coarse_for_d(self):
+    def test_rule_grows_with_d(self):
         # sin^(d-1) is about 1/sqrt(d) wide: at d = 10000, 400 nodes per axis
-        # leave |m - 2| = 6e-3, 600 leave 2.7e-9
-        with pytest.raises(ValueError, match="400 nodes .* d=10000: .* 600"):
-            check_delta_identity(10000, 1.0)
-        report = check_delta_identity(10000, 1.0, nodes=600)
-        assert report.passed and abs(report.measured - 2.0) <= 1e-8
+        # left |m - 2| = 6e-3, the 6 sqrt(d) = 600 of the rule leave 2.7e-9
+        for radius in (1.0, 5.0):
+            report = check_delta_identity(10000, radius)
+            assert "nodes=600/axis" in report.detail
+            assert report.passed and abs(report.measured - 2.0) <= 1e-8
 
 
 class TestEuclideanLimit:
@@ -342,17 +349,20 @@ class TestGeometryChecks:
         report = check_volume(3)
         assert report.passed
 
-    @pytest.mark.parametrize("d", [448, 455, 1000])
+    @pytest.mark.parametrize("d", [448, 455, 1000, 1821, 4000])
     def test_volume_past_double_range(self, d):
         # the volume is subnormal at d = 448 and underflows to 0 from d = 455;
-        # the check's relative error comes from the (mantissa, exponent) pairs
+        # the check's relative error comes from the (mantissa, exponent) pairs.
+        # From d = 1821 the rule has more than 256 nodes per axis.
         from mpmath import mp, mpf
 
-        from sphgreen.oracle import _box_volume_pair
+        from sphgreen.oracle import _rule_for, _sphere_area
 
         report = check_volume(d)
         assert report.passed, report.line()
-        m, e = _box_volume_pair(d, 1.0)
+        _, w, s = _rule_for(d)
+        assert f"{len(w)} nodes/axis" in report.detail
+        m, e = _sphere_area(d, w, s)
         with mp.workdps(40):
             half = mpf(d + 1) / 2
             exact = 2 * mp.pi**half / mp.gamma(half)
@@ -360,12 +370,6 @@ class TestGeometryChecks:
             want = float(exact)
         assert report.expected == want
         assert abs(report.measured - want) <= 1e-9 * want + 4 * 5e-324
-
-    def test_volume_refuses_a_rule_too_coarse_for_d(self):
-        # 256 nodes per axis resolve sin^(d-1) up to d = 1820, as check delta's rule
-        check_volume(1820)
-        with pytest.raises(ValueError, match="256 nodes .* d=1821: .* 257"):
-            check_volume(1821)
 
     @pytest.mark.parametrize("d", [2, 3, 10, 200, 400, 1000])
     @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])

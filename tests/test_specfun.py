@@ -235,6 +235,12 @@ class TestFerrersDomain:
         FerrersOrderDegree(0.5, -0.5, 0.3)
         FerrersOrderDegree(1.0, 1.0, 0.3)
 
+    @pytest.mark.parametrize("degree, order", [(math.nan, 1.0), (math.inf, 1.0),
+                                               (-math.inf, 1.0), (1.0, math.inf)])
+    def test_non_finite_degree_or_order_rejected(self, degree, order):
+        with pytest.raises(ValueError, match="degree and order must be finite"):
+            FerrersOrderDegree(degree, order, 0.5)
+
     def test_fields_are_immutable_and_replace_checks(self):
         pd = FerrersOrderDegree(1.0, 1.0, 0.3)
         for name in pd._fields:
