@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import functools
 import itertools
-import math
 import sys
 
 from .kernel import (
@@ -27,6 +26,7 @@ from .kernel import (
     _check_radius,
     _check_theta,
     _deviation,
+    _kernel_rows,
     radial_kernel,
     solution_scale,
 )
@@ -104,26 +104,23 @@ def _parse_methods(text: str) -> list[Representation]:
 
 
 def _table_rows(args, reps: list[Representation], scale: tuple[float, int]):
-    """The CSV rows of ``table``, one per angle and route, as they are computed."""
+    """The CSV lines of ``table``, theta-major, as computed; no field needs quoting."""
     step = (args.theta_max - args.theta_min) / (args.n - 1)
-    d, radius = str(args.d), fmt(args.radius)
-    for i in range(args.n):
+    head = f"{args.d},{args.radius!r},"
+
+    def lines(rep):
         # the last row is --theta-max itself, which (n - 1) * step can miss by an ulp
-        theta = args.theta_min + i * step if i < args.n - 1 else args.theta_max
-        angle = fmt(theta)
-        for rep in reps:
-            try:
-                value, err = radial_kernel(args.d, theta, rep).scaled(scale)
-            except _REFUSALS:
-                value, err = math.nan, math.nan
-            yield d, radius, angle, rep.value, fmt(value), fmt(err)
+        thetas, angles = itertools.tee(itertools.chain(
+            (args.theta_min + i * step for i in range(args.n - 1)), (args.theta_max,)))
+        method = rep.value
+        for theta, (value, err) in zip(thetas, _kernel_rows(args.d, angles, rep, scale)):
+            yield f"{head}{theta!r},{method},{value!r},{err!r}\n"
+
+    return itertools.chain.from_iterable(zip(*map(lines, reps)))
 
 
 def cmd_table(args) -> int:
-    import csv
-
-    # every argument is checked before --out is opened, so a bad call
-    # leaves the file untouched
+    # every argument is checked before --out is opened: a bad call leaves it untouched
     if not args.theta_min < args.theta_max:
         raise ValueError("need --theta-min < --theta-max")
     if args.n < 2:
@@ -132,9 +129,8 @@ def cmd_table(args) -> int:
     scale = solution_scale(args.d, args.radius)
     with (contextlib.nullcontext(sys.stdout) if args.out == "-"
           else open(args.out, "w", newline="")) as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(_table_rows(args, reps, scale))
+        stream.write(",".join(CSV_HEADER) + "\n")
+        stream.writelines(_table_rows(args, reps, scale))
     return EXIT_OK
 
 

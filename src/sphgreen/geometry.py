@@ -134,12 +134,14 @@ def separation_angle(u: tuple[float, ...], v: tuple[float, ...]) -> float:
         raise ValueError(f"direction lists differ in length: {len(u)} vs {len(v)}")
     if len(u) < 1:
         raise ValueError("need at least the azimuth angle")
-    cos_g = 0.0
-    sin_prod = 1.0
-    for a, b in zip(reversed(u[1:]), reversed(v[1:])):
-        cos_g += math.cos(a) * math.cos(b) * sin_prod
-        sin_prod *= math.sin(a) * math.sin(b)
-    cos_g += math.cos(u[0] - v[0]) * sin_prod
+    cos_g, sin_prod = 0.0, 1.0
+    try:
+        for a, b in zip(reversed(u[1:]), reversed(v[1:])):
+            cos_g += math.cos(a) * math.cos(b) * sin_prod
+            sin_prod *= math.sin(a) * math.sin(b)
+        cos_g += math.cos(u[0] - v[0]) * sin_prod
+    except ValueError:  # math.cos of an infinite angle
+        cos_g = math.nan
     if math.isnan(cos_g):  # a NaN angle, which the clamp would turn into pi
         raise ValueError(f"direction angles must be finite, got {u} and {v}")
     return _clamped_acos(cos_g)

@@ -94,7 +94,7 @@ def _power(x: float, n: int) -> tuple[float, int]:
     m, e = math.frexp(x)
     pm, pe = 1.0, e * n
     while n:
-        k = max(-_POWER_CHUNK, min(_POWER_CHUNK, n))
+        k = n if abs(n) <= _POWER_CHUNK else (_POWER_CHUNK if n > 0 else -_POWER_CHUNK)
         pm, g = math.frexp(pm * m**k)
         pe += g
         n -= k
@@ -124,10 +124,10 @@ def _scaled(x: float, *pairs: tuple[float, int]) -> float:
     """x times the (mantissa, exponent) pairs, brought into double range once.
 
     The result is +-inf or 0.0 only where the exact product lies outside
-    double range.  This is the one place where overflow is handled.  It does
-    not renormalise per factor, on purpose: that nearly doubles its cost, and
-    ``KernelValue.scaled`` calls it twice per ``table`` row.  So many factors
-    go through ``_pair_product`` first.
+    double range.  It does not renormalise per factor, on purpose: that nearly
+    doubles its cost, and it runs twice per value.  So many factors go through
+    ``_pair_product`` first.  ``_kernel_rows`` repeats its two-factor case
+    inline, in the same order, and calls it where that overflows.
     """
     e = 0
     for m, k in pairs:
@@ -279,19 +279,17 @@ def i_d_finite_sum(d: int, theta: float) -> KernelValue:
     """
     _check_dimension(d)
     _check_theta(theta)
-    c, s = math.cos(theta), math.sin(theta)
-    kernel = _finite_sum_kernel(d, c, s, log_cot_half(theta) if d % 2 == 0 else None)
-    return _kernel_value(Representation.FINITE_SUM, d, s, kernel, _rounding_bound(d, kernel))
+    return _finite_sum_value(Representation.FINITE_SUM, d, math.cos(theta), math.sin(theta))
 
 
-def _finite_sum_kernel(d, c, s, log_cot=None):
+def _finite_sum_kernel(d, c, s, log_cot=None, table=None):
     """The finite sum K_d of ``i_d_finite_sum`` from c = cos theta, s = sin theta
     and, for even d only, log_cot = asinh(cot theta).
 
     Arithmetic operators only, so c, s and log_cot may be floats or arrays of
-    the same shape.
+    the same shape.  A caller with many angles passes ``_finite_sum_table(d)``.
     """
-    table = _finite_sum_table(d)
+    table = _finite_sum_table(d) if table is None else table
     s2 = s * s
     acc = 0.0
     for coef in table:
@@ -299,6 +297,12 @@ def _finite_sum_kernel(d, c, s, log_cot=None):
     if d % 2:
         return c * acc
     return c * acc + (table[0] if table else 1.0) * log_cot * s ** (d - 2)
+
+
+def _finite_sum_value(method: Representation, d: int, c: float, s: float) -> KernelValue:
+    """The finite sum at c = cos theta, s = sin theta, for ``finite_sum`` and ``ferrers``."""
+    kernel = _finite_sum_kernel(d, c, s, math.asinh(c / s) if d % 2 == 0 else None)
+    return _kernel_value(method, d, s, kernel, _rounding_bound(d, kernel))
 
 
 def i_d_recurrence(d: int, theta: float) -> KernelValue:
@@ -313,7 +317,7 @@ def i_d_recurrence(d: int, theta: float) -> KernelValue:
     _check_theta(theta)
     c, s = math.cos(theta), math.sin(theta)
     s2 = s * s
-    kernel, start = (c, 2) if d % 2 else (log_cot_half(theta), 1)
+    kernel, start = (c, 2) if d % 2 else (math.asinh(c / s), 1)
     for m in range(start + 2, d, 2):
         kernel = c / (m - 1) + (m - 2) / (m - 1) * s2 * kernel
     return _kernel_value(Representation.RECURRENCE, d, s, kernel, _rounding_bound(d, kernel))
@@ -376,8 +380,7 @@ def i_d_ferrers(d: int, theta: float) -> KernelValue:
     _check_theta(theta)
     x, s = math.cos(theta), math.sin(theta)
     if x * x > _FERRERS_SWITCH:
-        kernel = _finite_sum_kernel(d, x, s, log_cot_half(theta) if d % 2 == 0 else None)
-        return _kernel_value(Representation.FERRERS_Q, d, s, kernel, _rounding_bound(d, kernel))
+        return _finite_sum_value(Representation.FERRERS_Q, d, x, s)
     return _kernel_value(Representation.FERRERS_Q, d, s, *_gauss_series(d, x, s))
 
 
@@ -397,6 +400,35 @@ def radial_kernel(d: int, theta: float,
     if rep is Representation.FERRERS_Q:
         return i_d_ferrers(d, theta)
     raise ValueError(f"unknown representation {rep!r}")
+
+
+def _kernel_rows(d: int, thetas, rep: Representation, scale: tuple[float, int]):
+    """``radial_kernel(d, theta, rep).scaled(scale)`` bit for bit, or (nan, nan) where
+    the route refuses, at each angle of ``thetas``, which the caller keeps in [THETA_EDGE,
+    pi - THETA_EDGE].  The finite sum checks d and looks up its table once; each angle then
+    costs a cosine, a sine, the sum and one power of sin theta.  Other routes run their
+    scalar function.
+    """
+    _check_dimension(d)
+    if rep is not Representation.FINITE_SUM:
+        for theta in thetas:
+            try:
+                row = radial_kernel(d, theta, rep).scaled(scale)
+            except _REFUSALS:
+                row = math.nan, math.nan
+            yield row
+        return
+    table, even, (sm, se) = _finite_sum_table(d), d % 2 == 0, scale
+    for theta in thetas:
+        c, s = math.cos(theta), math.sin(theta)
+        kernel = _finite_sum_kernel(d, c, s, math.asinh(c / s) if even else None, table)
+        error = _rounding_bound(d, kernel)
+        pm, pe = power = _power(s, 2 - d)
+        try:
+            row = math.ldexp(kernel * sm * pm, se + pe), math.ldexp(error * sm * pm, se + pe)
+        except OverflowError:
+            row = _scaled(kernel, scale, power), _scaled(error, scale, power)
+        yield row if math.isfinite(kernel) else (math.nan, math.nan)  # as _kernel_value refuses
 
 
 def normalization_constant(d: int) -> float:

@@ -1,11 +1,14 @@
+import argparse
 import csv
 import io
 import json
 import math
+import time
 
 import pytest
 
-from sphgreen.cli import METHOD_ORDER, main
+from sphgreen.cli import METHOD_ORDER, _parse_methods, _table_rows, fmt, main
+from sphgreen.kernel import _REFUSALS, Representation, radial_kernel, solution_scale
 
 
 SERIES_ROUTES = ("hyp2f1", "hyp2f1_euler", "ferrers")
@@ -192,7 +195,9 @@ class TestEval:
                 raise exc
             return real(d, theta, rep)
 
+        # eval calls the route through cli's name for it, table through kernel's
         monkeypatch.setattr(cli, "radial_kernel", route)
+        monkeypatch.setattr(kernel, "radial_kernel", route)
         reason = "series-window" if error == "SeriesWindowError" else "no-convergence"
         code, out, _ = run(capsys, "eval", "--d", "5", "--theta", "1", "--method", "all")
         assert code == 0 and f"recurrence skipped {reason}" in out.splitlines()
@@ -340,13 +345,45 @@ class TestTable:
         thetas = [float(row[2]) for row in list(csv.reader(io.StringIO(out)))[1:]]
         assert thetas == [lo + i * step for i in range(n - 1)] + [hi]
 
+    @pytest.mark.parametrize("radius", ["1e-300", "1", "1e300"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 40, 41, 173, 1000, 1001])
+    def test_cells_are_the_scalar_api_bit_for_bit(self, capsys, d, radius):
+        # ranges touching each pole and one across pi/2; nan where the scalar call refuses
+        scale = solution_scale(d, float(radius))
+        methods = ["finite_sum", "finite_sum,ferrers"] + (["all"] if d <= 40 else [])
+        for lo, hi in [("1e-12", "0.4"), ("2.7", "3.141592653588793"), ("0.9", "2.2")]:
+            for method in methods:
+                code, out, err = run(capsys, "table", "--d", str(d), "--radius", radius,
+                                     "--theta-min", lo, "--theta-max", hi, "--n", "9",
+                                     "--methods", method)
+                assert code == 0 and err == ""
+                rows = [line.split(",") for line in out.splitlines()[1:]]
+                assert len(rows) == 9 * len(_parse_methods(method))
+                for row in rows:
+                    try:
+                        want = radial_kernel(d, float(row[2]), Representation(row[3])).scaled(scale)
+                    except _REFUSALS:
+                        want = math.nan, math.nan
+                    assert row[4:] == [fmt(x) for x in want], (lo, hi, row)
+
+    def test_rows_stream(self):
+        # a billion-row table yields its first line at once: no row is built ahead
+        args = argparse.Namespace(d=5, radius=1.0, theta_min=1.0, theta_max=2.0, n=10**9)
+        scale = solution_scale(5, 1.0)
+        start = time.perf_counter()
+        first = next(_table_rows(args, [Representation.FINITE_SUM], scale))
+        assert time.perf_counter() - start < 1.0
+        value, err = radial_kernel(5, 1.0).scaled(scale)
+        assert first == f"5,1.0,1.0,finite_sum,{fmt(value)},{fmt(err)}\n"
+
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run(capsys, "table", "--d", "3", "--n", "3",
                          "--theta-min", "2", "--theta-max", "1")
         assert code == 2
 
     @pytest.mark.parametrize("bad", [("--methods", "bogus"), ("--methods", "all,bogus"),
-                                     ("--n", "1"), ("--d", "1"), ("--theta-max", "4")])
+                                     ("--n", "1"), ("--d", "1"), ("--theta-max", "4"),
+                                     ("--theta-min", "2.5"), ("--radius", "inf")])
     def test_bad_arguments_leave_out_file_untouched(self, capsys, tmp_path, bad):
         out_path = tmp_path / "table.csv"
         out_path.write_text("kept\n")
@@ -582,6 +619,11 @@ class TestImportHygiene:
         modules = self.loaded_after(tmp_path, *self.default_routes(tmp_path))
         assert "sphgreen.geometry" in modules and "sphgreen.harmonics" in modules
         assert "dataclasses" not in modules
+
+    def test_table_does_not_import_csv(self, tmp_path):
+        # table writes its lines itself: no field needs quoting
+        modules = self.loaded_after(tmp_path, *self.default_routes(tmp_path)[2:3])
+        assert "csv" not in modules
 
     def test_source_never_mentions_dataclass(self):
         from pathlib import Path

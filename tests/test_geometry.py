@@ -160,6 +160,23 @@ class TestSeparationAngle:
             with pytest.raises(ValueError, match="must be finite"):
                 separation_angle((pair[0][0],), (pair[1][0],))
 
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf])
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_infinite_angle_rejected_naming_both_tuples(self, angle, which, position):
+        # math.cos(inf) raises "math domain error", which names neither input
+        pair = [[0.3, 1.1, 2.0], [0.7, 0.4, 1.5]]
+        pair[which][position] = angle
+        u, v = tuple(pair[0]), tuple(pair[1])
+        with pytest.raises(ValueError) as caught:
+            separation_angle(u, v)
+        assert str(caught.value) == f"direction angles must be finite, got {u} and {v}"
+        if position == 0:
+            u, v = (pair[0][0],), (pair[1][0],)
+            with pytest.raises(ValueError) as caught:
+                separation_angle(u, v)
+            assert str(caught.value) == f"direction angles must be finite, got {u} and {v}"
+
 
 class TestGeodesicDistance:
     def test_coincident_points(self):
