@@ -3,7 +3,7 @@
 Subcommands:
   eval      evaluate the fundamental solution at one angle, by one route or all
   table     tabulate values over an angle range to CSV
-  check     run a named verification suite (ode | delta | limit | xrep | geometry)
+  check     run a verification suite (ode | laplace | delta | limit | xrep | geometry)
   distance  geodesic distance and separation angle between two points
 
 Exit codes: 0 ok, 1 check failure, 2 bad arguments, 3 convergence failure,
@@ -39,7 +39,7 @@ EXIT_IO = 4
 
 METHOD_ORDER = tuple(rep.value for rep in Representation)
 # the names of ``oracle.SUITES``, so that parsing ``check`` does not import the oracles
-SUITE_NAMES = ("delta", "geometry", "limit", "ode", "xrep")
+SUITE_NAMES = ("delta", "geometry", "laplace", "limit", "ode", "xrep")
 
 CSV_HEADER = ("d", "R", "theta", "method", "value", "est_error")
 

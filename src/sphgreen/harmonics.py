@@ -2,12 +2,14 @@
 
 The four formal radial solutions sin^{1-d/2}(theta) {P,Q}_{d/2-1}^{+/-(d/2-1+l)},
 the angular Laplacian eigenvalue and the degeneracy count for each angular
-quantum number l.
+quantum number l, and the central-difference radial operator whose
+convergence order checks these solutions and the fundamental solution.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections import namedtuple
 
@@ -25,13 +27,9 @@ __all__ = [
     "degeneracy",
 ]
 
-# a radial branch whose magnitude stays below this over the probe interval is
-# treated as identically zero (degenerate integer-parameter combination)
-DEGENERATE_FLOOR = 1e-8
-
 
 class DegenerateBranchError(ArithmeticError):
-    """Skip-signal: the selected branch is identically (near-)zero."""
+    """Skip-signal: the selected branch is identically zero."""
 
 
 class RadialSolutionKind(enum.Enum):
@@ -97,39 +95,50 @@ def degeneracy(q: QuantumNumbers) -> int:
         math.factorial(l) * math.factorial(d - 2))
 
 
-def ode_residual(q: QuantumNumbers, kind: RadialSolutionKind, theta: float, h: float) -> float:
-    """Central-difference residual of u'' + (d-1) cot u' - l(l+d-2)/sin^2 u.
+def _radial_residual(d: int, l: int, theta: float, h: float,
+                     up: float, u0: float, um: float) -> tuple[float, float]:
+    """u'' + (d-1) cot u' - l(l+d-2) u / sin^2 at theta by central differences from
+    up, u0, um = u(theta + h), u(theta), u(theta - h), and its rounding floor.
 
-    Raises DegenerateBranchError when the branch magnitude over
-    [theta-h, theta+h] is below the degeneracy floor.
+    Raises DegenerateBranchError where all three are exactly 0.0 (a pole of
+    1/Gamma or a skipped block of the Ferrers sum): no residual is left to measure.
     """
+    if up == u0 == um == 0.0:
+        raise DegenerateBranchError(f"u is exactly 0.0 at d={d}, l={l}, theta={theta} +/- {h}")
+    residual = ((up - 2.0 * u0 + um) / (h * h) + (d - 1) * (up - um) / (2.0 * h * math.tan(theta))
+                - l * (l + d - 2) * u0 / math.sin(theta) ** 2)
+    return residual, 2.0**-42 * (abs(up) + 2.0 * abs(u0) + abs(um)) / (h * h)  # 2^10 eps
+
+
+def convergence_order(u, d: int, l: int, theta: float):
+    """log2 of the ratio of the ``_radial_residual``s of u at steps h and h/2, with
+    h = min(theta, pi - theta) / (4d): 2 for a solution of the radial equation.
+
+    The truncation grows like (d h / theta)^2, so this h keeps it small at every d.
+    Both steps share u(theta): five samples.  None where both residuals sit at
+    their rounding floors (u is annihilated to rounding, e.g. a constant).
+    """
+    u0 = u(theta)
+    h = min(theta, math.pi - theta) / (4 * d)
+    (r1, floor1), (r2, floor2) = (_radial_residual(d, l, theta, s, u(theta + s), u0,
+                                                   u(theta - s)) for s in (h, 0.5 * h))
+    if abs(r1) <= floor1 and abs(r2) <= floor2:
+        return None
+    return math.log2(abs(r1 / r2))
+
+
+def ode_residual(q: QuantumNumbers, kind: RadialSolutionKind, theta: float, h: float) -> float:
+    """Central-difference residual of u'' + (d-1) cot u' - l(l+d-2) u / sin^2 for
+    the branch u at step h; DegenerateBranchError where u is exactly 0.0 at theta
+    and theta +/- h."""
     if not h > 0.0:
         raise ValueError(f"step must be positive, got {h}")
     if not (0.0 < theta - h and theta + h < math.pi):
-        raise ValueError(f"[theta-h, theta+h] must stay inside (0, pi)")
-    d, l = q.dimension, q.angular
-    up = radial_harmonic(q, kind, theta + h)
-    u0 = radial_harmonic(q, kind, theta)
-    um = radial_harmonic(q, kind, theta - h)
-    if max(abs(up), abs(u0), abs(um)) < DEGENERATE_FLOOR:
-        raise DegenerateBranchError(
-            f"branch {kind.value} at d={d}, l={l} is identically small")
-    second = (up - 2.0 * u0 + um) / (h * h)
-    first = (up - um) / (2.0 * h)
-    return (second + (d - 1) * first / math.tan(theta)
-            - l * (l + d - 2) * u0 / math.sin(theta) ** 2)
+        raise ValueError(f"[theta-h, theta+h] must stay inside (0, pi), got theta={theta}, h={h}")
+    u = functools.partial(radial_harmonic, q, kind)
+    return _radial_residual(*q, theta, h, u(theta + h), u(theta), u(theta - h))[0]
 
 
 def ode_convergence_order(q: QuantumNumbers, kind: RadialSolutionKind, theta: float):
-    """log2 ratio of residuals at steps 0.01 and 0.005; expected 2 for true solutions.
-
-    Returns None when both residuals sit at the rounding floor (the operator
-    annihilates the branch to machine precision, e.g. the constant solutions),
-    in which case there is no truncation error left to measure.
-    """
-    r1 = abs(ode_residual(q, kind, theta, 1e-2))
-    r2 = abs(ode_residual(q, kind, theta, 5e-3))
-    scale = max(1.0, abs(radial_harmonic(q, kind, theta)))
-    if max(r1, r2) <= 1e-9 * scale:
-        return None
-    return math.log2(r1 / r2)
+    """``convergence_order`` of the branch: 2, or None for the constant solutions."""
+    return convergence_order(functools.partial(radial_harmonic, q, kind), *q, theta)

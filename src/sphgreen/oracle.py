@@ -1,12 +1,13 @@
 """Independent verification engines for the hypersphere kernel.
 
-Finite-difference annihilation of the fundamental solution by the radial
-Laplacian, the convergence order of the radial-harmonic ODE residual, the
-distributional (test-function) identity by product quadrature, the
-zero-curvature limit against the Euclidean solution, and the
-cross-representation sweep against adaptive quadrature.  ``SUITES`` groups
-them into the suites that ``sphgreen check`` runs.  NumPy is imported by the
-checks that use it, when they are first called.
+The convergence order of one central-difference radial operator
+(``harmonics.convergence_order``) on the radial harmonics and, at l = 0, on
+the fundamental solution, which the operator annihilates; the distributional
+(test-function) identity by product quadrature, the zero-curvature limit
+against the Euclidean solution, and the cross-representation sweep against
+adaptive quadrature.  ``SUITES`` groups them into the suites of
+``sphgreen check``.  NumPy is imported by the checks that use it, when they
+are first called.
 
 The distance and delta checks run their grids as arrays through the library's
 own code (``geometry._embed_rows``, ``kernel._finite_sum_kernel``); the polar
@@ -24,7 +25,8 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, Sequence
 
 from .geometry import HyperPoint, _embed_rows, geodesic_distance
-from .harmonics import DegenerateBranchError, QuantumNumbers, RadialSolutionKind, ode_convergence_order
+from .harmonics import (DegenerateBranchError, QuantumNumbers, RadialSolutionKind,
+                        convergence_order, ode_convergence_order)
 from .kernel import (
     _REFUSALS,
     Representation,
@@ -105,60 +107,43 @@ class CheckReport(namedtuple(
                 + (f" [{self.detail}]" if self.detail else ""))
 
 
-def check_laplace_annihilation(d: int, radius: float, theta: float,
-                               h: float = 1e-3) -> CheckReport:
-    """Central-difference radial Laplacian applied to the fundamental solution.
+def _order_report(name: str, orders: list, detail: str) -> CheckReport:
+    """The convergence order farthest from 2 against 2 +/- 0.2; a None order (both
+    residuals at their rounding floors) has no truncation error to measure."""
+    measured = [order for order in orders if order is not None]
+    if not measured:
+        return CheckReport(name, 2.0, 2.0, 0.2, True, "operator annihilates branch to rounding")
+    worst = max(measured, key=lambda order: abs(order - 2.0))
+    note = "; some residuals at rounding floor" if len(measured) < len(orders) else ""
+    return CheckReport(name, worst, 2.0, 0.2, abs(worst - 2.0) <= 0.2, detail + note)
 
-    The reported value is the residual divided by max(1, |term|) over the two
-    difference terms, i.e. a relative residual: the raw residual scales like
-    the solution's fourth derivative, which spans many orders of magnitude
-    across d.  Truncation is O(h^2), so halving h quarters the measure.
+
+def check_laplace_annihilation(d: int, radius: float, theta: float) -> CheckReport:
+    """The radial Laplacian annihilates the fundamental solution, the l = 0
+    second-kind radial harmonic: ``harmonics.convergence_order`` at l = 0 must be
+    2 +/- 0.2, as in ``check_ode_order``.  A function that it does not
+    annihilate leaves a residual that does not shrink with h: its order tends to 0.
     """
-    f = lambda t: fundamental_solution(d, radius, t)
-    fp, f0, fm = f(theta + h), f(theta), f(theta - h)
-    r2 = radius * radius
-    second = (fp - 2.0 * f0 + fm) / (h * h) / r2
-    first = (d - 1) / math.tan(theta) * (fp - fm) / (2.0 * h) / r2
-    scale = max(1.0, abs(second), abs(first))
-    measured = abs(second + first) / scale
-    return CheckReport(
-        name=f"laplace-annihilation d={d} R={radius} theta={theta}",
-        measured=measured,
-        expected=0.0,
-        tolerance=1e-5,
-        passed=measured <= 1e-5,
-        detail=f"h={h}; relative: residual scaled by max(1,|terms|)={scale:.6g}")
+    order = convergence_order(lambda t: fundamental_solution(d, radius, t), d, 0, theta)
+    return _order_report(f"laplace-annihilation d={d} R={radius} theta={theta}", [order],
+                         "convergence order at steps min(theta, pi - theta)/(4d) and half that")
 
 
 ODE_ANGLES = (0.5, 1.0, 2.0)
 
 
 def check_ode_order(q: QuantumNumbers, kind: RadialSolutionKind) -> CheckReport:
-    """Convergence order of the radial-harmonic ODE residual for one branch.
-
-    The order farthest from 2 over ``ODE_ANGLES`` must lie within 0.2 of 2.
-    A branch outside the Ferrers parameter domain, or identically
-    (near-)zero, is reported as skipped; one that the operator annihilates
-    to rounding at every angle passes.
-    """
+    """Convergence order of the radial-harmonic ODE residual for one branch at
+    ``ODE_ANGLES`` (``_order_report``).  A branch outside the Ferrers parameter
+    domain, or exactly 0.0 at every sampled angle, is reported as skipped."""
     name = f"ode-order d={q.dimension} l={q.angular} {kind.value}"
-    worst = None
-    note = ""
-    for theta in ODE_ANGLES:
-        try:
-            order = ode_convergence_order(q, kind, theta)
-        except (ValueError, DegenerateBranchError) as exc:
-            reason = ("degenerate branch" if isinstance(exc, DegenerateBranchError)
-                      else "outside Ferrers parameter domain")
-            return CheckReport(name, 0.0, 0.0, math.inf, True, f"skipped: {reason} ({exc})")
-        if order is None:
-            note = "; some residuals at rounding floor"
-        elif worst is None or abs(order - 2.0) > abs(worst - 2.0):
-            worst = order
-    if worst is None:
-        return CheckReport(name, 2.0, 2.0, 0.2, True, "operator annihilates branch to rounding")
-    return CheckReport(name, worst, 2.0, 0.2, abs(worst - 2.0) <= 0.2,
-                       f"worst convergence order over theta in {ODE_ANGLES}{note}")
+    try:
+        orders = [ode_convergence_order(q, kind, theta) for theta in ODE_ANGLES]
+    except (ValueError, DegenerateBranchError) as exc:
+        reason = ("degenerate branch" if isinstance(exc, DegenerateBranchError)
+                  else "outside Ferrers parameter domain")
+        return CheckReport(name, 0.0, 0.0, math.inf, True, f"skipped: {reason} ({exc})")
+    return _order_report(name, orders, f"worst convergence order over theta in {ODE_ANGLES}")
 
 
 def check_delta_identity(d: int, radius: float) -> CheckReport:
@@ -423,6 +408,9 @@ SUITES = {
     "limit": lambda: [*_euclidean_limit_reports(3, 1.0, LIMIT_RADII),
                       check_euclidean_limit(2, 1.0, LIMIT_RADII)],
     "xrep": lambda: [check_cross_representation(d) for d in range(2, 11)],
+    "laplace": lambda: [check_laplace_annihilation(d, radius, theta)
+                        for d in (*range(2, 13), 60, 200) for radius in (1.0, 5.0)
+                        for theta in ODE_ANGLES],
     "geometry": lambda: ([check_distance_oracle(d, pairs=200) for d in range(2, 7)]
                          + [check_volume(d) for d in (2, 3, 4)]),
 }

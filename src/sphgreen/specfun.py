@@ -84,8 +84,10 @@ def gamma_real(z: float) -> float:
     Integer and half-integer arguments (the only ones reached by the rest of
     the library) are evaluated exactly by recursion from Gamma(1) = 1 and
     Gamma(1/2) = sqrt(pi); other real arguments fall through to the C-library
-    approximation.
+    approximation.  NaN and -inf raise a ValueError that names them.
     """
+    if not z > -math.inf:
+        raise ValueError(f"gamma argument must not be NaN or -inf, got z={z}")
     if z <= 0.0 and _is_integer(z):
         raise GammaPoleError(f"gamma pole at z={z}")
     if z > _GAMMA_OVERFLOW:
@@ -105,7 +107,7 @@ def gamma_real(z: float) -> float:
 
 def reciprocal_gamma(z: float) -> float:
     """1/Gamma(z), defined as 0 at the nonpositive-integer poles."""
-    if z <= 0.0 and _is_integer(z):
+    if -math.inf < z <= 0.0 and _is_integer(z):
         return 0.0
     g = gamma_real(z)
     return 0.0 if math.isinf(g) else 1.0 / g

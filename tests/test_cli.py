@@ -430,6 +430,14 @@ class TestCheck:
         assert code == 0
         assert "skipped" in out  # inadmissible/degenerate branches are reported
 
+    def test_laplace_suite_passes(self, capsys):
+        code, out, _ = run(capsys, "check", "laplace")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 78 and all(line.startswith("PASS") for line in lines)
+        for d in (2, 12, 60, 200):
+            assert f"PASS laplace-annihilation d={d} R=5.0 theta=2.0:" in out
+
     def test_xrep_suite_passes(self, capsys):
         code, out, _ = run(capsys, "check", "xrep")
         assert code == 0
@@ -643,8 +651,9 @@ class TestImportHygiene:
         modules = self.loaded_after(tmp_path, *every_route)
         assert "scipy" not in modules and "numpy" not in modules
         # check limit exits 1 on its d = 2 clause (see test_limit_suite_reports_d2_failure)
-        suites = [("check", suite) for suite in ("ode", "delta", "limit", "xrep", "geometry")]
-        modules = self.loaded_after(tmp_path, *suites, codes=[0, 0, 1, 0, 0])
+        suites = [("check", suite)
+                  for suite in ("ode", "laplace", "delta", "limit", "xrep", "geometry")]
+        modules = self.loaded_after(tmp_path, *suites, codes=[0, 0, 0, 1, 0, 0])
         assert "scipy" not in modules
 
     @staticmethod
@@ -679,7 +688,7 @@ class TestImportHygiene:
         assert "sphgreen.geometry" in modules
         assert not modules & {"sphgreen.oracle", "sphgreen.harmonics"}
 
-    @pytest.mark.parametrize("suite", ["delta", "geometry", "limit", "ode", "xrep"])
+    @pytest.mark.parametrize("suite", ["delta", "geometry", "laplace", "limit", "ode", "xrep"])
     def test_every_suite_runs_in_a_fresh_process(self, tmp_path, suite):
         # check limit exits 1 on its d = 2 clause (see test_limit_suite_reports_d2_failure)
         modules = self.loaded_by_fresh_cli(tmp_path, "check", suite,

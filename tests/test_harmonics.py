@@ -140,8 +140,14 @@ class TestOdeResidual:
             ode_residual(QuantumNumbers(4, 1), RadialSolutionKind.U1_PLUS, 1.0, 1e-3)
 
     def test_interval_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"got theta=0\.001, h=0\.01"):
             ode_residual(QuantumNumbers(3, 0), RadialSolutionKind.U2_PLUS, 0.001, 0.01)
+
+    def test_tiny_branch_is_not_degenerate(self):
+        # |u2-(1)| is about 4e-14 at d = 30, but not zero: the kernel's own branch
+        q, kind = QuantumNumbers(30, 0), RadialSolutionKind.U2_MINUS
+        assert math.isfinite(ode_residual(q, kind, 1.0, 1e-3))
+        assert ode_convergence_order(q, kind, 1.0) == pytest.approx(2.0, abs=0.2)
 
 
 class TestConvergenceOrderSweep:

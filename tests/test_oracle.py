@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+from sphgreen import oracle
 from sphgreen.geometry import HyperPoint
 from sphgreen.harmonics import QuantumNumbers, RadialSolutionKind
+from sphgreen.kernel import fundamental_solution
 from sphgreen.oracle import (
     CheckReport,
     check_cross_representation,
@@ -80,25 +82,42 @@ class TestCheckReport:
 
 
 class TestLaplaceAnnihilation:
+    GRID = [(d, radius, theta) for d in range(2, 8) for radius in (1.0, 2.0)
+                for theta in (0.5, 1.5, 2.5)]
+
     def test_d3_example(self):
-        report = check_laplace_annihilation(3, 1.0, 1.0, 1e-3)
-        assert report.passed and report.measured <= 1e-5
+        report = check_laplace_annihilation(3, 1.0, 1.0)
+        assert report.passed and report.expected == 2.0 and report.tolerance == 0.2
+        assert report.name == "laplace-annihilation d=3 R=1.0 theta=1.0"
 
     def test_d2_radius_two(self):
-        report = check_laplace_annihilation(2, 2.0, 2.0, 1e-3)
-        assert report.passed and report.measured <= 1e-5
+        report = check_laplace_annihilation(2, 2.0, 2.0)
+        assert report.passed and abs(report.measured - 2.0) <= 0.2
 
     def test_halving_h_quarters_residual(self):
-        r1 = check_laplace_annihilation(4, 1.0, 0.8, 2e-3).measured
-        r2 = check_laplace_annihilation(4, 1.0, 0.8, 1e-3).measured
-        assert math.log2(r1 / r2) == pytest.approx(2.0, abs=0.2)
+        # the measure is the log2 ratio of the residuals at steps h and h/2
+        report = check_laplace_annihilation(4, 1.0, 0.8)
+        assert report.measured == pytest.approx(2.0, abs=0.2)
 
     def test_full_grid(self):
-        for d in range(2, 8):
-            for radius in (1.0, 2.0):
-                for theta in (0.5, 1.5, 2.5):
-                    report = check_laplace_annihilation(d, radius, theta, 1e-3)
-                    assert report.passed, report.line()
+        for point in self.GRID:
+            report = check_laplace_annihilation(*point)
+            assert report.passed, report.line()
+
+    @pytest.mark.parametrize("d, radius, theta", [
+        (7, 1.0, 0.3), (40, 1.0, 0.3), (40, 1.0, 1.0), (40, 1.0, 2.0), (200, 1.0, 0.5)])
+    def test_passes_where_a_fixed_step_failed(self, d, radius, theta):
+        # a fixed step h = 1e-3 FAILs here: its truncation grows like (d h / theta)^2
+        report = check_laplace_annihilation(d, radius, theta)
+        assert report.passed, report.line()
+
+    @pytest.mark.parametrize("wrong", [
+        lambda d, radius, theta: fundamental_solution(d, radius, theta) * (1.0 + 1e-5 * theta**2),
+        lambda d, radius, theta: math.cos(theta),
+    ], ids=["perturbed-solution", "cosine"])
+    def test_fails_on_a_function_the_operator_does_not_annihilate(self, monkeypatch, wrong):
+        monkeypatch.setattr(oracle, "fundamental_solution", wrong)
+        assert not all(check_laplace_annihilation(*point).passed for point in self.GRID)
 
 
 class TestOdeOrder:

@@ -101,6 +101,13 @@ class TestGamma:
         assert reciprocal_gamma(-3.0) == 0.0
         assert reciprocal_gamma(2.0) == 1.0
 
+    @pytest.mark.parametrize("z", [math.nan, -math.inf])
+    @pytest.mark.parametrize("f", [gamma_real, reciprocal_gamma])
+    def test_nan_and_minus_inf_rejected_by_name(self, f, z):
+        with pytest.raises(ValueError, match=r"must not be NaN or -inf, got z=(nan|-inf)") as info:
+            f(z)
+        assert not isinstance(info.value, GammaPoleError)
+
     def test_duplication_formula(self):
         # relative agreement on the half-integer ladder
         for z in np.arange(0.5, 10.25, 0.5):
