@@ -126,8 +126,7 @@ def _scaled(x: float, *pairs: tuple[float, int]) -> float:
     The result is +-inf or 0.0 only where the exact product lies outside
     double range.  It does not renormalise per factor, on purpose: that nearly
     doubles its cost, and it runs twice per value.  So many factors go through
-    ``_pair_product`` first.  ``_kernel_rows`` repeats its two-factor case
-    inline, in the same order, and calls it where that overflows.
+    ``_pair_product`` first.
     """
     e = 0
     for m, k in pairs:
@@ -137,6 +136,16 @@ def _scaled(x: float, *pairs: tuple[float, int]) -> float:
         return math.ldexp(x, e)
     except OverflowError:
         return math.copysign(math.inf, x)
+
+
+def _scale_with_error(kernel: float, error: float, scale, power) -> tuple[float, float]:
+    """``_scaled(x, scale, power)`` for x = kernel and error, by one ``ldexp`` each
+    and through ``_scaled`` itself only where that overflows."""
+    (sm, se), (pm, pe) = scale, power
+    try:
+        return math.ldexp(kernel * sm * pm, se + pe), math.ldexp(error * sm * pm, se + pe)
+    except OverflowError:
+        return _scaled(kernel, scale, power), _scaled(error, scale, power)
 
 
 class KernelValue(namedtuple("KernelValue", "kernel kernel_error method sine_power")):
@@ -152,8 +161,7 @@ class KernelValue(namedtuple("KernelValue", "kernel kernel_error method sine_pow
 
     def scaled(self, scale: tuple[float, int]) -> tuple[float, float]:
         """(value, error bound) of scale * I_d, for a (mantissa, exponent) scale."""
-        return (_scaled(self.kernel, scale, self.sine_power),
-                _scaled(self.kernel_error, scale, self.sine_power))
+        return _scale_with_error(self.kernel, self.kernel_error, scale, self.sine_power)
 
     @property
     def value(self) -> float:
@@ -206,6 +214,13 @@ def _check_theta(theta: float) -> None:
             f"polar angle {theta} outside [{THETA_EDGE}, pi - {THETA_EDGE}]")
 
 
+def _cos_sin(d: int, theta: float) -> tuple[float, float]:
+    """(cos theta, sin theta) once d and theta pass their rules: every route's prologue."""
+    _check_dimension(d)
+    _check_theta(theta)
+    return math.cos(theta), math.sin(theta)
+
+
 def log_cot_half(theta: float) -> float:
     """log cot(theta/2), the d = 2 kernel.
 
@@ -226,9 +241,7 @@ def i_d_quadrature(d: int, theta: float) -> KernelValue:
     The error adds (d-2) (1 + |u0|) eps |K| to the integration estimate: the
     rounding of u0 and of sin(theta), both raised to the power d - 2.
     """
-    _check_dimension(d)
-    _check_theta(theta)
-    c, s = math.cos(theta), math.sin(theta)
+    c, s = _cos_sin(d, theta)
     u0 = abs(math.asinh(c / s))
     points = [u0]
     step = 1.0
@@ -277,17 +290,13 @@ def i_d_finite_sum(d: int, theta: float) -> KernelValue:
     products of the two double-factorial ratios are the coefficients of
     ``_finite_sum_table``.
     """
-    _check_dimension(d)
-    _check_theta(theta)
-    return _finite_sum_value(Representation.FINITE_SUM, d, math.cos(theta), math.sin(theta))
+    return _finite_sum_value(Representation.FINITE_SUM, d, *_cos_sin(d, theta))
 
 
-def _finite_sum_kernel(d, c, s, log_cot=None, table=None):
-    """The finite sum K_d of ``i_d_finite_sum`` from c = cos theta, s = sin theta
-    and, for even d only, log_cot = asinh(cot theta).
-
-    Arithmetic operators only, so c, s and log_cot may be floats or arrays of
-    the same shape.  A caller with many angles passes ``_finite_sum_table(d)``.
+def _finite_sum_kernel(d, c, s, table=None, asinh=math.asinh):
+    """The finite sum K_d of ``i_d_finite_sum`` from c = cos theta, s = sin theta, its
+    even-d B = asinh(c / s) included.  Arithmetic and ``asinh`` only, so c and s may be arrays
+    (with ``asinh=np.arcsinh``).  A caller with many angles passes ``_finite_sum_table(d)``.
     """
     table = _finite_sum_table(d) if table is None else table
     s2 = s * s
@@ -296,12 +305,12 @@ def _finite_sum_kernel(d, c, s, log_cot=None, table=None):
         acc = acc * s2 + coef
     if d % 2:
         return c * acc
-    return c * acc + (table[0] if table else 1.0) * log_cot * s ** (d - 2)
+    return c * acc + (table[0] if table else 1.0) * asinh(c / s) * s ** (d - 2)
 
 
 def _finite_sum_value(method: Representation, d: int, c: float, s: float) -> KernelValue:
     """The finite sum at c = cos theta, s = sin theta, for ``finite_sum`` and ``ferrers``."""
-    kernel = _finite_sum_kernel(d, c, s, math.asinh(c / s) if d % 2 == 0 else None)
+    kernel = _finite_sum_kernel(d, c, s)
     return _kernel_value(method, d, s, kernel, _rounding_bound(d, kernel))
 
 
@@ -313,9 +322,7 @@ def i_d_recurrence(d: int, theta: float) -> KernelValue:
     terms share the sign of cos(theta), so the climb is cancellation-free and
     its error is within ``_rounding_bound``.
     """
-    _check_dimension(d)
-    _check_theta(theta)
-    c, s = math.cos(theta), math.sin(theta)
+    c, s = _cos_sin(d, theta)
     s2 = s * s
     kernel, start = (c, 2) if d % 2 else (math.asinh(c / s), 1)
     for m in range(start + 2, d, 2):
@@ -332,9 +339,7 @@ def i_d_hyp2f1(d: int, theta: float, euler: bool = False) -> KernelValue:
     cancel for large d, reports |cos| sum |t_n| (TOLERANCE + 2 n eps) over its
     n terms and is refused where that exceeds 1e-9 |K| (``check xrep``'s tolerance).
     """
-    _check_dimension(d)
-    _check_theta(theta)
-    c, s = math.cos(theta), math.sin(theta)
+    c, s = _cos_sin(d, theta)
     z = c * c
     if z > SERIES_WINDOW:
         raise SeriesWindowError(
@@ -376,9 +381,7 @@ def i_d_ferrers(d: int, theta: float) -> KernelValue:
     equal to ``i_d_finite_sum`` bit for bit; elsewhere it is the Gauss series
     that the ``hyp2f1`` route sums, with the same error bound.
     """
-    _check_dimension(d)
-    _check_theta(theta)
-    x, s = math.cos(theta), math.sin(theta)
+    x, s = _cos_sin(d, theta)
     if x * x > _FERRERS_SWITCH:
         return _finite_sum_value(Representation.FERRERS_Q, d, x, s)
     return _kernel_value(Representation.FERRERS_Q, d, s, *_gauss_series(d, x, s))
@@ -418,16 +421,11 @@ def _kernel_rows(d: int, thetas, rep: Representation, scale: tuple[float, int]):
                 row = math.nan, math.nan
             yield row
         return
-    table, even, (sm, se) = _finite_sum_table(d), d % 2 == 0, scale
+    table = _finite_sum_table(d)
     for theta in thetas:
         c, s = math.cos(theta), math.sin(theta)
-        kernel = _finite_sum_kernel(d, c, s, math.asinh(c / s) if even else None, table)
-        error = _rounding_bound(d, kernel)
-        pm, pe = power = _power(s, 2 - d)
-        try:
-            row = math.ldexp(kernel * sm * pm, se + pe), math.ldexp(error * sm * pm, se + pe)
-        except OverflowError:
-            row = _scaled(kernel, scale, power), _scaled(error, scale, power)
+        kernel = _finite_sum_kernel(d, c, s, table)
+        row = _scale_with_error(kernel, _rounding_bound(d, kernel), scale, _power(s, 2 - d))
         yield row if math.isfinite(kernel) else (math.nan, math.nan)  # as _kernel_value refuses
 
 
@@ -440,24 +438,20 @@ def normalization_constant(d: int) -> float:
 def solution_scale(d: int, radius: float) -> tuple[float, int]:
     """c0(d) / R^{d-2}, the factor that turns I_d(theta) into the solution.
 
-    c0(d) = Gamma(d/2) / (2 pi^{d/2}) comes from the exact integer in Gamma:
-    it is (d/2-1)! / (2 pi^{d/2}) for even d and, as Gamma(d/2) = (d-2)!!
-    sqrt(pi) / 2^{(d-1)/2}, (d-2)!! / (2^{(d+1)/2} pi^{(d-1)/2}) for odd d.
+    c0(d) = Gamma(d/2) / (2 pi^{d/2}) = (d-2)!! / (2^{floor((d+1)/2)}
+    pi^{floor(d/2)}) for either parity, from the exact integer (d-2)!!: Gamma(d/2)
+    is (d-2)!! / 2^{d/2-1} for even d and (d-2)!! sqrt(pi) / 2^{(d-1)/2} for odd d.
     The factor is a (mantissa, exponent) pair for ``KernelValue.scaled``, so
     it never overflows; d may be any integer >= 1.  Raises ValueError for a
     radius that is not positive and finite.
     """
     _check_radius(radius)
     _check_integer(d, "dimension", 1)
-    if d % 2 == 0:
-        n, twos, pis = math.factorial(d // 2 - 1), 1, d // 2
-    else:
-        n, twos, pis = double_factorial(d - 2), (d + 1) // 2, (d - 1) // 2
-    m, e = _int_pair(n)
-    pm, pe = _power(math.pi, -pis)
+    m, e = _int_pair(double_factorial(d - 2))
+    pm, pe = _power(math.pi, -(d // 2))
     rm, re = _power(radius, 2 - d)
     # pi = math.pi (1 + _PI_ROUNDING): correct the power of math.pi to first order
-    return m * pm * rm * (1.0 - pis * _PI_ROUNDING), e + pe + re - twos
+    return m * pm * rm * (1.0 - d // 2 * _PI_ROUNDING), e + pe + re - (d + 1) // 2
 
 
 def fundamental_solution(d: int, radius: float, theta: float,

@@ -119,12 +119,15 @@ def _order_report(name: str, orders: list, detail: str) -> CheckReport:
 
 
 def check_laplace_annihilation(d: int, radius: float, theta: float) -> CheckReport:
-    """The radial Laplacian annihilates the fundamental solution, the l = 0
+    """The radial Laplacian annihilates the fundamental solution S, the l = 0
     second-kind radial harmonic: ``harmonics.convergence_order`` at l = 0 must be
     2 +/- 0.2, as in ``check_ode_order``.  A function that it does not
     annihilate leaves a residual that does not shrink with h: its order tends to 0.
+    S 2^-E, E the binary exponent of S(theta), stays in range at any d, with the same orders.
     """
-    order = convergence_order(lambda t: fundamental_solution(d, radius, t), d, 0, theta)
+    m, _ = solution_scale(d, radius)
+    scale = m, -radial_kernel(d, theta).sine_power[1]
+    order = convergence_order(lambda t: radial_kernel(d, t).scaled(scale)[0], d, 0, theta)
     return _order_report(f"laplace-annihilation d={d} R={radius} theta={theta}", [order],
                          "convergence order at steps min(theta, pi - theta)/(4d) and half that")
 
@@ -167,7 +170,7 @@ def check_delta_identity(d: int, radius: float) -> CheckReport:
 
     theta, w_theta, s = _rule_for(d)
     c = np.cos(theta)
-    kernel = _finite_sum_kernel(d, c, s, np.arcsinh(c / s) if d % 2 == 0 else None)
+    kernel = _finite_sum_kernel(d, c, s, asinh=np.arcsinh)
     polar = float(np.sum(w_theta * d * c * kernel * s))
     measured = _scaled(polar, solution_scale(d, radius), _power(radius, d - 2),
                        _sphere_area(d - 1, w_theta, s))
@@ -360,6 +363,8 @@ def hypersphere_volume(d: int, radius: float) -> float:
     """R^d / c0(d+1), the d-sphere's total volume: the unit d-sphere's area is
     the reciprocal of the solution constant.  Rounded once, the value is inf
     or 0.0 only where the exact one lies outside double range."""
+    _check_dimension(d)
+    _check_radius(radius)
     m, e = solution_scale(d + 1, 1.0)
     return _scaled(1.0 / m, (1.0, -e), _power(radius, d))
 

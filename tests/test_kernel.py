@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import time
@@ -317,6 +318,20 @@ class TestKernelProperties:
             with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
                 i_d_finite_sum(d, 1.0)
 
+    @pytest.mark.parametrize(
+        "route", [*Representation, i_d_quadrature, i_d_finite_sum, i_d_recurrence, i_d_hyp2f1,
+                  i_d_ferrers],
+        ids=lambda route: getattr(route, "value", None) or route.__name__)
+    def test_every_route_rejects_bad_input_alike(self, route):
+        call = (functools.partial(radial_kernel, rep=route)
+                if isinstance(route, Representation) else route)
+        for d in (1, 3.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+                call(d, 1.0)
+        for theta in (0.0, 1e-13, math.pi, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"polar angle \S+ outside"):
+                call(3, theta)
+
     def test_pole_adjacent_overflow_saturates(self):
         # far past double range the cot/inverse-sine powers saturate with the
         # warning flag instead of raising
@@ -391,6 +406,16 @@ class TestFundamentalSolution:
         want = float(exact)
         got = normalization_constant(d)
         assert (got == want) if math.isinf(want) else abs(got - want) <= 1e-14 * want
+
+    def test_scale_of_either_parity_against_mpmath(self):
+        # one (d-2)!! formula serves even and odd d
+        from mpmath import mp, mpf
+
+        with mp.workdps(40):
+            for d in range(1, 401):
+                m, e = solution_scale(d, 1.0)
+                exact = mp.gamma(mpf(d) / 2) / (2 * mp.pi ** (mpf(d) / 2))
+                assert abs(mp.ldexp(mpf(m), e) / exact - 1) <= 4 * sys.float_info.epsilon, d
 
     def test_scale_is_the_kernel_factor(self):
         assert math.ldexp(*solution_scale(4, 2.0)) == normalization_constant(4) / 4.0

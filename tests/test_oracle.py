@@ -5,7 +5,7 @@ import pytest
 from sphgreen import oracle
 from sphgreen.geometry import HyperPoint
 from sphgreen.harmonics import QuantumNumbers, RadialSolutionKind
-from sphgreen.kernel import fundamental_solution
+from sphgreen.kernel import KernelValue, Representation, fundamental_solution, radial_kernel
 from sphgreen.oracle import (
     CheckReport,
     check_cross_representation,
@@ -111,12 +111,21 @@ class TestLaplaceAnnihilation:
         report = check_laplace_annihilation(d, radius, theta)
         assert report.passed, report.line()
 
+    @pytest.mark.parametrize("d", [500, 1000, 3000, 10000])
+    def test_holds_where_the_solution_leaves_double_range(self, d):
+        # S itself is inf or 0.0 here; the check samples S 2^-E, E the exponent of S(theta)
+        for theta in (0.5, 1.0, 2.0):
+            report = check_laplace_annihilation(d, 1.0, theta)
+            assert report.passed, report.line()
+
     @pytest.mark.parametrize("wrong", [
-        lambda d, radius, theta: fundamental_solution(d, radius, theta) * (1.0 + 1e-5 * theta**2),
-        lambda d, radius, theta: math.cos(theta),
+        lambda d, theta: radial_kernel(d, theta)._replace(
+            kernel=radial_kernel(d, theta).kernel * (1.0 + 1e-5 * theta**2)),
+        lambda d, theta: KernelValue(math.cos(theta), 0.0, Representation.FINITE_SUM, (1.0, 0)),
     ], ids=["perturbed-solution", "cosine"])
     def test_fails_on_a_function_the_operator_does_not_annihilate(self, monkeypatch, wrong):
-        monkeypatch.setattr(oracle, "fundamental_solution", wrong)
+        # the check samples radial_kernel(d, t).scaled(...); make that kernel a wrong one
+        monkeypatch.setattr(oracle, "radial_kernel", wrong)
         assert not all(check_laplace_annihilation(*point).passed for point in self.GRID)
 
 
@@ -358,9 +367,8 @@ class TestGeometryChecks:
 
         theta, _, s = _polar_rule(400)
         c = np.cos(theta)
-        log_cot = np.arcsinh(c / s)
         for d in range(2, 61):
-            got = _finite_sum_kernel(d, c, s, log_cot if d % 2 == 0 else None)
+            got = _finite_sum_kernel(d, c, s, asinh=np.arcsinh)
             want = np.array([i_d_finite_sum(d, t).kernel for t in theta.tolist()])
             assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want))), d
 
@@ -403,3 +411,12 @@ class TestGeometryChecks:
             assert got == 0.0
         else:
             assert abs(got - want) <= 4.0 * math.ulp(want), (got, want)
+
+    def test_hypersphere_volume_rejects_bad_inputs(self):
+        # the same rules as box_volume: an integer d >= 2, a positive finite radius
+        for d in (-1, 0, 1, 3.0, math.nan):
+            with pytest.raises(ValueError, match=f"dimension must be an integer >= 2, got {d}"):
+                hypersphere_volume(d, 1.0)
+        for d, radius in ((3, -1.0), (2, -1.0), (2, 0.0), (2, math.nan), (2, math.inf)):
+            with pytest.raises(ValueError, match="radius must be"):
+                hypersphere_volume(d, radius)
