@@ -118,7 +118,8 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
 
     Summation stops once three consecutive terms fall below ``TOLERANCE``
     relative to the running sum; hitting ``MAX_TERMS`` first raises
-    NonConvergenceError (expected as z -> 1 with c - a - b <= 0).
+    NonConvergenceError (expected as z -> 1 with c - a - b <= 0).  A NaN or
+    infinite a, b or c raises a ValueError that names it.
     """
     return _gauss_2f1_sums(a, b, c, z)[0]
 
@@ -126,26 +127,34 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
 def _gauss_2f1_sums(a: float, b: float, c: float, z: float) -> tuple[float, float, int]:
     """The series of ``gauss_2f1``: its sum, the sum of the terms' magnitudes
     and the number of terms summed."""
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise ValueError(f"2F1 parameters must be finite, got a={a}, b={b}, c={c}")
     if c <= 0.0 and _is_integer(c):
         raise GammaPoleError(f"2F1 undefined for nonpositive integer c={c}")
     if not abs(z) < 1.0:
         raise ValueError(f"series requires |z| < 1, got z={z}")
     # tol * max(|total|, 1e-300) == max(tol * |total|, floor) exactly, because
     # multiplying by tol > 0 preserves order after rounding; this form makes
-    # no builtin call per term
+    # no builtin call per term.  The index n is a float, so every operation is
+    # float-float, with the bits of an int n: float(n) is exact below 2^53 and
+    # a + n rounds once.  A running counter (an += 1.0) would round at every
+    # step and drift from a + n.
     tol, max_terms = TOLERANCE, MAX_TERMS
     floor = tol * 1e-300
     total = magnitude = term = 1.0
     below = 0
-    for n in range(max_terms):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+    n = 0.0
+    for count in range(2, max_terms + 2):
+        n1 = n + 1.0
+        term *= (a + n) * (b + n) / ((c + n) * n1) * z
+        n = n1
         total += term
         mag = term if term >= 0.0 else -term
         magnitude += mag
         if mag <= tol * (total if total >= 0.0 else -total) or mag <= floor:
             below += 1
             if below == 3:
-                return total, magnitude, n + 2
+                return total, magnitude, count
         else:
             below = 0
     raise NonConvergenceError(

@@ -60,6 +60,35 @@ def reference_gauss_2f1(a, b, c, z):
     raise NonConvergenceError("reference loop did not converge", total, specfun.MAX_TERMS)
 
 
+def reference_gauss_2f1_sums(a, b, c, z):
+    """The int-index loop ``_gauss_2f1_sums`` used to run, frozen as the bit
+    reference for its whole triple (sum, sum of magnitudes, term count).
+
+    It reads the same module constants as ``_gauss_2f1_sums``, so a test that
+    patches them changes both loops.
+    """
+    if c <= 0.0 and c == round(c):
+        raise GammaPoleError(f"2F1 undefined for nonpositive integer c={c}")
+    if not abs(z) < 1.0:
+        raise ValueError(f"series requires |z| < 1, got z={z}")
+    tol, max_terms = specfun.TOLERANCE, specfun.MAX_TERMS
+    floor = tol * 1e-300
+    total = magnitude = term = 1.0
+    below = 0
+    for n in range(max_terms):
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+        total += term
+        mag = term if term >= 0.0 else -term
+        magnitude += mag
+        if mag <= tol * (total if total >= 0.0 else -total) or mag <= floor:
+            below += 1
+            if below == 3:
+                return total, magnitude, n + 2
+        else:
+            below = 0
+    raise NonConvergenceError("reference loop did not converge", total, max_terms)
+
+
 def outcome(fn, *args):
     """repr of the value, or of the error with its partial sum and term count.
 
@@ -202,6 +231,18 @@ class TestGauss2F1:
         with pytest.raises(NonConvergenceError):
             gauss_2f1(0.5, d / 2.0, 1.5, math.cos(0.013) ** 2)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(3))
+    @pytest.mark.parametrize("f", [gauss_2f1, specfun._gauss_2f1_sums])
+    def test_non_finite_parameter_rejected_by_name(self, f, slot, value):
+        # NaN used to sum MAX_TERMS terms, -inf in c to raise OverflowError and
+        # +inf in a to return inf
+        args = [0.5, 1.0, 1.5]
+        args[slot] = value
+        with pytest.raises(ValueError, match="2F1 parameters must be finite") as info:
+            f(*args, 0.5)
+        assert not isinstance(info.value, GammaPoleError)
+
     def test_euler_transformation(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
@@ -329,6 +370,21 @@ class TestGauss2F1BitIdentity:
             assert outcome(gauss_2f1, a, b, c, z) == outcome(reference_gauss_2f1, a, b, c, z)
 
     @BIT_SETTINGS
+    @given(a=PARAMETER, b=PARAMETER, c=PARAMETER,
+           z=st.floats(-1.0, 1.0, allow_nan=False),
+           max_terms=st.integers(1, 3000),
+           rel_tol=st.sampled_from([1e-15, 1e-12, 1e-8, 1e-3, 0.5]))
+    # a running counter (a + n as a += 1.0) first rounds differently at n = 143
+    @example(a=-14.4649949824222, b=20.0, c=1.5, z=0.95, max_terms=3000, rel_tol=1e-15)
+    @example(a=0.5, b=5.0, c=1.5, z=0.999, max_terms=60, rel_tol=1e-15)
+    @example(a=1e300, b=1e300, c=1.0, z=0.5, max_terms=10, rel_tol=1e-15)
+    def test_sums_random_parameters(self, a, b, c, z, max_terms, rel_tol):
+        # the sum of magnitudes and the term count feed hyp2f1_euler's bound
+        with mock.patch.multiple(specfun, TOLERANCE=rel_tol, MAX_TERMS=max_terms):
+            assert (outcome(specfun._gauss_2f1_sums, a, b, c, z)
+                    == outcome(reference_gauss_2f1_sums, a, b, c, z))
+
+    @BIT_SETTINGS
     @given(d=st.integers(2, 60), z=st.floats(0.0, 0.98, allow_nan=False))
     @example(d=60, z=0.98)
     @example(d=2, z=0.98)
@@ -337,6 +393,8 @@ class TestGauss2F1BitIdentity:
         # the direct and Euler-transformed series of the hypergeometric routes
         for args in ((0.5, d / 2.0, 1.5, z), (1.0, (3.0 - d) / 2.0, 1.5, z)):
             assert outcome(gauss_2f1, *args) == outcome(reference_gauss_2f1, *args)
+            assert (outcome(specfun._gauss_2f1_sums, *args)
+                    == outcome(reference_gauss_2f1_sums, *args))
 
 
 def reference_ferrers(pd, second_kind):
