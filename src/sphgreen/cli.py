@@ -26,6 +26,7 @@ from .kernel import (
     _check_radius,
     _check_theta,
     _deviation,
+    _every_route,
     _kernel_rows,
     radial_kernel,
     solution_scale,
@@ -74,14 +75,13 @@ def cmd_eval(args) -> int:
         print(fmt(value))
         return EXIT_OK
     values = {}
-    for rep in Representation:
-        try:
-            value, err = radial_kernel(args.d, args.theta, rep).scaled(scale)
-        except _REFUSALS as exc:
+    for rep, result in _every_route(args.d, args.theta):
+        if isinstance(result, Exception):
             # one route refusing must not take down the others
-            reason = "series-window" if isinstance(exc, SeriesWindowError) else "no-convergence"
+            reason = "series-window" if isinstance(result, SeriesWindowError) else "no-convergence"
             print(f"{rep.value} skipped {reason}")
             continue
+        value, err = result.scaled(scale)
         values[rep] = value
         print(f"{rep.value} {fmt(value)} {fmt(err)}")
     deviation = max((_deviation(a, b, max(1.0, abs(a), abs(b)))

@@ -7,10 +7,13 @@ which is the direct hypergeometric series where cos^2 theta <= 1/2 and the
 finite sum elsewhere), plus the normalized fundamental solution on the
 sphere and the Euclidean reference solution.
 
-Every route computes the bounded kernel K_d = sin^{d-2}(theta) I_d(theta).
-``_scaled`` multiplies it by the unbounded factors c0(d), R^{2-d} and
-sin^{2-d}(theta), kept as (mantissa, exponent) pairs, and rounds once, so a
-value is +-inf or 0.0 only where the exact one lies outside double range.
+Every route computes the bounded kernel K_d = sin^{d-2}(theta) I_d(theta),
+with an error bound, from cos theta and sin theta: one core per route in
+``_ROUTES``, which ``radial_kernel`` runs for one route and ``_every_route``
+for all of them at once.  ``_scaled`` multiplies it by the unbounded factors
+c0(d), R^{2-d} and sin^{2-d}(theta), kept as (mantissa, exponent) pairs, and
+rounds once, so a value is +-inf or 0.0 only where the exact one lies outside
+double range.
 """
 
 from __future__ import annotations
@@ -176,14 +179,14 @@ class KernelValue(namedtuple("KernelValue", "kernel kernel_error method sine_pow
         return math.isinf(self.value)
 
 
-def _kernel_value(method: Representation, d: int, sine: float, kernel: float,
-                  error: float) -> KernelValue:
+def _kernel_value(method: Representation, d: int, sine_power: tuple[float, int],
+                  kernel: float, error: float) -> KernelValue:
     """The one constructor of KernelValue; refuses a K that is not finite."""
     if not math.isfinite(kernel):
         raise NonConvergenceError(
             f"{method.value} route: the kernel sin^(d-2) I_d is {kernel} at d={d}",
             kernel, 0)
-    return KernelValue(kernel, error, method, _power(sine, 2 - d))
+    return KernelValue(kernel, error, method, sine_power)
 
 
 def _check_integer(x: int, name: str, minimum: int) -> None:
@@ -241,7 +244,10 @@ def i_d_quadrature(d: int, theta: float) -> KernelValue:
     The error adds (d-2) (1 + |u0|) eps |K| to the integration estimate: the
     rounding of u0 and of sin(theta), both raised to the power d - 2.
     """
-    c, s = _cos_sin(d, theta)
+    return radial_kernel(d, theta, Representation.QUADRATURE)
+
+
+def _quadrature(d: int, c: float, s: float) -> tuple[float, float]:
     u0 = abs(math.asinh(c / s))
     points = [u0]
     step = 1.0
@@ -256,7 +262,7 @@ def i_d_quadrature(d: int, theta: float) -> KernelValue:
         value += piece
         estimate += err
     estimate += (d - 2) * (1.0 + u0) * sys.float_info.epsilon * value
-    return _kernel_value(Representation.QUADRATURE, d, s, math.copysign(value, c), estimate)
+    return math.copysign(value, c), estimate
 
 
 @functools.lru_cache(maxsize=256)
@@ -290,7 +296,7 @@ def i_d_finite_sum(d: int, theta: float) -> KernelValue:
     products of the two double-factorial ratios are the coefficients of
     ``_finite_sum_table``.
     """
-    return _finite_sum_value(Representation.FINITE_SUM, d, *_cos_sin(d, theta))
+    return radial_kernel(d, theta, Representation.FINITE_SUM)
 
 
 def _finite_sum_kernel(d, c, s, table=None, asinh=math.asinh):
@@ -308,10 +314,9 @@ def _finite_sum_kernel(d, c, s, table=None, asinh=math.asinh):
     return c * acc + (table[0] if table else 1.0) * asinh(c / s) * s ** (d - 2)
 
 
-def _finite_sum_value(method: Representation, d: int, c: float, s: float) -> KernelValue:
-    """The finite sum at c = cos theta, s = sin theta, for ``finite_sum`` and ``ferrers``."""
+def _finite_sum(d: int, c: float, s: float) -> tuple[float, float]:
     kernel = _finite_sum_kernel(d, c, s)
-    return _kernel_value(method, d, s, kernel, _rounding_bound(d, kernel))
+    return kernel, _rounding_bound(d, kernel)
 
 
 def i_d_recurrence(d: int, theta: float) -> KernelValue:
@@ -322,51 +327,55 @@ def i_d_recurrence(d: int, theta: float) -> KernelValue:
     terms share the sign of cos(theta), so the climb is cancellation-free and
     its error is within ``_rounding_bound``.
     """
-    c, s = _cos_sin(d, theta)
+    return radial_kernel(d, theta, Representation.RECURRENCE)
+
+
+def _recurrence(d: int, c: float, s: float) -> tuple[float, float]:
     s2 = s * s
     kernel, start = (c, 2) if d % 2 else (math.asinh(c / s), 1)
     for m in range(start + 2, d, 2):
         kernel = c / (m - 1) + (m - 2) / (m - 1) * s2 * kernel
-    return _kernel_value(Representation.RECURRENCE, d, s, kernel, _rounding_bound(d, kernel))
+    return kernel, _rounding_bound(d, kernel)
 
 
 def i_d_hyp2f1(d: int, theta: float, euler: bool = False) -> KernelValue:
     """Hypergeometric series route, valid while cos^2(theta) <= 0.98.
 
-    Direct form: K_d = sin^{d-2} cos 2F1(1/2, d/2; 3/2; cos^2 theta), with the
-    error bound of ``_gauss_series``.  With ``euler`` the transformed series
+    Direct form: K_d = sin^{d-2} cos 2F1(1/2, d/2; 3/2; cos^2 theta).  The
+    error bound adds (d-2) eps |K| to the series tolerance: sin^{d-2} comes
+    from the rounded sin theta and 2F1 from the rounded cos^2 theta, and the
+    power d - 2 amplifies both roundings.  With ``euler`` the transformed series
     K_d = cos 2F1(1, (3-d)/2; 3/2; cos^2 theta), whose terms t_n alternate and
     cancel for large d, reports |cos| sum |t_n| (TOLERANCE + 2 n eps) over its
     n terms and is refused where that exceeds 1e-9 |K| (``check xrep``'s tolerance).
     """
-    c, s = _cos_sin(d, theta)
+    return radial_kernel(d, theta, Representation.HYP2F1_EULER if euler else Representation.HYP2F1)
+
+
+def _series_argument(c: float) -> float:
+    """z = cos^2 theta of the series routes, refused outside ``SERIES_WINDOW``."""
     z = c * c
     if z > SERIES_WINDOW:
         raise SeriesWindowError(
             f"cos^2(theta) = {z:.6f} > {SERIES_WINDOW}: use finite_sum, "
             "recurrence or quadrature here")
-    if euler:
-        total, magnitude, terms = _gauss_2f1_sums(1.0, (3.0 - d) / 2.0, 1.5, z)
-        kernel = c * total
-        error = abs(c) * magnitude * (TOLERANCE + 2 * terms * sys.float_info.epsilon)
-        if not error <= 1e-9 * abs(kernel):
-            raise SeriesWindowError(
-                f"hyp2f1_euler: error bound {error:.3g} > 1e-9 |K| for K = {kernel:.6g} "
-                "(the series cancels): use finite_sum, recurrence or quadrature here")
-        return _kernel_value(Representation.HYP2F1_EULER, d, s, kernel, error)
-    return _kernel_value(Representation.HYP2F1, d, s, *_gauss_series(d, c, s))
+    return z
 
 
-def _gauss_series(d: int, c: float, s: float) -> tuple[float, float]:
-    """K_d = sin^{d-2} cos 2F1(1/2, d/2; 3/2; cos^2) for c = cos, s = sin theta,
-    and its error bound.
-
-    The bound adds (d-2) eps |K| to the series tolerance: sin^{d-2} comes
-    from the rounded sin theta and 2F1 from the rounded cos^2 theta, and the
-    power d - 2 amplifies both roundings.
-    """
-    kernel = _scaled(c * gauss_2f1(0.5, d / 2.0, 1.5, c * c), _power(s, d - 2))
+def _hyp2f1(d: int, c: float, s: float) -> tuple[float, float]:
+    kernel = _scaled(c * gauss_2f1(0.5, d / 2.0, 1.5, _series_argument(c)), _power(s, d - 2))
     return kernel, abs(kernel) * (TOLERANCE + (d - 2) * sys.float_info.epsilon)
+
+
+def _hyp2f1_euler(d: int, c: float, s: float) -> tuple[float, float]:
+    total, magnitude, terms = _gauss_2f1_sums(1.0, (3.0 - d) / 2.0, 1.5, _series_argument(c))
+    kernel = c * total
+    error = abs(c) * magnitude * (TOLERANCE + 2 * terms * sys.float_info.epsilon)
+    if not error <= 1e-9 * abs(kernel):
+        raise SeriesWindowError(
+            f"hyp2f1_euler: error bound {error:.3g} > 1e-9 |K| for K = {kernel:.6g} "
+            "(the series cancels): use finite_sum, recurrence or quadrature here")
+    return kernel, error
 
 
 def i_d_ferrers(d: int, theta: float) -> KernelValue:
@@ -381,28 +390,57 @@ def i_d_ferrers(d: int, theta: float) -> KernelValue:
     equal to ``i_d_finite_sum`` bit for bit; elsewhere it is the Gauss series
     that the ``hyp2f1`` route sums, with the same error bound.
     """
-    x, s = _cos_sin(d, theta)
-    if x * x > _FERRERS_SWITCH:
-        return _finite_sum_value(Representation.FERRERS_Q, d, x, s)
-    return _kernel_value(Representation.FERRERS_Q, d, s, *_gauss_series(d, x, s))
+    return radial_kernel(d, theta, Representation.FERRERS_Q)
+
+
+def _ferrers_source(c: float) -> Representation:
+    """The route whose (kernel, error) the Ferrers route is at c = cos theta."""
+    return Representation.FINITE_SUM if c * c > _FERRERS_SWITCH else Representation.HYP2F1
+
+
+def _ferrers(d: int, c: float, s: float) -> tuple[float, float]:
+    return _ROUTES[_ferrers_source(c)](d, c, s)
+
+
+# each route's core: (d, cos theta, sin theta) -> (K_d, its error bound), or a refusal
+_ROUTES = {
+    Representation.QUADRATURE: _quadrature,
+    Representation.FINITE_SUM: _finite_sum,
+    Representation.RECURRENCE: _recurrence,
+    Representation.HYP2F1: _hyp2f1,
+    Representation.HYP2F1_EULER: _hyp2f1_euler,
+    Representation.FERRERS_Q: _ferrers,
+}
 
 
 def radial_kernel(d: int, theta: float,
                   rep: Representation = Representation.FINITE_SUM) -> KernelValue:
     """Evaluate I_d(theta) through the requested representation."""
-    if rep is Representation.QUADRATURE:
-        return i_d_quadrature(d, theta)
-    if rep is Representation.FINITE_SUM:
-        return i_d_finite_sum(d, theta)
-    if rep is Representation.RECURRENCE:
-        return i_d_recurrence(d, theta)
-    if rep is Representation.HYP2F1:
-        return i_d_hyp2f1(d, theta, euler=False)
-    if rep is Representation.HYP2F1_EULER:
-        return i_d_hyp2f1(d, theta, euler=True)
-    if rep is Representation.FERRERS_Q:
-        return i_d_ferrers(d, theta)
-    raise ValueError(f"unknown representation {rep!r}")
+    if not isinstance(rep, Representation):
+        raise ValueError(f"unknown representation {rep!r}")
+    c, s = _cos_sin(d, theta)
+    return _kernel_value(rep, d, _power(s, 2 - d), *_ROUTES[rep](d, c, s))
+
+
+def _every_route(d: int, theta: float) -> list:
+    """[(rep, ``radial_kernel(d, theta, rep)`` or the refusal it raises)] for every rep,
+    in ``Representation`` order, with the same bits and messages.  The angle is checked
+    and its cosine, sine and sin^(2-d) computed once, and the Ferrers route takes the
+    (kernel, error) of the route it equals, which has run before it, instead of summing
+    it again.
+    """
+    c, s = _cos_sin(d, theta)
+    power = _power(s, 2 - d)
+    pairs, routes = {}, []
+    for rep, route in _ROUTES.items():
+        try:
+            # where the route it equals refused, the Ferrers route runs and refuses alike
+            pair = pairs.get(_ferrers_source(c)) if route is _ferrers else None
+            pair = pairs[rep] = pair or route(d, c, s)
+            routes.append((rep, _kernel_value(rep, d, power, *pair)))
+        except _REFUSALS as refusal:
+            routes.append((rep, refusal))
+    return routes
 
 
 def _kernel_rows(d: int, thetas, rep: Representation, scale: tuple[float, int]):

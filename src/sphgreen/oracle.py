@@ -28,18 +28,16 @@ from .geometry import HyperPoint, _embed_rows, geodesic_distance
 from .harmonics import (DegenerateBranchError, QuantumNumbers, RadialSolutionKind,
                         convergence_order, ode_convergence_order)
 from .kernel import (
-    _REFUSALS,
-    Representation,
     _check_dimension,
     _check_radius,
     _deviation,
+    _every_route,
     _finite_sum_kernel,
     _pair_product,
     _power,
     _scaled,
     euclidean_fundamental,
     fundamental_solution,
-    i_d_quadrature,
     radial_kernel,
     solution_scale,
 )
@@ -261,8 +259,9 @@ def check_cross_representation(d: int) -> CheckReport:
     """Every other kernel route against the quadrature oracle at 50 angles
     evenly spaced over [0.05, pi - 0.05].
 
-    Each route is evaluated through ``radial_kernel`` and skipped only at the
-    angles it refuses (``kernel._REFUSALS``), as ``eval --method all`` does.
+    Every route is evaluated once per angle through ``kernel._every_route``, as
+    ``eval --method all`` does, and skipped only at the angles it refuses
+    (``kernel._REFUSALS``); a refused quadrature reference is raised.
     For odd d the cotangent variant of the closed form is compared too, as
     ``finite_sum_cot``, where it stays in double range.  Measured value is
     the worst relative deviation (``kernel._deviation``).
@@ -274,15 +273,13 @@ def check_cross_representation(d: int) -> CheckReport:
     worst_at = ""
     routes = 0
     for theta in thetas:
-        reference = i_d_quadrature(d, theta).value
+        (_, quadrature), *others = _every_route(d, theta)
+        if isinstance(quadrature, Exception):
+            raise quadrature
+        reference = quadrature.value
         denom = max(abs(reference), 1e-300)
-        candidates = {}
-        for rep in Representation:
-            if rep is not Representation.QUADRATURE:
-                try:
-                    candidates[rep.value] = radial_kernel(d, theta, rep).value
-                except _REFUSALS:
-                    pass
+        candidates = {rep.value: result.value for rep, result in others
+                      if not isinstance(result, Exception)}
         if d % 2:
             try:
                 candidates["finite_sum_cot"] = _finite_sum_cot(d, theta)

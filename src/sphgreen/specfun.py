@@ -144,19 +144,35 @@ def _gauss_2f1_sums(a: float, b: float, c: float, z: float) -> tuple[float, floa
     total = magnitude = term = 1.0
     below = 0
     n = 0.0
-    for count in range(2, max_terms + 2):
-        n1 = n + 1.0
-        term *= (a + n) * (b + n) / ((c + n) * n1) * z
-        n = n1
-        total += term
-        mag = term if term >= 0.0 else -term
-        magnitude += mag
-        if mag <= tol * (total if total >= 0.0 else -total) or mag <= floor:
-            below += 1
-            if below == 3:
-                return total, magnitude, count
-        else:
-            below = 0
+    if a > 0.0 and b > 0.0 and c > 0.0 and z >= 0.0:
+        # every term is >= 0 (z = -0.0 gives -0.0 terms, which add nothing), so
+        # the sum of magnitudes is the sum bit for bit, and the total stays
+        # >= 1, where tol * total >= tol > floor: the same stop rule, less work
+        for count in range(2, max_terms + 2):
+            n1 = n + 1.0
+            term *= (a + n) * (b + n) / ((c + n) * n1) * z
+            n = n1
+            total += term
+            if term <= tol * total:
+                below += 1
+                if below == 3:
+                    return total, total, count
+            else:
+                below = 0
+    else:
+        for count in range(2, max_terms + 2):
+            n1 = n + 1.0
+            term *= (a + n) * (b + n) / ((c + n) * n1) * z
+            n = n1
+            total += term
+            mag = term if term >= 0.0 else -term
+            magnitude += mag
+            if mag <= tol * (total if total >= 0.0 else -total) or mag <= floor:
+                below += 1
+                if below == 3:
+                    return total, magnitude, count
+            else:
+                below = 0
     raise NonConvergenceError(
         f"2F1({a},{b};{c};{z}) did not converge in {max_terms} terms",
         total, max_terms)

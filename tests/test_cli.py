@@ -147,18 +147,16 @@ class TestEval:
         # which must not read as agreement, while equal infinities agree.
         # Every route now gets the sign right, so the recurrence's is flipped
         # at theta = 0.3 to make a disagreeing pair
-        from sphgreen import cli
+        from sphgreen import kernel
         from sphgreen.kernel import Representation
 
-        kernel = cli.radial_kernel
+        recurrence = kernel._ROUTES[Representation.RECURRENCE]
 
-        def flipped(d, theta, rep):
-            kv = kernel(d, theta, rep)
-            if rep is Representation.RECURRENCE and theta == 0.3:
-                return kv._replace(kernel=-kv.kernel)
-            return kv
+        def flipped(d, c, s):
+            k, err = recurrence(d, c, s)
+            return (-k, err) if c == math.cos(0.3) else (k, err)
 
-        monkeypatch.setattr(cli, "radial_kernel", flipped)
+        monkeypatch.setitem(kernel._ROUTES, Representation.RECURRENCE, flipped)
         for theta, want in (("0.3", "inf"), ("1e-11", "0.0")):
             argv = ("eval", "--d", "340", "--theta", theta, "--method", "all")
             code, out, _ = run(capsys, *argv)
@@ -168,6 +166,23 @@ class TestEval:
             assert all(math.isinf(v) for v in values)
             assert len(values) == (2 if want == "inf" else 1)
             assert lines[-1] == f"max_pairwise_relative_deviation {want}"
+
+    @pytest.mark.parametrize("d", ["2", "3", "10", "60", "340"])
+    @pytest.mark.parametrize("theta", ["1e-11", "0.1", "0.5", "1.0", "2.9"])
+    def test_all_prints_what_each_route_prints(self, capsys, d, theta):
+        # every route is evaluated once per angle for --method all; a skipped
+        # route is one that exits 3 on its own
+        code, out, err = run(capsys, "eval", "--d", d, "--theta", theta, "--method", "all")
+        assert code == 0 and err == ""
+        lines = out.splitlines()[:-1]
+        assert [line.split()[0] for line in lines] == list(METHOD_ORDER)
+        for line in lines:
+            name, value = line.split()[:2]
+            alone = run(capsys, "eval", "--d", d, "--theta", theta, "--method", name)
+            if value == "skipped":
+                assert alone[:2] == (3, "")
+            else:
+                assert alone == (0, value + "\n", "")
 
     def test_overflowing_series_is_skipped(self, capsys):
         # 2F1(1/2, 200; 3/2; cos^2 0.15) overflows although S = 6.8e200
@@ -182,22 +197,17 @@ class TestEval:
                                        "ToleranceNotMetError"])
     def test_every_refusal_is_handled_alike(self, capsys, monkeypatch, error):
         # eval --method all skips the route, table prints nan, a single route exits 3
-        import sphgreen.cli as cli
         from sphgreen import kernel, quadrature, specfun
 
         exc = {"SeriesWindowError": kernel.SeriesWindowError("refused"),
                "NonConvergenceError": specfun.NonConvergenceError("refused", 0.0, 1),
                "ToleranceNotMetError": quadrature.ToleranceNotMetError("refused", 0.0, 1.0)}[error]
-        real = cli.radial_kernel
 
-        def route(d, theta, rep):
-            if rep is kernel.Representation.RECURRENCE:
-                raise exc
-            return real(d, theta, rep)
+        def route(d, c, s):
+            raise exc
 
-        # eval calls the route through cli's name for it, table through kernel's
-        monkeypatch.setattr(cli, "radial_kernel", route)
-        monkeypatch.setattr(kernel, "radial_kernel", route)
+        # eval --method all, table and a single route all reach the route through its entry
+        monkeypatch.setitem(kernel._ROUTES, kernel.Representation.RECURRENCE, route)
         reason = "series-window" if error == "SeriesWindowError" else "no-convergence"
         code, out, _ = run(capsys, "eval", "--d", "5", "--theta", "1", "--method", "all")
         assert code == 0 and f"recurrence skipped {reason}" in out.splitlines()

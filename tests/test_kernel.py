@@ -5,13 +5,16 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphgreen.kernel import (
     _FERRERS_SWITCH,
+    SERIES_WINDOW,
+    THETA_EDGE,
     Representation,
     SeriesWindowError,
+    _every_route,
     euclidean_fundamental,
     fundamental_solution,
     i_d_ferrers,
@@ -25,6 +28,7 @@ from sphgreen.kernel import (
     solution_scale,
 )
 from sphgreen.oracle import _finite_sum_cot
+from sphgreen.quadrature import ToleranceNotMetError
 from sphgreen.specfun import NonConvergenceError
 
 # 20 angles away from the poles, on both sides of the equator
@@ -320,7 +324,7 @@ class TestKernelProperties:
 
     @pytest.mark.parametrize(
         "route", [*Representation, i_d_quadrature, i_d_finite_sum, i_d_recurrence, i_d_hyp2f1,
-                  i_d_ferrers],
+                  i_d_ferrers, _every_route],
         ids=lambda route: getattr(route, "value", None) or route.__name__)
     def test_every_route_rejects_bad_input_alike(self, route):
         call = (functools.partial(radial_kernel, rep=route)
@@ -331,6 +335,50 @@ class TestKernelProperties:
         for theta in (0.0, 1e-13, math.pi, math.nan, math.inf):
             with pytest.raises(ValueError, match=r"polar angle \S+ outside"):
                 call(3, theta)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(d=st.integers(2, 400), theta=st.floats(THETA_EDGE, math.pi - THETA_EDGE))
+    # each side of the series window and of the Ferrers switch
+    @example(d=6, theta=math.acos(math.sqrt(SERIES_WINDOW)) - 1e-9)
+    @example(d=6, theta=math.acos(math.sqrt(SERIES_WINDOW)) + 1e-9)
+    @example(d=60, theta=math.pi - math.acos(math.sqrt(SERIES_WINDOW)) + 1e-9)
+    @example(d=7, theta=math.pi / 4 - 1e-9)
+    @example(d=7, theta=math.pi / 4 + 1e-9)
+    @example(d=2, theta=3 * math.pi / 4 + 1e-9)
+    @example(d=3, theta=1e-12)
+    @example(d=400, theta=0.15)  # hyp2f1 overflows
+    @example(d=200, theta=0.3)  # hyp2f1_euler refuses
+    def test_every_route_at_once_is_each_route_alone(self, d, theta):
+        def bits(outcome):
+            # repr tells -0.0 from 0.0 and shows every bit of a double
+            if isinstance(outcome, Exception):
+                return type(outcome), str(outcome)
+            return repr(tuple(outcome))
+
+        routes = _every_route(d, theta)
+        assert [rep for rep, _ in routes] == list(Representation)
+        for rep, outcome in routes:
+            try:
+                alone = radial_kernel(d, theta, rep)
+            except (SeriesWindowError, NonConvergenceError, ToleranceNotMetError) as refusal:
+                alone = refusal
+            assert bits(outcome) == bits(alone), rep
+
+    def test_ferrers_refuses_where_the_route_it_equals_refuses(self, monkeypatch):
+        # below the switch the Ferrers route is the hyp2f1 series, and refuses where it does
+        from sphgreen import kernel
+
+        refusal = NonConvergenceError("refused", 0.0, 1)
+
+        def refuse(d, c, s):
+            raise refusal
+
+        monkeypatch.setitem(kernel._ROUTES, Representation.HYP2F1, refuse)
+        routes = dict(_every_route(5, 1.0))
+        assert routes[Representation.HYP2F1] is routes[Representation.FERRERS_Q] is refusal
+        with pytest.raises(NonConvergenceError, match="refused"):
+            radial_kernel(5, 1.0, Representation.FERRERS_Q)
+        assert isinstance(routes[Representation.FINITE_SUM], kernel.KernelValue)
 
     def test_pole_adjacent_overflow_saturates(self):
         # far past double range the cot/inverse-sine powers saturate with the

@@ -287,22 +287,25 @@ class TestCrossRepresentation:
     @staticmethod
     def _patch(monkeypatch, reference=None, recurrence=None, every_route=None):
         """Replace the kernel of the quadrature reference, of the recurrence
-        route or of every other route by the given value."""
+        route or of every other route by the given value.  The value replaces
+        what the route returned, because ``_kernel_value`` refuses a route's
+        own kernel that is not finite."""
         import sphgreen.oracle as oracle
-        from sphgreen.kernel import Representation, i_d_quadrature, radial_kernel
+        from sphgreen.kernel import Representation, _every_route
 
-        def route(d, theta, rep):
-            kv = radial_kernel(d, theta, rep)
+        def replacement(rep):
+            if rep is Representation.QUADRATURE:
+                return reference
             if every_route is not None:
-                return kv._replace(kernel=every_route)
-            if rep is Representation.RECURRENCE and recurrence is not None:
-                return kv._replace(kernel=recurrence)
-            return kv
+                return every_route
+            return recurrence if rep is Representation.RECURRENCE else None
 
-        monkeypatch.setattr(oracle, "radial_kernel", route)
-        if reference is not None:
-            monkeypatch.setattr(oracle, "i_d_quadrature",
-                                lambda d, theta: i_d_quadrature(d, theta)._replace(kernel=reference))
+        def routes(d, theta):
+            return [(rep, kv if replacement(rep) is None or isinstance(kv, Exception)
+                     else kv._replace(kernel=replacement(rep)))
+                    for rep, kv in _every_route(d, theta)]
+
+        monkeypatch.setattr(oracle, "_every_route", routes)
 
     def test_nan_route_fails(self, monkeypatch):
         self._patch(monkeypatch, recurrence=math.nan)

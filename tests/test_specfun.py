@@ -378,6 +378,12 @@ class TestGauss2F1BitIdentity:
     @example(a=-14.4649949824222, b=20.0, c=1.5, z=0.95, max_terms=3000, rel_tol=1e-15)
     @example(a=0.5, b=5.0, c=1.5, z=0.999, max_terms=60, rel_tol=1e-15)
     @example(a=1e300, b=1e300, c=1.0, z=0.5, max_terms=10, rel_tol=1e-15)
+    # a, b, c > 0 and z >= 0 take the loop without magnitudes; a = 0.0 does not
+    @example(a=5e-324, b=2.0, c=1.5, z=0.5, max_terms=3000, rel_tol=1e-15)
+    @example(a=0.5, b=3.0, c=1.5, z=-0.0, max_terms=3000, rel_tol=1e-15)
+    @example(a=0.5, b=3.0, c=1.5, z=0.0, max_terms=3000, rel_tol=1e-15)
+    @example(a=0.0, b=2.0, c=1.5, z=0.5, max_terms=3000, rel_tol=1e-15)
+    @example(a=1.0, b=5e-324, c=0.5, z=0.9, max_terms=3000, rel_tol=1e-15)
     def test_sums_random_parameters(self, a, b, c, z, max_terms, rel_tol):
         # the sum of magnitudes and the term count feed hyp2f1_euler's bound
         with mock.patch.multiple(specfun, TOLERANCE=rel_tol, MAX_TERMS=max_terms):
