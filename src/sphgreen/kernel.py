@@ -14,6 +14,9 @@ for all of them at once.  ``_scaled`` multiplies it by the unbounded factors
 c0(d), R^{2-d} and sin^{2-d}(theta), kept as (mantissa, exponent) pairs, and
 rounds once, so a value is +-inf or 0.0 only where the exact one lies outside
 double range.
+
+The production path (finite sum, recurrence) needs no other module: ``specfun``
+and ``quadrature`` load on the first call of a series or quadrature route.
 """
 
 from __future__ import annotations
@@ -25,13 +28,14 @@ import operator
 import sys
 from collections import namedtuple
 
-from .quadrature import ToleranceNotMetError, integrate
-from .specfun import TOLERANCE, NonConvergenceError, _gauss_2f1_sums, double_factorial, gauss_2f1
+# specfun and quadrature load on first use, through _specfun_module and _quadrature_module
 
 __all__ = [
     "Representation",
     "KernelValue",
     "SeriesWindowError",
+    "NonConvergenceError",
+    "ToleranceNotMetError",
     "THETA_EDGE",
     "SERIES_WINDOW",
     "i_d_quadrature",
@@ -40,11 +44,11 @@ __all__ = [
     "i_d_hyp2f1",
     "i_d_ferrers",
     "radial_kernel",
-    "normalization_constant",
     "fundamental_solution",
     "solution_scale",
     "euclidean_fundamental",
     "log_cot_half",
+    "double_factorial",
 ]
 
 # polar angles closer than this to 0 or pi are rejected: the kernel genuinely
@@ -71,6 +75,24 @@ class SeriesWindowError(ValueError):
     """
 
 
+class NonConvergenceError(ArithmeticError):
+    """Series truncation cap reached before the stopping rule was met."""
+
+    def __init__(self, message: str, partial_sum: float, terms: int):
+        super().__init__(message)
+        self.partial_sum = partial_sum
+        self.terms = terms
+
+
+class ToleranceNotMetError(ArithmeticError):
+    """Requested accuracy not reached; carries the best available estimate."""
+
+    def __init__(self, message: str, value: float, error_estimate: float):
+        super().__init__(message)
+        self.value = value
+        self.error_estimate = error_estimate
+
+
 # what a route raises where it refuses an angle or does not converge
 _REFUSALS = (SeriesWindowError, NonConvergenceError, ToleranceNotMetError)
 
@@ -84,6 +106,18 @@ class Representation(enum.Enum):
     HYP2F1 = "hyp2f1"
     HYP2F1_EULER = "hyp2f1_euler"
     FERRERS_Q = "ferrers"
+
+
+@functools.cache
+def _specfun_module():
+    from . import specfun
+    return specfun
+
+
+@functools.cache
+def _quadrature_module():
+    from . import quadrature
+    return quadrature
 
 
 def _int_pair(n: int) -> tuple[float, int]:
@@ -256,6 +290,7 @@ def _quadrature(d: int, c: float, s: float) -> tuple[float, float]:
         step *= 2.0
     points.append(0.0)
     integrand = lambda u: (s * math.cosh(u)) ** (d - 2)
+    integrate = _quadrature_module().integrate
     value = estimate = 0.0
     for hi, lo in zip(points, points[1:]):
         piece, err = integrate(integrand, lo, hi)
@@ -363,14 +398,16 @@ def _series_argument(c: float) -> float:
 
 
 def _hyp2f1(d: int, c: float, s: float) -> tuple[float, float]:
-    kernel = _scaled(c * gauss_2f1(0.5, d / 2.0, 1.5, _series_argument(c)), _power(s, d - 2))
-    return kernel, abs(kernel) * (TOLERANCE + (d - 2) * sys.float_info.epsilon)
+    z, specfun = _series_argument(c), _specfun_module()
+    kernel = _scaled(c * specfun.gauss_2f1(0.5, d / 2.0, 1.5, z), _power(s, d - 2))
+    return kernel, abs(kernel) * (specfun.TOLERANCE + (d - 2) * sys.float_info.epsilon)
 
 
 def _hyp2f1_euler(d: int, c: float, s: float) -> tuple[float, float]:
-    total, magnitude, terms = _gauss_2f1_sums(1.0, (3.0 - d) / 2.0, 1.5, _series_argument(c))
+    z, specfun = _series_argument(c), _specfun_module()
+    total, magnitude, terms = specfun._gauss_2f1_sums(1.0, (3.0 - d) / 2.0, 1.5, z)
     kernel = c * total
-    error = abs(c) * magnitude * (TOLERANCE + 2 * terms * sys.float_info.epsilon)
+    error = abs(c) * magnitude * (specfun.TOLERANCE + 2 * terms * sys.float_info.epsilon)
     if not error <= 1e-9 * abs(kernel):
         raise SeriesWindowError(
             f"hyp2f1_euler: error bound {error:.3g} > 1e-9 |K| for K = {kernel:.6g} "
@@ -467,10 +504,23 @@ def _kernel_rows(d: int, thetas, rep: Representation, scale: tuple[float, int]):
         yield row if math.isfinite(kernel) else (math.nan, math.nan)  # as _kernel_value refuses
 
 
-def normalization_constant(d: int) -> float:
-    """Gamma(d/2) / (2 pi^{d/2}), fixed by matching the local singularity."""
-    _check_dimension(d)
-    return _scaled(1.0, solution_scale(d, 1.0))
+def double_factorial(n: int) -> int:
+    """n!! = n(n-2)... down to 1 or 2, with (-1)!! = 0!! = 1.  The top of n's range keeps
+    n // 2 within sys.maxsize, ``math.factorial``'s limit, and is checked before any work."""
+    if not -1 <= n <= 2 * sys.maxsize + 1:
+        raise ValueError(f"double factorial requires -1 <= n <= {2 * sys.maxsize + 1}, got {n}")
+    if n % 2 == 0:
+        return math.factorial(n // 2) << (n // 2)
+    return _odd_product(1, n)
+
+
+def _odd_product(lo: int, hi: int) -> int:
+    """lo (lo + 2) ... hi for odd lo, split in halves so that big factors stay balanced
+    (one running product is quadratic in the number of factors)."""
+    if hi - lo < 128:
+        return math.prod(range(lo, hi + 1, 2))
+    mid = (lo + hi) // 4 * 2 + 1
+    return _odd_product(lo, mid) * _odd_product(mid + 2, hi)
 
 
 def solution_scale(d: int, radius: float) -> tuple[float, int]:
@@ -480,8 +530,8 @@ def solution_scale(d: int, radius: float) -> tuple[float, int]:
     pi^{floor(d/2)}) for either parity, from the exact integer (d-2)!!: Gamma(d/2)
     is (d-2)!! / 2^{d/2-1} for even d and (d-2)!! sqrt(pi) / 2^{(d-1)/2} for odd d.
     The factor is a (mantissa, exponent) pair for ``KernelValue.scaled``, so
-    it never overflows; d may be any integer >= 1.  Raises ValueError for a
-    radius that is not positive and finite.
+    it never overflows.  Raises ValueError for a radius that is not positive
+    and finite, and for d < 1 or (d - 2) // 2 > sys.maxsize (``double_factorial``).
     """
     _check_radius(radius)
     _check_integer(d, "dimension", 1)

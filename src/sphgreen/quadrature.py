@@ -20,7 +20,9 @@ import math
 import sys
 from typing import Callable
 
-__all__ = ["TOLERANCE", "MAX_SUBDIVISIONS", "ToleranceNotMetError", "integrate"]
+from .kernel import ToleranceNotMetError
+
+__all__ = ["TOLERANCE", "MAX_SUBDIVISIONS", "integrate"]
 
 TOLERANCE = 1e-11
 MAX_SUBDIVISIONS = 200
@@ -49,15 +51,6 @@ _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
 _RULE = tuple((x, wk, _WG[i // 2] if i % 2 else 0.0)
               for i, (x, wk) in enumerate(zip(_XGK[:10], _WGK)))
 _CENTER_WEIGHT = _WGK[10]
-
-
-class ToleranceNotMetError(ArithmeticError):
-    """Requested accuracy not reached; carries the best available estimate."""
-
-    def __init__(self, message: str, value: float, error_estimate: float):
-        super().__init__(message)
-        self.value = value
-        self.error_estimate = error_estimate
 
 
 def _qk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:

@@ -1,8 +1,9 @@
 """Real-argument special functions used by the hypersphere kernel.
 
-Gamma (exact on integers and half-integers), double factorial, Pochhammer,
-the Gauss 2F1 series on (-1, 1), and Ferrers functions of the first and
-second kind (associated Legendre functions on the cut).
+Gamma (exact on integers and half-integers), Pochhammer, the Gauss 2F1
+series on (-1, 1), and Ferrers functions of the first and second kind
+(associated Legendre functions on the cut).  ``double_factorial`` and
+``NonConvergenceError`` are ``kernel``'s, which the production path loads alone.
 """
 
 from __future__ import annotations
@@ -10,15 +11,15 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+from .kernel import NonConvergenceError, double_factorial
+
 __all__ = [
     "TOLERANCE",
     "MAX_TERMS",
     "FerrersOrderDegree",
     "GammaPoleError",
-    "NonConvergenceError",
     "gamma_real",
     "reciprocal_gamma",
-    "double_factorial",
     "pochhammer",
     "gauss_2f1",
     "ferrers_p",
@@ -37,35 +38,8 @@ class GammaPoleError(ValueError):
     """Gamma evaluated at a nonpositive integer."""
 
 
-class NonConvergenceError(ArithmeticError):
-    """Series truncation cap reached before the stopping rule was met."""
-
-    def __init__(self, message: str, partial_sum: float, terms: int):
-        super().__init__(message)
-        self.partial_sum = partial_sum
-        self.terms = terms
-
-
 def _is_integer(z: float) -> bool:
     return z == round(z)
-
-
-def double_factorial(n: int) -> int:
-    """n!! = n(n-2)... down to 1 or 2, with (-1)!! = 0!! = 1."""
-    if n < -1:
-        raise ValueError(f"double factorial requires n >= -1, got {n}")
-    if n % 2 == 0:
-        return math.factorial(n // 2) << (n // 2)
-    return _odd_product(1, n)
-
-
-def _odd_product(lo: int, hi: int) -> int:
-    """lo (lo + 2) ... hi for odd lo, split in halves so that big factors stay balanced
-    (one running product is quadratic in the number of factors)."""
-    if hi - lo < 128:
-        return math.prod(range(lo, hi + 1, 2))
-    mid = (lo + hi) // 4 * 2 + 1
-    return _odd_product(lo, mid) * _odd_product(mid + 2, hi)
 
 
 def pochhammer(z: float, n: int) -> float:

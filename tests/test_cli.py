@@ -20,6 +20,31 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fresh_cli(tmp_path, *argv, timeout=60):
+    """(exit code, stdout, stderr, package modules in ``sys.modules`` at exit) of
+    ``sphgreen.cli ARGV`` run as __main__ in a fresh interpreter, as ``python -m``
+    runs it; sphgreen.cli itself is __main__ there, so it is not listed."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import json, runpy, sys\n"
+        f"sys.argv[1:] = {list(argv)!r}\n"
+        "try:\n"
+        "    runpy.run_module('sphgreen.cli', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    with open('modules.json', 'w') as out:\n"
+        "        json.dump(sorted(sys.modules), out)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=timeout)
+    modules = json.loads((tmp_path / "modules.json").read_text())
+    return (proc.returncode, proc.stdout, proc.stderr,
+            {name for name in modules if name.startswith("sphgreen.")})
+
+
 def assert_prints_reference(capsys, d, radius, reference, nearest):
     """`eval` at theta = 1 and a two-row `table` print the reference values."""
     code, out, err = run(capsys, "eval", "--theta", "1", "--d", d, "--radius", radius)
@@ -120,6 +145,18 @@ class TestEval:
         # c0(d) = Gamma(d/2) / (2 pi^(d/2)) needs no double of its own: d = 344
         # and 400 print finite values, d = 2000 prints inf
         assert_prints_reference(capsys, d, "1", solution_reference, nearest)
+
+    @pytest.mark.parametrize("command", ["eval", "table"])
+    @pytest.mark.parametrize("d", ["20000000000000000000", "20000000000000000001"])
+    def test_dimension_past_the_exact_double_factorial_exits_2(self, tmp_path, command, d):
+        # (d-2)!! needs (d - 2) // 2 <= sys.maxsize; an odd d past that once ran
+        # without end, so each call runs in a fresh process with a timeout
+        argv = {"eval": ("--theta", "1"),
+                "table": ("--theta-min", "0.5", "--theta-max", "1", "--n", "2")}[command]
+        code, out, err, _ = fresh_cli(tmp_path, command, "--d", d, *argv, timeout=20)
+        assert (code, out) == (2, "")
+        assert err == ("error: double factorial requires -1 <= n <= 18446744073709551615, "
+                       f"got {int(d) - 2}\n")
 
     @pytest.mark.parametrize("argv, want", [
         (("--d", "100", "--radius", "1e6", "--theta", "1e-5"), 4.3087883596284905e-63),
@@ -669,34 +706,41 @@ class TestImportHygiene:
     @staticmethod
     def loaded_by_fresh_cli(tmp_path, *argv, code=0):
         """The sphgreen modules a fresh ``python -m sphgreen.cli ARGV`` imports."""
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
+        returncode, _, stderr, modules = fresh_cli(tmp_path, *argv)
+        assert returncode == code, stderr
+        return modules
 
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "sphgreen.cli", *argv],
-                              capture_output=True, text=True, env=env, cwd=tmp_path)
-        assert proc.returncode == code, proc.stderr
-        names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                 if line.startswith("import time:")}
-        return {name for name in names if name.startswith("sphgreen.")}
-
-    @pytest.mark.parametrize("argv", [
-        ("eval", "--d", "7", "--theta", "1"),
-        ("eval", "--d", "7", "--theta", "1", "--method", "all"),
-        ("table", "--d", "4", "--theta-min", "0.1", "--theta-max", "3.0", "--n", "4"),
-    ], ids=["eval", "eval-all", "table"])
-    def test_eval_and_table_load_only_the_kernel(self, tmp_path, argv):
-        # ``-m`` runs sphgreen.cli as __main__, so it is not listed
+    @pytest.mark.parametrize("argv, oracles", [
+        (("eval", "--d", "7", "--theta", "1"), set()),
+        (("eval", "--d", "7", "--theta", "1", "--method", "all"), {"quadrature", "specfun"}),
+        (("table", "--d", "4", "--theta-min", "0.1", "--theta-max", "3.0", "--n", "4"),
+         {"quadrature", "specfun"}),
+        (("table", "--d", "4", "--theta-min", "0.1", "--theta-max", "3.0", "--n", "4",
+          "--methods", "finite_sum,recurrence"), set()),
+        (("eval", "--d", "7", "--theta", "1", "--method", "quadrature"), {"quadrature"}),
+        (("eval", "--d", "7", "--theta", "1", "--method", "hyp2f1"), {"specfun"}),
+    ], ids=["eval", "eval-all", "table", "table-production", "eval-quadrature", "eval-hyp2f1"])
+    def test_eval_and_table_load_only_the_kernel(self, tmp_path, argv, oracles):
+        # the production routes need the kernel alone; an oracle route loads its module
         assert self.loaded_by_fresh_cli(tmp_path, *argv) == {
-            "sphgreen.kernel", "sphgreen.quadrature", "sphgreen.specfun"}
+            "sphgreen.kernel", *(f"sphgreen.{name}" for name in oracles)}
 
     def test_distance_loads_geometry_but_no_oracle(self, tmp_path):
         modules = self.loaded_by_fresh_cli(tmp_path, "distance", "--d", "3", "--point-a",
                                            "0.7,1.1,0.9", "--point-b", "1.2,0.3,2.0")
-        assert "sphgreen.geometry" in modules
-        assert not modules & {"sphgreen.oracle", "sphgreen.harmonics"}
+        assert modules == {"sphgreen.kernel", "sphgreen.geometry"}
+
+    @pytest.mark.parametrize("argv, stderr, oracles", [
+        (("--d", "3", "--theta", "0.05"),
+         "error: cos^2(theta) = 0.997502 > 0.98: use finite_sum, recurrence or quadrature "
+         "here\n", set()),
+        (("--d", "400", "--theta", "0.15"),
+         "error: hyp2f1 route: the kernel sin^(d-2) I_d is inf at d=400\n", {"specfun"}),
+    ], ids=["window", "overflow"])
+    def test_hyp2f1_refusal_in_a_fresh_process(self, tmp_path, argv, stderr, oracles):
+        # the window is checked before specfun loads; the refusal classes are kernel's
+        got = fresh_cli(tmp_path, "eval", "--method", "hyp2f1", *argv)
+        assert got == (3, "", stderr, {"sphgreen.kernel", *(f"sphgreen.{m}" for m in oracles)})
 
     @pytest.mark.parametrize("suite", ["delta", "geometry", "laplace", "limit", "ode", "xrep"])
     def test_every_suite_runs_in_a_fresh_process(self, tmp_path, suite):

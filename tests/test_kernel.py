@@ -15,6 +15,7 @@ from sphgreen.kernel import (
     Representation,
     SeriesWindowError,
     _every_route,
+    _scaled,
     euclidean_fundamental,
     fundamental_solution,
     i_d_ferrers,
@@ -23,7 +24,6 @@ from sphgreen.kernel import (
     i_d_quadrature,
     i_d_recurrence,
     log_cot_half,
-    normalization_constant,
     radial_kernel,
     solution_scale,
 )
@@ -414,14 +414,16 @@ class TestFundamentalSolution:
     @given(st.integers(2, 60), st.floats(0.5, 4.0),
            st.floats(1e-6, math.pi - 1e-6))
     def test_matches_plain_product_in_range(self, d, radius, theta):
-        plain = normalization_constant(d) / radius ** (d - 2) * radial_kernel(d, theta).value
+        c0 = _scaled(1.0, solution_scale(d, 1.0))
+        plain = c0 / radius ** (d - 2) * radial_kernel(d, theta).value
         if math.isfinite(plain) and abs(plain) >= sys.float_info.min:
             got = fundamental_solution(d, radius, theta)
             assert abs(got - plain) <= 1e-14 * abs(plain)
 
     def test_normalization_constants(self):
-        assert normalization_constant(2) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
-        assert normalization_constant(3) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-15)
+        c0 = {d: _scaled(1.0, solution_scale(d, 1.0)) for d in (2, 3)}
+        assert c0[2] == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
+        assert c0[3] == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-15)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -452,7 +454,7 @@ class TestFundamentalSolution:
             pair = mp.ldexp(mpf(solution_scale(d, 1.0)[0]), solution_scale(d, 1.0)[1])
             assert abs(pair / exact - 1) <= 1e-14
         want = float(exact)
-        got = normalization_constant(d)
+        got = _scaled(1.0, solution_scale(d, 1.0))
         assert (got == want) if math.isinf(want) else abs(got - want) <= 1e-14 * want
 
     def test_scale_of_either_parity_against_mpmath(self):
@@ -466,8 +468,9 @@ class TestFundamentalSolution:
                 assert abs(mp.ldexp(mpf(m), e) / exact - 1) <= 4 * sys.float_info.epsilon, d
 
     def test_scale_is_the_kernel_factor(self):
-        assert math.ldexp(*solution_scale(4, 2.0)) == normalization_constant(4) / 4.0
-        assert math.ldexp(*solution_scale(2, 1e-300)) == normalization_constant(2)
+        c0 = {d: _scaled(1.0, solution_scale(d, 1.0)) for d in (2, 4)}
+        assert math.ldexp(*solution_scale(4, 2.0)) == c0[4] / 4.0
+        assert math.ldexp(*solution_scale(2, 1e-300)) == c0[2]
 
     def test_large_odd_scale_is_fast(self):
         # (d - 2)!! of an odd d is a product tree, not one running product

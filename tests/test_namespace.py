@@ -20,7 +20,16 @@ def test_every_public_name_is_its_modules_object():
 
 
 def test_public_names_are_unique_and_unchanged_in_number():
-    assert len(set(sphgreen.__all__)) == len(sphgreen.__all__) == 46
+    assert len(set(sphgreen.__all__)) == len(sphgreen.__all__) == 45
+
+
+def test_kernel_names_are_the_oracle_modules_names():
+    # the production path needs these without specfun or quadrature, which import them
+    from sphgreen import kernel, quadrature, specfun
+
+    assert specfun.NonConvergenceError is kernel.NonConvergenceError
+    assert specfun.double_factorial is kernel.double_factorial
+    assert quadrature.ToleranceNotMetError is kernel.ToleranceNotMetError
 
 
 def test_star_import():
