@@ -15,21 +15,18 @@ import importlib
 
 # module -> the names the package re-exports from it
 _EXPORTS = {
-    "geometry": ("HyperPoint", "embed", "embed_direction", "geodesic_distance",
-                 "separation_angle", "volume_weight"),
+    "geometry": ("HyperPoint", "embed", "geodesic_distance", "separation_angle",
+                 "volume_weight"),
     "harmonics": ("DegenerateBranchError", "QuantumNumbers", "RadialSolutionKind",
-                  "angular_eigenvalue", "degeneracy", "ode_convergence_order",
-                  "ode_residual", "radial_harmonic"),
+                  "ode_convergence_order", "radial_harmonic"),
     "kernel": ("KernelValue", "NonConvergenceError", "Representation", "SeriesWindowError",
                "ToleranceNotMetError", "double_factorial", "euclidean_fundamental",
-               "fundamental_solution", "i_d_ferrers", "i_d_finite_sum", "i_d_hyp2f1",
-               "i_d_quadrature", "i_d_recurrence", "radial_kernel", "solution_scale"),
+               "fundamental_solution", "radial_kernel", "solution_scale"),
     "oracle": ("CheckReport", "check_cross_representation", "check_delta_identity",
-               "check_distance_oracle", "check_euclidean_limit", "check_laplace_annihilation",
-               "check_volume"),
+               "check_distance_oracle", "check_laplace_annihilation", "check_volume"),
     "quadrature": ("integrate",),
     "specfun": ("FerrersOrderDegree", "GammaPoleError", "ferrers_p", "ferrers_q", "gamma_real",
-                "gauss_2f1", "pochhammer", "reciprocal_gamma"),
+                "gauss_2f1", "reciprocal_gamma"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_MODULE_OF)

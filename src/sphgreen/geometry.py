@@ -13,9 +13,9 @@ separation-angle product formula enumerates them in that same outermost-first
 order.
 
 Only the embeddings build arrays: ``_embed_rows`` embeds many points at once,
-and ``embed`` and ``embed_direction`` wrap it for one.  It imports NumPy when
-first called, so the rest of the module, ``geodesic_distance`` included, runs
-on the standard library alone.
+and ``embed`` wraps it for one.  It imports NumPy when first called, so the
+rest of the module, ``geodesic_distance`` included, runs on the standard
+library alone.
 """
 
 from __future__ import annotations
@@ -32,14 +32,12 @@ if TYPE_CHECKING:
 __all__ = [
     "HyperPoint",
     "embed",
-    "embed_direction",
     "separation_angle",
     "geodesic_distance",
     "volume_weight",
 ]
 
 _TWO_PI = 2.0 * math.pi
-_HALF_PI = 0.5 * math.pi
 
 
 def _clamped_acos(x: float) -> float:
@@ -106,12 +104,6 @@ def _embed_rows(radius, polar, direction) -> np.ndarray:
     out[:, k + 1] = sin_prod * np.sin(direction[:, 0])
     out[:, 1:] *= (radius * np.sin(polar)).reshape(n, 1)
     return out
-
-
-def embed_direction(direction: tuple[float, ...]) -> np.ndarray:
-    """Unit vector in R^d for a direction on S^{d-1} (d = len(direction) + 1)."""
-    # sin(pi/2) rounds to exactly 1, so the unit vector is left unscaled
-    return _embed_rows(1.0, _HALF_PI, [direction])[0, 1:]
 
 
 def embed(p: HyperPoint) -> np.ndarray:

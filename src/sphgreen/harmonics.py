@@ -1,9 +1,9 @@
 """Radial solutions of the separated Laplace equation on the hypersphere.
 
-The four formal radial solutions sin^{1-d/2}(theta) {P,Q}_{d/2-1}^{+/-(d/2-1+l)},
-the angular Laplacian eigenvalue and the degeneracy count for each angular
-quantum number l, and the central-difference radial operator whose
-convergence order checks these solutions and the fundamental solution.
+The four formal radial solutions sin^{1-d/2}(theta) {P,Q}_{d/2-1}^{+/-(d/2-1+l)}
+for each angular quantum number l, whose angular Laplacian eigenvalue is
+-l(l+d-2), and the central-difference radial operator whose convergence order
+checks these solutions and the fundamental solution.
 """
 
 from __future__ import annotations
@@ -21,10 +21,7 @@ __all__ = [
     "QuantumNumbers",
     "DegenerateBranchError",
     "radial_harmonic",
-    "ode_residual",
     "ode_convergence_order",
-    "angular_eigenvalue",
-    "degeneracy",
 ]
 
 
@@ -77,24 +74,6 @@ def radial_harmonic(q: QuantumNumbers, kind: RadialSolutionKind, theta: float) -
     return math.sin(theta) ** (1.0 - d / 2.0) * f(pd)
 
 
-def angular_eigenvalue(q: QuantumNumbers) -> float:
-    """Eigenvalue -l(l + d - 2) of the direction-sphere Laplacian."""
-    return -float(q.angular * (q.angular + q.dimension - 2))
-
-
-def degeneracy(q: QuantumNumbers) -> int:
-    """Number of linearly independent angular harmonics for this l and d.
-
-    (2l + d - 2)(d - 3 + l)! / (l! (d - 2)!); the circle (d = 2) is handled
-    by its continuation values 1 (l = 0) and 2 (l >= 1).
-    """
-    d, l = q.dimension, q.angular
-    if d == 2:
-        return 1 if l == 0 else 2
-    return (2 * l + d - 2) * math.factorial(d - 3 + l) // (
-        math.factorial(l) * math.factorial(d - 2))
-
-
 def _radial_residual(d: int, l: int, theta: float, h: float,
                      up: float, u0: float, um: float) -> tuple[float, float]:
     """u'' + (d-1) cot u' - l(l+d-2) u / sin^2 at theta by central differences from
@@ -127,18 +106,7 @@ def convergence_order(u, d: int, l: int, theta: float):
     return math.log2(abs(r1 / r2))
 
 
-def ode_residual(q: QuantumNumbers, kind: RadialSolutionKind, theta: float, h: float) -> float:
-    """Central-difference residual of u'' + (d-1) cot u' - l(l+d-2) u / sin^2 for
-    the branch u at step h; DegenerateBranchError where u is exactly 0.0 at theta
-    and theta +/- h."""
-    if not h > 0.0:
-        raise ValueError(f"step must be positive, got {h}")
-    if not (0.0 < theta - h and theta + h < math.pi):
-        raise ValueError(f"[theta-h, theta+h] must stay inside (0, pi), got theta={theta}, h={h}")
-    u = functools.partial(radial_harmonic, q, kind)
-    return _radial_residual(*q, theta, h, u(theta + h), u(theta), u(theta - h))[0]
-
-
 def ode_convergence_order(q: QuantumNumbers, kind: RadialSolutionKind, theta: float):
-    """``convergence_order`` of the branch: 2, or None for the constant solutions."""
+    """``convergence_order`` of the branch: 2, or None for the constant solutions;
+    DegenerateBranchError where the branch is exactly 0.0 at theta and its neighbours."""
     return convergence_order(functools.partial(radial_harmonic, q, kind), *q, theta)

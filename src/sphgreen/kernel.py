@@ -38,16 +38,10 @@ __all__ = [
     "ToleranceNotMetError",
     "THETA_EDGE",
     "SERIES_WINDOW",
-    "i_d_quadrature",
-    "i_d_finite_sum",
-    "i_d_recurrence",
-    "i_d_hyp2f1",
-    "i_d_ferrers",
     "radial_kernel",
     "fundamental_solution",
     "solution_scale",
     "euclidean_fundamental",
-    "log_cot_half",
     "double_factorial",
 ]
 
@@ -190,8 +184,8 @@ class KernelValue(namedtuple("KernelValue", "kernel kernel_error method sine_pow
 
     ``kernel`` and ``kernel_error`` are floats, ``method`` the Representation
     and ``sine_power`` sin^{2-d}(theta) as a (mantissa, exponent) pair.
-    ``value`` and ``est_error`` are I_d and its error bound; ``overflowed``
-    says that I_d lies outside double range (``value`` is +-inf).
+    ``value`` and ``est_error`` are I_d and its error bound; ``value`` is +-inf
+    where I_d lies outside double range.
     """
 
     __slots__ = ()
@@ -207,10 +201,6 @@ class KernelValue(namedtuple("KernelValue", "kernel kernel_error method sine_pow
     @property
     def est_error(self) -> float:
         return _scaled(self.kernel_error, self.sine_power)
-
-    @property
-    def overflowed(self) -> bool:
-        return math.isinf(self.value)
 
 
 def _kernel_value(method: Representation, d: int, sine_power: tuple[float, int],
@@ -258,16 +248,7 @@ def _cos_sin(d: int, theta: float) -> tuple[float, float]:
     return math.cos(theta), math.sin(theta)
 
 
-def log_cot_half(theta: float) -> float:
-    """log cot(theta/2), the d = 2 kernel.
-
-    Evaluated as asinh(cot theta), which keeps full relative accuracy both
-    near the poles and near pi/2, where -log tan(theta/2) cancels.
-    """
-    return math.asinh(math.cos(theta) / math.sin(theta))
-
-
-def i_d_quadrature(d: int, theta: float) -> KernelValue:
+def _quadrature(d: int, c: float, s: float) -> tuple[float, float]:
     """Adaptive quadrature of the defining integral; the verification route.
 
     With u = asinh(cot x), dx / sin x = -du and sin x = sech u, so
@@ -278,10 +259,6 @@ def i_d_quadrature(d: int, theta: float) -> KernelValue:
     The error adds (d-2) (1 + |u0|) eps |K| to the integration estimate: the
     rounding of u0 and of sin(theta), both raised to the power d - 2.
     """
-    return radial_kernel(d, theta, Representation.QUADRATURE)
-
-
-def _quadrature(d: int, c: float, s: float) -> tuple[float, float]:
     u0 = abs(math.asinh(c / s))
     points = [u0]
     step = 1.0
@@ -321,23 +298,12 @@ def _rounding_bound(d: int, kernel: float) -> float:
     return 2.0 * d * sys.float_info.epsilon * abs(kernel)
 
 
-def i_d_finite_sum(d: int, theta: float) -> KernelValue:
-    """Closed-form evaluation in O(d) arithmetic operations.
-
-    I_d = (d-3)!!/(d-2)!! [B + cos(theta) sum_j (j-1)!!/j!! s^{-(j+1)}] with
-    s = sin(theta), over j = d-3, d-5, ... >= 0, and B = log cot(theta/2) for
-    even d, B = 0 for odd d (the double-factorial inverse-sine variant).  So
-    K_d = cos(theta) P(s^2)/(d-2) + r B s^{d-2} with r = (d-3)!!/(d-2)!!: the
-    products of the two double-factorial ratios are the coefficients of
-    ``_finite_sum_table``.
-    """
-    return radial_kernel(d, theta, Representation.FINITE_SUM)
-
-
 def _finite_sum_kernel(d, c, s, table=None, asinh=math.asinh):
-    """The finite sum K_d of ``i_d_finite_sum`` from c = cos theta, s = sin theta, its
-    even-d B = asinh(c / s) included.  Arithmetic and ``asinh`` only, so c and s may be arrays
-    (with ``asinh=np.arcsinh``).  A caller with many angles passes ``_finite_sum_table(d)``.
+    """The finite sum K_d of ``_finite_sum`` from c = cos theta, s = sin theta, its
+    even-d B = log cot(theta/2) included as asinh(c / s), which keeps full relative accuracy
+    near the poles and near pi/2, where -log tan(theta/2) cancels.  Arithmetic and ``asinh``
+    only, so c and s may be arrays (with ``asinh=np.arcsinh``).  A caller with many angles
+    passes ``_finite_sum_table(d)``.
     """
     table = _finite_sum_table(d) if table is None else table
     s2 = s * s
@@ -350,11 +316,20 @@ def _finite_sum_kernel(d, c, s, table=None, asinh=math.asinh):
 
 
 def _finite_sum(d: int, c: float, s: float) -> tuple[float, float]:
+    """Closed-form evaluation in O(d) arithmetic operations.
+
+    I_d = (d-3)!!/(d-2)!! [B + cos(theta) sum_j (j-1)!!/j!! s^{-(j+1)}] with
+    s = sin(theta), over j = d-3, d-5, ... >= 0, and B = log cot(theta/2) for
+    even d, B = 0 for odd d (the double-factorial inverse-sine variant).  So
+    K_d = cos(theta) P(s^2)/(d-2) + r B s^{d-2} with r = (d-3)!!/(d-2)!!: the
+    products of the two double-factorial ratios are the coefficients of
+    ``_finite_sum_table``.
+    """
     kernel = _finite_sum_kernel(d, c, s)
     return kernel, _rounding_bound(d, kernel)
 
 
-def i_d_recurrence(d: int, theta: float) -> KernelValue:
+def _recurrence(d: int, c: float, s: float) -> tuple[float, float]:
     """Climb K_m = cos/(m-1) + (m-2)/(m-1) sin^2 K_{m-2} up to m = d-1.
 
     K_m = sin^{m-1} J_m scales the antiderivative recurrence of J_m = integral
@@ -362,29 +337,11 @@ def i_d_recurrence(d: int, theta: float) -> KernelValue:
     terms share the sign of cos(theta), so the climb is cancellation-free and
     its error is within ``_rounding_bound``.
     """
-    return radial_kernel(d, theta, Representation.RECURRENCE)
-
-
-def _recurrence(d: int, c: float, s: float) -> tuple[float, float]:
     s2 = s * s
     kernel, start = (c, 2) if d % 2 else (math.asinh(c / s), 1)
     for m in range(start + 2, d, 2):
         kernel = c / (m - 1) + (m - 2) / (m - 1) * s2 * kernel
     return kernel, _rounding_bound(d, kernel)
-
-
-def i_d_hyp2f1(d: int, theta: float, euler: bool = False) -> KernelValue:
-    """Hypergeometric series route, valid while cos^2(theta) <= 0.98.
-
-    Direct form: K_d = sin^{d-2} cos 2F1(1/2, d/2; 3/2; cos^2 theta).  The
-    error bound adds (d-2) eps |K| to the series tolerance: sin^{d-2} comes
-    from the rounded sin theta and 2F1 from the rounded cos^2 theta, and the
-    power d - 2 amplifies both roundings.  With ``euler`` the transformed series
-    K_d = cos 2F1(1, (3-d)/2; 3/2; cos^2 theta), whose terms t_n alternate and
-    cancel for large d, reports |cos| sum |t_n| (TOLERANCE + 2 n eps) over its
-    n terms and is refused where that exceeds 1e-9 |K| (``check xrep``'s tolerance).
-    """
-    return radial_kernel(d, theta, Representation.HYP2F1_EULER if euler else Representation.HYP2F1)
 
 
 def _series_argument(c: float) -> float:
@@ -398,12 +355,25 @@ def _series_argument(c: float) -> float:
 
 
 def _hyp2f1(d: int, c: float, s: float) -> tuple[float, float]:
+    """Hypergeometric series route, valid while cos^2(theta) <= 0.98.
+
+    Direct form: K_d = sin^{d-2} cos 2F1(1/2, d/2; 3/2; cos^2 theta).  The
+    error bound adds (d-2) eps |K| to the series tolerance: sin^{d-2} comes
+    from the rounded sin theta and 2F1 from the rounded cos^2 theta, and the
+    power d - 2 amplifies both roundings.
+    """
     z, specfun = _series_argument(c), _specfun_module()
     kernel = _scaled(c * specfun.gauss_2f1(0.5, d / 2.0, 1.5, z), _power(s, d - 2))
     return kernel, abs(kernel) * (specfun.TOLERANCE + (d - 2) * sys.float_info.epsilon)
 
 
 def _hyp2f1_euler(d: int, c: float, s: float) -> tuple[float, float]:
+    """The transformed series of the ``hyp2f1`` route, in the same window.
+
+    K_d = cos 2F1(1, (3-d)/2; 3/2; cos^2 theta), whose terms t_n alternate and
+    cancel for large d, reports |cos| sum |t_n| (TOLERANCE + 2 n eps) over its
+    n terms and is refused where that exceeds 1e-9 |K| (``check xrep``'s tolerance).
+    """
     z, specfun = _series_argument(c), _specfun_module()
     total, magnitude, terms = specfun._gauss_2f1_sums(1.0, (3.0 - d) / 2.0, 1.5, z)
     kernel = c * total
@@ -415,7 +385,12 @@ def _hyp2f1_euler(d: int, c: float, s: float) -> tuple[float, float]:
     return kernel, error
 
 
-def i_d_ferrers(d: int, theta: float) -> KernelValue:
+def _ferrers_source(c: float) -> Representation:
+    """The route whose (kernel, error) the Ferrers route is at c = cos theta."""
+    return Representation.FINITE_SUM if c * c > _FERRERS_SWITCH else Representation.HYP2F1
+
+
+def _ferrers(d: int, c: float, s: float) -> tuple[float, float]:
     """Ferrers-Q route: K_d = p(d) sin^{d/2-1} Q_{d/2-1}^{1-d/2}(cos theta).
 
     The prefactor is p(d) = (d-2)! / (Gamma(d/2) 2^{d/2-1}), and the product
@@ -424,18 +399,9 @@ def i_d_ferrers(d: int, theta: float) -> KernelValue:
     2^{2-d} sqrt(pi) (d-2)!, so the gamma and power-of-two factors of Q and
     p(d) multiply to exactly 1.  Where cos^2 theta exceeds ``_FERRERS_SWITCH``
     it is the finite sum (the z -> 1-z connection, A&S 15.3.6 and 15.3.10),
-    equal to ``i_d_finite_sum`` bit for bit; elsewhere it is the Gauss series
+    equal to ``_finite_sum`` bit for bit; elsewhere it is the Gauss series
     that the ``hyp2f1`` route sums, with the same error bound.
     """
-    return radial_kernel(d, theta, Representation.FERRERS_Q)
-
-
-def _ferrers_source(c: float) -> Representation:
-    """The route whose (kernel, error) the Ferrers route is at c = cos theta."""
-    return Representation.FINITE_SUM if c * c > _FERRERS_SWITCH else Representation.HYP2F1
-
-
-def _ferrers(d: int, c: float, s: float) -> tuple[float, float]:
     return _ROUTES[_ferrers_source(c)](d, c, s)
 
 
@@ -452,7 +418,8 @@ _ROUTES = {
 
 def radial_kernel(d: int, theta: float,
                   rep: Representation = Representation.FINITE_SUM) -> KernelValue:
-    """Evaluate I_d(theta) through the requested representation."""
+    """Evaluate I_d(theta) through the requested representation: the one way to run a
+    route.  Each route's core in ``_ROUTES`` states its mathematics and its error bound."""
     if not isinstance(rep, Representation):
         raise ValueError(f"unknown representation {rep!r}")
     c, s = _cos_sin(d, theta)

@@ -52,7 +52,6 @@ __all__ = [
     "check_laplace_annihilation",
     "check_ode_order",
     "check_delta_identity",
-    "check_euclidean_limit",
     "euclidean_limit_errors",
     "check_cross_representation",
     "check_distance_oracle",
@@ -204,20 +203,15 @@ def euclidean_limit_errors(d: int, r: float, radii: Sequence[float]) -> list[flo
     return errors
 
 
-def check_euclidean_limit(d: int, r: float, radii: Sequence[float]) -> CheckReport:
-    """Compare the sphere solution at geodesic distance r against flat space.
-
-    The check passes when the differences decrease monotonically along the
-    (increasing) radii and the last one meets the tolerance; both facts are
-    recorded in the detail field.
-    """
-    return _euclidean_limit_reports(d, r, radii)[0]
-
-
 def _euclidean_limit_reports(d: int, r: float,
                              radii: Sequence[float]) -> tuple[CheckReport, CheckReport]:
-    """``check_euclidean_limit`` and the check that the differences fall like
-    R^-2 (log-log slope -2 +/- 0.2), both from one set of differences."""
+    """Compare the sphere solution at geodesic distance r against flat space.
+
+    The first check passes when the differences decrease monotonically along
+    the (increasing) radii and the last one meets the tolerance; both facts are
+    recorded in the detail field.  The second checks that the differences fall
+    like R^-2 (log-log slope -2 +/- 0.2), from the same set of differences.
+    """
     radii = list(radii)
     errors = euclidean_limit_errors(d, r, radii)
     monotone = all(b < a for a, b in zip(errors, errors[1:]))
@@ -244,7 +238,7 @@ def _finite_sum_cot(d: int, theta: float) -> float:
     """Odd-d I_d by the paper's factorial-weighted cotangent powers.
 
     ((d-3)/2)! sum_{k=1}^{(d-1)/2} cot^{2k-1} / ((2k-1) (k-1)! ((d-2k-1)/2)!),
-    the printed variant that ``i_d_finite_sum`` does not evaluate.  It raises
+    the printed variant that the ``finite_sum`` route does not evaluate.  It raises
     OverflowError from d = 239, where cot^(d-2) at theta = 0.05 leaves range.
     """
     cot = math.cos(theta) / math.sin(theta)
@@ -328,8 +322,13 @@ def _pair_rows(d: int, pairs: int, seed: int) -> np.ndarray:
                                                size=(pairs, 1 + 2 * d))
 
 
-def check_distance_oracle(d: int, pairs: int = 1000) -> CheckReport:
-    """Polar-form geodesic distance against the ambient-embedding distance.
+# random point pairs per dimension of the distance check
+DISTANCE_PAIRS = 200
+
+
+def check_distance_oracle(d: int) -> CheckReport:
+    """Polar-form geodesic distance against the ambient-embedding distance at
+    ``DISTANCE_PAIRS`` random pairs.
 
     The ambient side embeds every point of ``_pair_rows`` at once; the polar
     side calls ``geodesic_distance``, the function under test, per pair.
@@ -337,7 +336,7 @@ def check_distance_oracle(d: int, pairs: int = 1000) -> CheckReport:
     import numpy as np
 
     seed = 20260809 + d
-    u = _pair_rows(d, pairs, seed)
+    u = _pair_rows(d, DISTANCE_PAIRS, seed)
     radius = u[:, 0]
     xa, xb = (_embed_rows(radius, u[:, i + d - 1], u[:, i:i + d - 1]) for i in (1, d + 1))
     inner = np.einsum("ij,ij->i", xa, xb) / radius**2
@@ -353,7 +352,7 @@ def check_distance_oracle(d: int, pairs: int = 1000) -> CheckReport:
         expected=0.0,
         tolerance=1e-10,
         passed=worst <= 1e-10,
-        detail=f"{pairs} random pairs, radius in [0.5, 3.0], seed={seed}")
+        detail=f"{DISTANCE_PAIRS} random pairs, radius in [0.5, 3.0], seed={seed}")
 
 
 def hypersphere_volume(d: int, radius: float) -> float:
@@ -408,11 +407,11 @@ SUITES = {
     "delta": lambda: [check_delta_identity(d, radius)
                       for d in (2, 3, 4, 60) for radius in (1.0, 5.0)],
     "limit": lambda: [*_euclidean_limit_reports(3, 1.0, LIMIT_RADII),
-                      check_euclidean_limit(2, 1.0, LIMIT_RADII)],
+                      _euclidean_limit_reports(2, 1.0, LIMIT_RADII)[0]],
     "xrep": lambda: [check_cross_representation(d) for d in range(2, 11)],
     "laplace": lambda: [check_laplace_annihilation(d, radius, theta)
                         for d in (*range(2, 13), 60, 200) for radius in (1.0, 5.0)
                         for theta in ODE_ANGLES],
-    "geometry": lambda: ([check_distance_oracle(d, pairs=200) for d in range(2, 7)]
+    "geometry": lambda: ([check_distance_oracle(d) for d in range(2, 7)]
                          + [check_volume(d) for d in (2, 3, 4)]),
 }

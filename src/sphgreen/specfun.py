@@ -1,9 +1,10 @@
 """Real-argument special functions used by the hypersphere kernel.
 
-Gamma (exact on integers and half-integers), Pochhammer, the Gauss 2F1
-series on (-1, 1), and Ferrers functions of the first and second kind
-(associated Legendre functions on the cut).  ``double_factorial`` and
-``NonConvergenceError`` are ``kernel``'s, which the production path loads alone.
+Gamma (exact on integers and half-integers, through the rising factorial
+``pochhammer``), the Gauss 2F1 series on (-1, 1), and Ferrers functions of the
+first and second kind (associated Legendre functions on the cut).
+``double_factorial`` and ``NonConvergenceError`` are ``kernel``'s, which the
+production path loads alone.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "GammaPoleError",
     "gamma_real",
     "reciprocal_gamma",
-    "pochhammer",
     "gauss_2f1",
     "ferrers_p",
     "ferrers_q",

@@ -37,6 +37,18 @@ def kernel_reference():
 
 
 @pytest.fixture
+def log_cot_half():
+    """log cot(theta/2), the d = 2 kernel, at 40 digits and rounded to double."""
+    from mpmath import mp, mpf
+
+    def reference(theta):
+        with mp.workdps(40):
+            return float(mp.log(mp.cot(mpf(theta) / 2)))
+
+    return reference
+
+
+@pytest.fixture
 def solution_reference():
     """Gamma(d/2) / (2 pi^{d/2} R^{d-2}) I_d(theta), rounded to double (+-inf past range)."""
     from mpmath import mp, mpf

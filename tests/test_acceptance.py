@@ -16,14 +16,7 @@ from sphgreen.harmonics import (
     RadialSolutionKind,
     ode_convergence_order,
 )
-from sphgreen.kernel import (
-    i_d_ferrers,
-    i_d_finite_sum,
-    i_d_hyp2f1,
-    i_d_quadrature,
-    i_d_recurrence,
-    log_cot_half,
-)
+from sphgreen.kernel import Representation, radial_kernel
 from sphgreen.oracle import (
     box_volume,
     check_cross_representation,
@@ -61,7 +54,7 @@ def test_criterion_1_cross_representation_agreement():
                   f"50 angles; runtime {elapsed:.2f}s (budget 10s)")
 
 
-def test_criterion_2_closed_form_table():
+def test_criterion_2_closed_form_table(log_cot_half):
     thetas = np.linspace(0.3, math.pi - 0.3, 20)
     printed = {
         2: lambda t: log_cot_half(t),
@@ -74,7 +67,7 @@ def test_criterion_2_closed_form_table():
     worst = 0.0
     for d, form in printed.items():
         for theta in thetas:
-            got = i_d_finite_sum(d, theta).value
+            got = radial_kernel(d, theta, Representation.FINITE_SUM).value
             want = form(theta)
             worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     assert worst <= 1e-12
@@ -91,10 +84,10 @@ def test_criterion_2_closed_form_table():
     worst6 = 0.0
     alt_gap = 0.0
     for theta in thetas:
-        got = i_d_finite_sum(6, theta).value
+        got = radial_kernel(6, theta, Representation.FINITE_SUM).value
         want = d6_corrected(theta)
         worst6 = max(worst6, abs(got - want) / max(1.0, abs(want)))
-        quad = i_d_quadrature(6, theta).value
+        quad = radial_kernel(6, theta, Representation.QUADRATURE).value
         assert abs(got - quad) / max(1.0, abs(quad)) <= 1e-9
         alt_gap = max(alt_gap, abs(got - d6_alternate(theta)))
     assert worst6 <= 1e-12
@@ -106,7 +99,7 @@ def test_criterion_2_closed_form_table():
                     f"(worst {worst6:.3e}) and quadrature")
 
 
-def test_criterion_3_ferrers_table():
+def test_criterion_3_ferrers_table(log_cot_half):
     thetas = np.linspace(0.15, math.pi - 0.15, 20)  # inside the series window
     sqrt_pi_2 = math.sqrt(math.pi / 2.0)
 
@@ -141,18 +134,14 @@ def test_criterion_4_vanishing_and_symmetry():
     half_pi = math.pi / 2.0
     worst_mid = 0.0
     for d in range(2, 11):
-        for value in (i_d_quadrature(d, half_pi).value,
-                      i_d_finite_sum(d, half_pi).value,
-                      i_d_recurrence(d, half_pi).value,
-                      i_d_hyp2f1(d, half_pi).value,
-                      i_d_hyp2f1(d, half_pi, euler=True).value,
-                      i_d_ferrers(d, half_pi).value):
-            worst_mid = max(worst_mid, abs(value))
+        for rep in Representation:
+            worst_mid = max(worst_mid, abs(radial_kernel(d, half_pi, rep).value))
     worst_sym = 0.0
     for d in range(2, 11):
         for theta in np.linspace(0.3, half_pi - 0.05, 25):
             theta = float(theta)
-            total = i_d_finite_sum(d, theta).value + i_d_finite_sum(d, math.pi - theta).value
+            total = (radial_kernel(d, theta, Representation.FINITE_SUM).value
+                     + radial_kernel(d, math.pi - theta, Representation.FINITE_SUM).value)
             worst_sym = max(worst_sym, abs(total))
     ok = worst_mid <= 1e-12 and worst_sym <= 1e-10
     report(4, ok, f"|I_d(pi/2)| <= {worst_mid:.3e} (tol 1e-12) across all routes; "

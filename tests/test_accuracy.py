@@ -12,7 +12,6 @@ below ``specfun.TOLERANCE`` of the sum, leaves a tail of about term z/(1-z),
 so it still under-reports there (ROADMAP item 1, second bullet).
 """
 
-import functools
 import math
 import time
 
@@ -21,12 +20,10 @@ import pytest
 from sphgreen.kernel import (
     _FERRERS_SWITCH,
     SERIES_WINDOW,
+    Representation,
     SeriesWindowError,
     _finite_sum_table,
-    i_d_ferrers,
-    i_d_finite_sum,
-    i_d_hyp2f1,
-    i_d_recurrence,
+    radial_kernel,
 )
 from sphgreen.specfun import NonConvergenceError
 
@@ -37,13 +34,14 @@ _NORTH = [1e-12, 1e-6, _SWITCH - 1e-9, _SWITCH + 1e-9,
 ANGLES = _NORTH + [math.pi - t for t in _NORTH]
 
 ROUTES = {
-    "finite_sum": i_d_finite_sum,
-    "recurrence": i_d_recurrence,
-    "ferrers": i_d_ferrers,
-    "hyp2f1_euler": functools.partial(i_d_hyp2f1, euler=True),
+    "quadrature": Representation.QUADRATURE,
+    "finite_sum": Representation.FINITE_SUM,
+    "recurrence": Representation.RECURRENCE,
+    "ferrers": Representation.FERRERS_Q,
+    "hyp2f1_euler": Representation.HYP2F1_EULER,
 }
 # the routes valid on all of (0, pi) never refuse
-REFUSALS = {"finite_sum": (), "recurrence": (),
+REFUSALS = {"quadrature": (), "finite_sum": (), "recurrence": (),
             "ferrers": NonConvergenceError,
             "hyp2f1_euler": (SeriesWindowError, NonConvergenceError)}
 
@@ -59,7 +57,7 @@ def test_within_reported_error(route, d, kernel_reference):
             _references[d, theta] = kernel_reference(d, theta)
         want = _references[d, theta]
         try:
-            kv = ROUTES[route](d, theta)
+            kv = radial_kernel(d, theta, ROUTES[route])
         except REFUSALS[route]:
             continue
         kept += 1
@@ -71,8 +69,8 @@ def test_within_reported_error(route, d, kernel_reference):
 def test_euler_refuses_where_the_series_cancels():
     # 2F1(1, -98.5; 3/2; 0.913) sums to -3.3e9 from 102 terms whose magnitudes sum to 7.1e26
     with pytest.raises(SeriesWindowError, match="hyp2f1_euler"):
-        i_d_hyp2f1(200, 0.3, euler=True)
-    kv = i_d_hyp2f1(20, 0.3, euler=True)
+        radial_kernel(200, 0.3, Representation.HYP2F1_EULER)
+    kv = radial_kernel(20, 0.3, Representation.HYP2F1_EULER)
     assert 0.0 < kv.kernel_error <= 1e-9 * abs(kv.kernel)
 
 
@@ -81,7 +79,7 @@ def test_cold_large_d_is_fast(d):
     # the coefficient table is O(d) float products, no big integers
     _finite_sum_table.cache_clear()
     start = time.perf_counter()
-    kv = i_d_finite_sum(d, 1.0)
+    kv = radial_kernel(d, 1.0, Representation.FINITE_SUM)
     assert time.perf_counter() - start < 1.0
-    want = i_d_recurrence(d, 1.0)
+    want = radial_kernel(d, 1.0, Representation.RECURRENCE)
     assert abs(kv.kernel - want.kernel) <= kv.kernel_error + want.kernel_error

@@ -6,7 +6,6 @@ import pytest
 from sphgreen.geometry import (
     HyperPoint,
     embed,
-    embed_direction,
     geodesic_distance,
     separation_angle,
     volume_weight,
@@ -110,9 +109,12 @@ class TestEmbed:
                 assert np.all(np.abs(row - want) <= np.spacing(np.abs(want)))
 
     def test_direction_is_the_unit_block(self):
-        direction = (0.4, 1.1, 2.0)
-        x = embed(HyperPoint(4, 1.0, math.pi / 2.0, direction))
-        np.testing.assert_array_equal(embed_direction(direction), x[1:])
+        # at theta = pi/2 and R = 1 the block after x0 is the direction's unit vector,
+        # so two blocks meet at the directions' separation angle
+        u, v = (0.4, 1.1, 2.0), (2.5, 0.3, 1.2)
+        xu, xv = (embed(HyperPoint(4, 1.0, math.pi / 2.0, w))[1:] for w in (u, v))
+        assert float(np.linalg.norm(xu)) == pytest.approx(1.0, rel=1e-15)
+        assert math.acos(float(xu @ xv)) == pytest.approx(separation_angle(u, v), rel=1e-12)
 
     def test_norm_is_radius(self):
         rng = np.random.default_rng(7)

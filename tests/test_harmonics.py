@@ -6,52 +6,14 @@ from sphgreen.harmonics import (
     DegenerateBranchError,
     QuantumNumbers,
     RadialSolutionKind,
-    angular_eigenvalue,
-    degeneracy,
     ode_convergence_order,
-    ode_residual,
     radial_harmonic,
 )
-from sphgreen.kernel import i_d_finite_sum, log_cot_half
+from sphgreen.kernel import Representation, radial_kernel
 from sphgreen.specfun import gamma_real
 
 
-class TestAngularEigenvalue:
-    def test_l_zero(self):
-        for d in (2, 5, 9):
-            assert angular_eigenvalue(QuantumNumbers(d, 0)) == 0.0
-
-    def test_d3_l1(self):
-        assert angular_eigenvalue(QuantumNumbers(3, 1)) == -2.0
-
-    def test_d10_l3(self):
-        assert angular_eigenvalue(QuantumNumbers(10, 3)) == -33.0
-
-
-class TestDegeneracy:
-    def test_l_zero_is_one(self):
-        for d in range(3, 10):
-            assert degeneracy(QuantumNumbers(d, 0)) == 1
-
-    def test_sphere_family(self):
-        assert degeneracy(QuantumNumbers(3, 2)) == 5
-
-    def test_d4_l1(self):
-        assert degeneracy(QuantumNumbers(4, 1)) == 4
-
-    def test_circle_continuation(self):
-        assert degeneracy(QuantumNumbers(2, 0)) == 1
-        for l in (1, 2, 5):
-            assert degeneracy(QuantumNumbers(2, l)) == 2
-
-    def test_combinatorial_oracle(self):
-        # dimension of degree-l harmonic polynomials: C(d-1+l, l) - C(d-3+l, l-2)
-        for d in range(3, 7):
-            for l in range(0, 7):
-                expected = math.comb(d - 1 + l, l) - (
-                    math.comb(d - 3 + l, l - 2) if l >= 2 else 0)
-                assert degeneracy(QuantumNumbers(d, l)) == expected
-
+class TestQuantumNumbers:
     def test_validation(self):
         for d in (1, 3.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
@@ -71,7 +33,7 @@ class TestDegeneracy:
 
 
 class TestRadialHarmonic:
-    def test_circle_second_kind(self):
+    def test_circle_second_kind(self, log_cot_half):
         q = QuantumNumbers(2, 0)
         for theta in (0.5, 1.2, 2.4):
             got = radial_harmonic(q, RadialSolutionKind.U2_PLUS, theta)
@@ -96,7 +58,7 @@ class TestRadialHarmonic:
             scale = math.factorial(d - 2) / (gamma_real(d / 2.0) * 2.0 ** (d / 2.0 - 1.0))
             for theta in (0.4, 1.0, 1.9, 2.7):
                 u = radial_harmonic(QuantumNumbers(d, 0), RadialSolutionKind.U2_MINUS, theta)
-                expected = i_d_finite_sum(d, theta).value
+                expected = radial_kernel(d, theta, Representation.FINITE_SUM).value
                 assert abs(scale * u - expected) / max(1.0, abs(expected)) <= 1e-9
 
     def test_odd_d_plus_order_is_constant(self):
@@ -119,34 +81,33 @@ class TestRadialHarmonic:
 
 
 class TestOdeResidual:
+    """The radial operator's residual on the branches, through its convergence order."""
+
     def test_exact_solution_small_residual(self):
-        res = ode_residual(QuantumNumbers(3, 0), RadialSolutionKind.U2_MINUS, 1.0, 1e-3)
-        assert abs(res) <= 1e-5
+        # the d = 3 constant branch is annihilated to rounding; the cot branch leaves
+        # only the truncation error, which falls like h^2
+        q = QuantumNumbers(3, 0)
+        assert ode_convergence_order(q, RadialSolutionKind.U2_PLUS, 1.0) is None
+        order = ode_convergence_order(q, RadialSolutionKind.U2_MINUS, 1.0)
+        assert order == pytest.approx(2.0, abs=0.2)
 
     def test_equator_circle_case(self):
-        res = ode_residual(QuantumNumbers(2, 0), RadialSolutionKind.U2_PLUS,
-                           math.pi / 2.0, 1e-3)
-        assert abs(res) <= 1e-6
+        # log cot(theta/2) is odd about pi/2, so both residuals sit at their rounding floors
+        q = QuantumNumbers(2, 0)
+        assert ode_convergence_order(q, RadialSolutionKind.U2_PLUS, math.pi / 2.0) is None
 
     def test_second_order_convergence(self):
-        q = QuantumNumbers(5, 2)
-        r1 = abs(ode_residual(q, RadialSolutionKind.U1_PLUS, 1.0, 2e-2))
-        r2 = abs(ode_residual(q, RadialSolutionKind.U1_PLUS, 1.0, 1e-2))
-        assert math.log2(r1 / r2) == pytest.approx(2.0, abs=0.2)
+        order = ode_convergence_order(QuantumNumbers(5, 2), RadialSolutionKind.U1_PLUS, 1.0)
+        assert order == pytest.approx(2.0, abs=0.2)
 
     def test_degenerate_branch_raises(self):
         # even d, plus order, l >= 1: the first-kind branch is identically zero
         with pytest.raises(DegenerateBranchError):
-            ode_residual(QuantumNumbers(4, 1), RadialSolutionKind.U1_PLUS, 1.0, 1e-3)
-
-    def test_interval_validation(self):
-        with pytest.raises(ValueError, match=r"got theta=0\.001, h=0\.01"):
-            ode_residual(QuantumNumbers(3, 0), RadialSolutionKind.U2_PLUS, 0.001, 0.01)
+            ode_convergence_order(QuantumNumbers(4, 1), RadialSolutionKind.U1_PLUS, 1.0)
 
     def test_tiny_branch_is_not_degenerate(self):
         # |u2-(1)| is about 4e-14 at d = 30, but not zero: the kernel's own branch
         q, kind = QuantumNumbers(30, 0), RadialSolutionKind.U2_MINUS
-        assert math.isfinite(ode_residual(q, kind, 1.0, 1e-3))
         assert ode_convergence_order(q, kind, 1.0) == pytest.approx(2.0, abs=0.2)
 
 

@@ -18,12 +18,6 @@ from sphgreen.kernel import (
     _scaled,
     euclidean_fundamental,
     fundamental_solution,
-    i_d_ferrers,
-    i_d_finite_sum,
-    i_d_hyp2f1,
-    i_d_quadrature,
-    i_d_recurrence,
-    log_cot_half,
     radial_kernel,
     solution_scale,
 )
@@ -35,11 +29,10 @@ from sphgreen.specfun import NonConvergenceError
 THETA_GRID = np.linspace(0.3, math.pi - 0.3, 20)
 
 
-def closed_form(d, theta):
-    """The explicit low-dimension kernels, transcribed independently."""
+def closed_form(d, theta, lch):
+    """The explicit low-dimension kernels, transcribed independently; lch = log cot(theta/2)."""
     c, s = math.cos(theta), math.sin(theta)
     cot = c / s
-    lch = log_cot_half(theta)
     return {
         2: lch,
         3: cot,
@@ -59,34 +52,36 @@ class TestQuadratureRoute:
         # math.pi / 2 lies below pi/2, so I_d there is cos(math.pi / 2) =
         # 6.1e-17 to first order, not 0.0
         for d in (2, 3, 5, 9, 60):
-            kv = i_d_quadrature(d, math.pi / 2.0)
-            want = i_d_finite_sum(d, math.pi / 2.0).value
+            kv = radial_kernel(d, math.pi / 2.0, Representation.QUADRATURE)
+            want = radial_kernel(d, math.pi / 2.0, Representation.FINITE_SUM).value
             assert want == pytest.approx(math.cos(math.pi / 2.0), rel=1e-12)
             assert abs(kv.value - want) <= kv.est_error + 4.0 * math.ulp(want)
 
     def test_d3_quarter(self):
-        assert i_d_quadrature(3, math.pi / 4.0).value == pytest.approx(1.0, abs=1e-11)
+        kv = radial_kernel(3, math.pi / 4.0, Representation.QUADRATURE)
+        assert kv.value == pytest.approx(1.0, abs=1e-11)
 
     def test_d4_third(self):
         # closed form evaluated independently: (1/4) ln 3 + 1/3
         expected = 0.25 * math.log(3.0) + 1.0 / 3.0
-        assert i_d_quadrature(4, math.pi / 3.0).value == pytest.approx(expected, rel=1e-11)
+        kv = radial_kernel(4, math.pi / 3.0, Representation.QUADRATURE)
+        assert kv.value == pytest.approx(expected, rel=1e-11)
 
     def test_signed_past_equator(self):
-        assert i_d_quadrature(3, 2.0).value == pytest.approx(math.cos(2.0) / math.sin(2.0),
-                                                             rel=1e-10)
+        kv = radial_kernel(3, 2.0, Representation.QUADRATURE)
+        assert kv.value == pytest.approx(math.cos(2.0) / math.sin(2.0), rel=1e-10)
 
     def test_rejects_endpoints(self):
         with pytest.raises(ValueError):
-            i_d_quadrature(3, 0.0)
+            radial_kernel(3, 0.0, Representation.QUADRATURE)
         with pytest.raises(ValueError):
-            i_d_quadrature(3, math.pi)
+            radial_kernel(3, math.pi, Representation.QUADRATURE)
 
     @pytest.mark.parametrize("d", [4, 60, 1000])
     @pytest.mark.parametrize("theta", [1e-12, 1e-6, math.pi - 1e-6, math.pi - 1e-12])
     def test_near_poles_against_mpmath(self, d, theta, kernel_reference):
         # the integrand peaks at the end of the u-interval, in a width of 1/(d-2)
-        kv = i_d_quadrature(d, theta)
+        kv = radial_kernel(d, theta, Representation.QUADRATURE)
         want = kernel_reference(d, theta)
         assert abs(kv.kernel - want) <= 1e-10 * abs(want)
 
@@ -96,34 +91,35 @@ class TestQuadratureRoute:
     def test_within_reported_error(self, d, theta, kernel_reference):
         # the estimate covers the rounding of u0 and sin(theta) as well as
         # the integration: at d = 3000, pi - 1e-12 the former is 1e3 times the latter
-        kv = i_d_quadrature(d, theta)
+        kv = radial_kernel(d, theta, Representation.QUADRATURE)
         want = kernel_reference(d, theta)
         assert abs(kv.kernel - want) <= kv.kernel_error + 4.0 * sys.float_info.epsilon * abs(want)
 
 
 class TestFiniteSumRoute:
-    def test_d2_log_cot_half(self):
+    def test_d2_log_cot_half(self, log_cot_half):
         for theta in THETA_GRID:
-            assert i_d_finite_sum(2, theta).value == pytest.approx(
+            assert radial_kernel(2, theta, Representation.FINITE_SUM).value == pytest.approx(
                 log_cot_half(theta), rel=1e-14)
 
     def test_d5_quarter(self):
-        assert i_d_finite_sum(5, math.pi / 4.0).value == pytest.approx(4.0 / 3.0, rel=1e-14)
+        kv = radial_kernel(5, math.pi / 4.0, Representation.FINITE_SUM)
+        assert kv.value == pytest.approx(4.0 / 3.0, rel=1e-14)
 
     def test_d7_equator(self):
-        assert abs(i_d_finite_sum(7, math.pi / 2.0).value) <= 1e-12
+        assert abs(radial_kernel(7, math.pi / 2.0, Representation.FINITE_SUM).value) <= 1e-12
 
-    def test_matches_closed_forms(self):
+    def test_matches_closed_forms(self, log_cot_half):
         for d in (2, 3, 4, 5, 6, 7):
             for theta in THETA_GRID:
-                got = i_d_finite_sum(d, theta).value
-                want = closed_form(d, theta)
+                got = radial_kernel(d, theta, Representation.FINITE_SUM).value
+                want = closed_form(d, theta, log_cot_half(theta))
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_odd_variants_agree(self):
         for d in (3, 5, 7, 9, 11):
             for theta in THETA_GRID:
-                kv = i_d_finite_sum(d, theta)
+                kv = radial_kernel(d, theta, Representation.FINITE_SUM)
                 assert kv.est_error <= 1e-12 * max(1.0, abs(kv.value))
                 # the paper's other printed variant, kept as an oracle
                 assert abs(_finite_sum_cot(d, theta) - kv.value) <= 1e-12 * max(1.0, abs(kv.value))
@@ -132,85 +128,86 @@ class TestFiniteSumRoute:
     def test_large_odd_d_stays_finite(self, d):
         # factorial weights overflow a double from d = 343; double-factorial
         # ratios do not
-        got = i_d_finite_sum(d, 1.0).value
-        want = i_d_recurrence(d, 1.0).value
+        got = radial_kernel(d, 1.0, Representation.FINITE_SUM).value
+        want = radial_kernel(d, 1.0, Representation.RECURRENCE).value
         assert math.isfinite(want)
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
 class TestRecurrenceRoute:
-    def test_d2_base(self):
+    def test_d2_base(self, log_cot_half):
         for theta in (0.4, 1.3, 2.6):
-            assert i_d_recurrence(2, theta).value == pytest.approx(
+            assert radial_kernel(2, theta, Representation.RECURRENCE).value == pytest.approx(
                 log_cot_half(theta), rel=1e-14)
 
     def test_d3_is_cot(self):
         for theta in (0.4, 1.3, 2.6):
-            assert i_d_recurrence(3, theta).value == pytest.approx(
+            assert radial_kernel(3, theta, Representation.RECURRENCE).value == pytest.approx(
                 math.cos(theta) / math.sin(theta), rel=1e-13)
 
     def test_d6_equator(self):
-        assert abs(i_d_recurrence(6, math.pi / 2.0).value) <= 1e-12
+        assert abs(radial_kernel(6, math.pi / 2.0, Representation.RECURRENCE).value) <= 1e-12
 
 
 class TestHypergeometricRoutes:
     def test_equator_vanishes(self):
         for d in (2, 4, 7):
-            assert abs(i_d_hyp2f1(d, math.pi / 2.0).value) <= 1e-12
-            assert abs(i_d_hyp2f1(d, math.pi / 2.0, euler=True).value) <= 1e-12
+            assert abs(radial_kernel(d, math.pi / 2.0, Representation.HYP2F1).value) <= 1e-12
+            assert abs(radial_kernel(d, math.pi / 2.0, Representation.HYP2F1_EULER).value) <= 1e-12
 
     def test_d3_binomial_reduction(self):
-        got = i_d_hyp2f1(3, math.pi / 3.0).value
+        got = radial_kernel(3, math.pi / 3.0, Representation.HYP2F1).value
         assert got == pytest.approx(1.0 / math.tan(math.pi / 3.0), rel=1e-13)
 
     def test_d4_matches_quadrature(self):
-        reference = i_d_quadrature(4, math.pi / 3.0).value
-        assert i_d_hyp2f1(4, math.pi / 3.0).value == pytest.approx(reference, rel=1e-11)
-        assert i_d_hyp2f1(4, math.pi / 3.0, euler=True).value == pytest.approx(
-            reference, rel=1e-11)
+        reference = radial_kernel(4, math.pi / 3.0, Representation.QUADRATURE).value
+        for rep in (Representation.HYP2F1, Representation.HYP2F1_EULER):
+            assert radial_kernel(4, math.pi / 3.0, rep).value == pytest.approx(reference, rel=1e-11)
 
     def test_overflowing_series_is_refused(self):
         # 2F1(1/2, 200; 3/2; cos^2 0.15) overflows although K and S fit
         with pytest.raises(NonConvergenceError, match="hyp2f1 route"):
-            i_d_hyp2f1(400, 0.15)
+            radial_kernel(400, 0.15, Representation.HYP2F1)
 
     @pytest.mark.parametrize("d, theta", [(1000, 1.0), (2000, 1.2)])
     def test_large_d_within_reported_error(self, d, theta, kernel_reference):
         # sin^(d-2) and 2F1 amplify the rounding of sin and cos^2 by about d - 2
-        kv = i_d_hyp2f1(d, theta)
+        kv = radial_kernel(d, theta, Representation.HYP2F1)
         want = kernel_reference(d, theta)
         assert abs(kv.kernel - want) <= kv.kernel_error + 4.0 * sys.float_info.epsilon * abs(want)
-        assert kv.kernel_error == i_d_ferrers(d, theta).kernel_error
+        assert kv.kernel_error == radial_kernel(d, theta, Representation.FERRERS_Q).kernel_error
 
     def test_window_enforced(self):
         with pytest.raises(SeriesWindowError):
-            i_d_hyp2f1(3, 0.05)
+            radial_kernel(3, 0.05, Representation.HYP2F1)
         with pytest.raises(SeriesWindowError):
-            i_d_hyp2f1(3, math.pi - 0.05, euler=True)
+            radial_kernel(3, math.pi - 0.05, Representation.HYP2F1_EULER)
 
 
 class TestFerrersRoute:
-    def test_d2_reduces_to_log_cot_half(self):
+    def test_d2_reduces_to_log_cot_half(self, log_cot_half):
         for theta in (0.5, 1.0, 2.0):
-            assert i_d_ferrers(2, theta).value == pytest.approx(
+            assert radial_kernel(2, theta, Representation.FERRERS_Q).value == pytest.approx(
                 log_cot_half(theta), rel=1e-13)
 
     def test_d3_reduces_to_cot(self):
         for theta in (0.5, 1.0, 2.0):
-            assert i_d_ferrers(3, theta).value == pytest.approx(
+            assert radial_kernel(3, theta, Representation.FERRERS_Q).value == pytest.approx(
                 math.cos(theta) / math.sin(theta), rel=1e-13)
 
     def test_d4_matches_quadrature(self):
-        reference = i_d_quadrature(4, math.pi / 3.0).value
-        assert i_d_ferrers(4, math.pi / 3.0).value == pytest.approx(reference, rel=1e-10)
+        reference = radial_kernel(4, math.pi / 3.0, Representation.QUADRATURE).value
+        kv = radial_kernel(4, math.pi / 3.0, Representation.FERRERS_Q)
+        assert kv.value == pytest.approx(reference, rel=1e-10)
 
 
     @pytest.mark.parametrize("d", [172, 173, 250])
     def test_large_d_prefactor(self, d):
         # (d-2)! leaves double range from d = 173; Q's factorial prefactor
         # cancels against its gamma factors, so the route never forms it
-        want = i_d_recurrence(d, 1.0).kernel
-        assert abs(i_d_ferrers(d, 1.0).kernel - want) <= 1e-14 * abs(want)
+        want = radial_kernel(d, 1.0, Representation.RECURRENCE).kernel
+        got = radial_kernel(d, 1.0, Representation.FERRERS_Q).kernel
+        assert abs(got - want) <= 1e-14 * abs(want)
 
     def test_large_d_solution(self):
         got = fundamental_solution(173, 1.0, 1.0, Representation.FERRERS_Q)
@@ -220,7 +217,7 @@ class TestFerrersRoute:
     def test_evaluates_where_q_underflows(self, d, theta, kernel_reference):
         # Q_{d/2-1}^{1-d/2}(cos theta) lies below the normal double range here,
         # but the route sums the Gauss series that Q reduces to
-        kv = i_d_ferrers(d, theta)
+        kv = radial_kernel(d, theta, Representation.FERRERS_Q)
         want = kernel_reference(d, theta)
         assert abs(kv.kernel - want) <= kv.kernel_error + 4.0 * sys.float_info.epsilon * abs(want)
 
@@ -242,7 +239,8 @@ SWITCH_ANGLES = [t for t in [1e-12, 1e-6, math.pi - 1e-6, math.pi - 1e-12]
 @pytest.mark.parametrize("d", [*range(2, 61), 100, 101, 1000, 3001])
 def test_ferrers_is_the_finite_sum_above_the_switch(d):
     for theta in SWITCH_ANGLES:
-        kv, want = i_d_ferrers(d, theta), i_d_finite_sum(d, theta)
+        kv = radial_kernel(d, theta, Representation.FERRERS_Q)
+        want = radial_kernel(d, theta, Representation.FINITE_SUM)
         assert (kv.kernel, kv.kernel_error) == (want.kernel, want.kernel_error), theta
 
 
@@ -252,7 +250,7 @@ class TestFerrersAccuracy:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 10, 40, 60])
     @pytest.mark.parametrize("theta", FERRERS_ANGLES + [math.pi - t for t in FERRERS_ANGLES])
     def test_within_reported_error(self, d, theta, kernel_reference):
-        kv = i_d_ferrers(d, theta)
+        kv = radial_kernel(d, theta, Representation.FERRERS_Q)
         want = kernel_reference(d, theta)
         assert abs(kv.kernel - want) <= kv.kernel_error + 4.0 * sys.float_info.epsilon * abs(want)
 
@@ -261,9 +259,12 @@ class TestFerrersAccuracy:
         # the step between the two series is the kernel's own change
         # between the two angles, to rounding
         a, b = math.pi / 4 - 1e-9, math.pi / 4 + 1e-9
-        step = i_d_ferrers(d, a).kernel - i_d_ferrers(d, b).kernel
-        want = i_d_recurrence(d, a).kernel - i_d_recurrence(d, b).kernel
-        assert abs(step - want) <= 1e-14 * abs(i_d_recurrence(d, b).kernel)
+        ferrers, recurrence = (
+            [radial_kernel(d, t, rep).kernel for t in (a, b)]
+            for rep in (Representation.FERRERS_Q, Representation.RECURRENCE))
+        step = ferrers[0] - ferrers[1]
+        want = recurrence[0] - recurrence[1]
+        assert abs(step - want) <= 1e-14 * abs(recurrence[1])
 
     @pytest.mark.parametrize("d", [172, 173, 250, 343, 400, 1000])
     @pytest.mark.parametrize("theta", [0.1, math.pi - 0.1, 1e-6, 1.0, math.pi / 2])
@@ -272,10 +273,10 @@ class TestFerrersAccuracy:
         # agrees with the recurrence or reports that its series did not converge.
         # Where cos^2 theta <= 1/2 its own bound, (d-2) eps |K|, exceeds 1e-14
         try:
-            kv = i_d_ferrers(d, theta)
+            kv = radial_kernel(d, theta, Representation.FERRERS_Q)
         except NonConvergenceError:
             return
-        want = i_d_recurrence(d, theta).kernel
+        want = radial_kernel(d, theta, Representation.RECURRENCE).kernel
         assert abs(kv.kernel - want) <= max(kv.kernel_error, 1e-14 * abs(want))
 
 
@@ -290,41 +291,41 @@ class TestKernelProperties:
         for d in range(2, 11):
             for theta in np.linspace(0.3, math.pi / 2.0, 25):
                 theta = float(theta)
-                a = i_d_finite_sum(d, theta).value
-                b = i_d_finite_sum(d, math.pi - theta).value
+                a = radial_kernel(d, theta, Representation.FINITE_SUM).value
+                b = radial_kernel(d, math.pi - theta, Representation.FINITE_SUM).value
                 assert abs(a + b) <= 1e-10
 
     def test_sign_pattern(self):
         for d in range(2, 11):
-            assert i_d_finite_sum(d, 0.7).value > 0.0
-            assert i_d_finite_sum(d, math.pi - 0.7).value < 0.0
+            assert radial_kernel(d, 0.7, Representation.FINITE_SUM).value > 0.0
+            assert radial_kernel(d, math.pi - 0.7, Representation.FINITE_SUM).value < 0.0
 
     def test_singularity_matching(self):
         # (d-2) theta^{d-2} I_d -> 1 for d >= 3; I_2 / (-log theta) -> 1
         for d in (3, 4, 6, 9):
             errors = []
             for theta in (1e-2, 1e-3, 1e-4):
-                value = (d - 2) * theta ** (d - 2) * i_d_finite_sum(d, theta).value
+                kv = radial_kernel(d, theta, Representation.FINITE_SUM)
+                value = (d - 2) * theta ** (d - 2) * kv.value
                 errors.append(abs(value - 1.0))
             assert errors[0] > errors[1] > errors[2]
             assert errors[2] < 1e-3
-        errors = [abs(i_d_finite_sum(2, t).value / (-math.log(t)) - 1.0)
+        errors = [abs(radial_kernel(2, t, Representation.FINITE_SUM).value / (-math.log(t)) - 1.0)
                   for t in (1e-2, 1e-3, 1e-4)]
         assert errors[0] > errors[1] > errors[2]
 
     def test_dispatcher_default_is_finite_sum(self):
         kv = radial_kernel(5, 1.1)
         assert kv.method is Representation.FINITE_SUM
-        assert kv.value == i_d_finite_sum(5, 1.1).value
+        assert kv.value == radial_kernel(5, 1.1, Representation.FINITE_SUM).value
 
     def test_dimension_validation(self):
         for d in (1, 3.0, math.inf, math.nan, -10**400):
             with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
-                i_d_finite_sum(d, 1.0)
+                radial_kernel(d, 1.0, Representation.FINITE_SUM)
 
     @pytest.mark.parametrize(
-        "route", [*Representation, i_d_quadrature, i_d_finite_sum, i_d_recurrence, i_d_hyp2f1,
-                  i_d_ferrers, _every_route],
+        "route", [*Representation, _every_route],
         ids=lambda route: getattr(route, "value", None) or route.__name__)
     def test_every_route_rejects_bad_input_alike(self, route):
         call = (functools.partial(radial_kernel, rep=route)
@@ -381,15 +382,14 @@ class TestKernelProperties:
         assert isinstance(routes[Representation.FINITE_SUM], kernel.KernelValue)
 
     def test_pole_adjacent_overflow_saturates(self):
-        # far past double range the cot/inverse-sine powers saturate with the
-        # warning flag instead of raising
+        # far past double range the cot/inverse-sine powers saturate to +-inf
+        # instead of raising
         for d in (29, 40):
-            near = i_d_finite_sum(d, 1e-12)
-            assert near.value == math.inf and near.overflowed
-            far = i_d_finite_sum(d, math.pi - 1e-12)
-            assert far.value == -math.inf and far.overflowed
-            assert i_d_recurrence(d, 1e-12).value == math.inf
-            assert i_d_recurrence(d, math.pi - 1e-12).value == -math.inf
+            assert radial_kernel(d, 1e-12, Representation.FINITE_SUM).value == math.inf
+            far = radial_kernel(d, math.pi - 1e-12, Representation.FINITE_SUM)
+            assert far.value == -math.inf
+            assert radial_kernel(d, 1e-12, Representation.RECURRENCE).value == math.inf
+            assert radial_kernel(d, math.pi - 1e-12, Representation.RECURRENCE).value == -math.inf
 
 
 class TestFundamentalSolution:
@@ -401,7 +401,7 @@ class TestFundamentalSolution:
         for d, radius in ((2, 1.0), (5, 2.0), (8, 0.5)):
             assert abs(fundamental_solution(d, radius, math.pi / 2.0)) <= 1e-12
 
-    def test_d2_form(self):
+    def test_d2_form(self, log_cot_half):
         for theta in (0.4, 1.5, 2.8):
             expected = log_cot_half(theta) / (2.0 * math.pi)
             assert fundamental_solution(2, 1.0, theta) == pytest.approx(expected, rel=1e-13)

@@ -2,6 +2,7 @@
 ``import sphgreen`` alone loads none of the package's modules."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +21,16 @@ def test_every_public_name_is_its_modules_object():
 
 
 def test_public_names_are_unique_and_unchanged_in_number():
-    assert len(set(sphgreen.__all__)) == len(sphgreen.__all__) == 45
+    assert len(set(sphgreen.__all__)) == len(sphgreen.__all__) == 34
+
+
+def test_readme_python_api_lists_the_public_names():
+    # one "- `name`: ..." line per public name, from "## Python API" to the next heading
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Python API\n", 1)[1]
+    section = re.split(r"^#", section, maxsplit=1, flags=re.M)[0]
+    listed = re.findall(r"^- `(\w+)`:", section, flags=re.M)
+    assert sorted(listed) == sorted(sphgreen.__all__)
 
 
 def test_kernel_names_are_the_oracle_modules_names():

@@ -7,11 +7,11 @@ from sphgreen.geometry import HyperPoint
 from sphgreen.harmonics import QuantumNumbers, RadialSolutionKind
 from sphgreen.kernel import KernelValue, Representation, fundamental_solution, radial_kernel
 from sphgreen.oracle import (
+    DISTANCE_PAIRS,
     CheckReport,
     check_cross_representation,
     check_delta_identity,
     check_distance_oracle,
-    check_euclidean_limit,
     check_laplace_annihilation,
     check_ode_order,
     check_volume,
@@ -237,7 +237,7 @@ class TestEuclideanLimit:
     RADII = [10.0, 100.0, 1000.0, 10000.0]
 
     def test_d3_converges(self):
-        report = check_euclidean_limit(3, 1.0, self.RADII)
+        report = oracle._euclidean_limit_reports(3, 1.0, self.RADII)[0]
         assert report.passed
         assert report.measured <= 1e-6
 
@@ -261,13 +261,13 @@ class TestEuclideanLimit:
         for radius, err in zip(self.RADII, errors):
             predicted = math.log(2.0 * radius) / (2.0 * math.pi)
             assert err == pytest.approx(predicted, abs=1e-3)
-        report = check_euclidean_limit(2, 1.0, self.RADII)
+        report = oracle._euclidean_limit_reports(2, 1.0, self.RADII)[0]
         assert not report.passed
 
     def test_validation(self):
         for radii in ([100.0, 10.0], [0.5, 10.0], []):
             with pytest.raises(ValueError, match="radii must be strictly increasing"):
-                check_euclidean_limit(3, 1.0, radii)
+                oracle._euclidean_limit_reports(3, 1.0, radii)
 
 
 class TestCrossRepresentation:
@@ -326,8 +326,9 @@ class TestCrossRepresentation:
 
 class TestGeometryChecks:
     def test_distance_oracle(self):
-        report = check_distance_oracle(3, pairs=300)
+        report = check_distance_oracle(3)
         assert report.passed and report.measured <= 1e-10
+        assert report.detail.startswith(f"{DISTANCE_PAIRS} random pairs")
 
     def test_distance_oracle_tests_the_cli_function(self, monkeypatch):
         # the check measures the geodesic_distance that `sphgreen distance` runs
@@ -336,7 +337,7 @@ class TestGeometryChecks:
 
         monkeypatch.setattr(oracle, "geodesic_distance",
                             lambda a, b: geodesic_distance(a, b) + 1e-9)
-        report = check_distance_oracle(3, 50)
+        report = check_distance_oracle(3)
         assert not report.passed
         assert report.measured == pytest.approx(1e-9, rel=1e-3)
 
@@ -365,14 +366,15 @@ class TestGeometryChecks:
         # the delta identity's array evaluation against the scalar route at its nodes
         import numpy as np
 
-        from sphgreen.kernel import _finite_sum_kernel, i_d_finite_sum
+        from sphgreen.kernel import Representation, _finite_sum_kernel, radial_kernel
         from sphgreen.oracle import _polar_rule
 
         theta, _, s = _polar_rule(400)
         c = np.cos(theta)
         for d in range(2, 61):
             got = _finite_sum_kernel(d, c, s, asinh=np.arcsinh)
-            want = np.array([i_d_finite_sum(d, t).kernel for t in theta.tolist()])
+            want = np.array([radial_kernel(d, t, Representation.FINITE_SUM).kernel
+                             for t in theta.tolist()])
             assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want))), d
 
     def test_volume(self):
