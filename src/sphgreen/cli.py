@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import functools
 import itertools
+import math
 import sys
 
 from .kernel import (
@@ -26,7 +27,6 @@ from .kernel import (
     _check_radius,
     _check_theta,
     _deviation,
-    _every_route,
     _kernel_rows,
     radial_kernel,
     solution_scale,
@@ -75,13 +75,13 @@ def cmd_eval(args) -> int:
         print(fmt(value))
         return EXIT_OK
     values = {}
-    for rep, result in _every_route(args.d, args.theta):
+    for _, rep, result in _kernel_rows(args.d, [args.theta], list(Representation), scale):
         if isinstance(result, Exception):
             # one route refusing must not take down the others
             reason = "series-window" if isinstance(result, SeriesWindowError) else "no-convergence"
             print(f"{rep.value} skipped {reason}")
             continue
-        value, err = result.scaled(scale)
+        value, err = result
         values[rep] = value
         print(f"{rep.value} {fmt(value)} {fmt(err)}")
     deviation = max((_deviation(a, b, max(1.0, abs(a), abs(b)))
@@ -107,16 +107,12 @@ def _table_rows(args, reps: list[Representation], scale: tuple[float, int]):
     """The CSV lines of ``table``, theta-major, as computed; no field needs quoting."""
     step = (args.theta_max - args.theta_min) / (args.n - 1)
     head = f"{args.d},{args.radius!r},"
-
-    def lines(rep):
-        # the last row is --theta-max itself, which (n - 1) * step can miss by an ulp
-        thetas, angles = itertools.tee(itertools.chain(
-            (args.theta_min + i * step for i in range(args.n - 1)), (args.theta_max,)))
-        method = rep.value
-        for theta, (value, err) in zip(thetas, _kernel_rows(args.d, angles, rep, scale)):
-            yield f"{head}{theta!r},{method},{value!r},{err!r}\n"
-
-    return itertools.chain.from_iterable(zip(*map(lines, reps)))
+    # the last row is --theta-max itself, which (n - 1) * step can miss by an ulp
+    thetas = itertools.chain((args.theta_min + i * step for i in range(args.n - 1)),
+                             (args.theta_max,))
+    for theta, rep, result in _kernel_rows(args.d, thetas, reps, scale):
+        value, err = (math.nan, math.nan) if isinstance(result, Exception) else result
+        yield f"{head}{theta!r},{rep.value},{value!r},{err!r}\n"
 
 
 def cmd_table(args) -> int:

@@ -9,11 +9,11 @@ sphere and the Euclidean reference solution.
 
 Every route computes the bounded kernel K_d = sin^{d-2}(theta) I_d(theta),
 with an error bound, from cos theta and sin theta: one core per route in
-``_ROUTES``, which ``radial_kernel`` runs for one route and ``_every_route``
-for all of them at once.  ``_scaled`` multiplies it by the unbounded factors
-c0(d), R^{2-d} and sin^{2-d}(theta), kept as (mantissa, exponent) pairs, and
-rounds once, so a value is +-inf or 0.0 only where the exact one lies outside
-double range.
+``_ROUTES``, which ``radial_kernel`` runs for one route at one angle and
+``_kernel_rows`` for any routes over many angles.  ``_scaled`` multiplies it
+by the unbounded factors c0(d), R^{2-d} and sin^{2-d}(theta), kept as
+(mantissa, exponent) pairs, and rounds once, so a value is +-inf or 0.0 only
+where the exact one lies outside double range.
 
 The production path (finite sum, recurrence) needs no other module: ``specfun``
 and ``quadrature`` load on the first call of a series or quadrature route.
@@ -203,14 +203,12 @@ class KernelValue(namedtuple("KernelValue", "kernel kernel_error method sine_pow
         return _scaled(self.kernel_error, self.sine_power)
 
 
-def _kernel_value(method: Representation, d: int, sine_power: tuple[float, int],
-                  kernel: float, error: float) -> KernelValue:
-    """The one constructor of KernelValue; refuses a K that is not finite."""
+def _finite_kernel(rep: Representation, d: int, kernel: float) -> float:
+    """A route's K, or the refusal of one that is not finite."""
     if not math.isfinite(kernel):
         raise NonConvergenceError(
-            f"{method.value} route: the kernel sin^(d-2) I_d is {kernel} at d={d}",
-            kernel, 0)
-    return KernelValue(kernel, error, method, sine_power)
+            f"{rep.value} route: the kernel sin^(d-2) I_d is {kernel} at d={d}", kernel, 0)
+    return kernel
 
 
 def _check_integer(x: int, name: str, minimum: int) -> None:
@@ -239,13 +237,6 @@ def _check_theta(theta: float) -> None:
     if not THETA_EDGE <= theta <= math.pi - THETA_EDGE:
         raise ValueError(
             f"polar angle {theta} outside [{THETA_EDGE}, pi - {THETA_EDGE}]")
-
-
-def _cos_sin(d: int, theta: float) -> tuple[float, float]:
-    """(cos theta, sin theta) once d and theta pass their rules: every route's prologue."""
-    _check_dimension(d)
-    _check_theta(theta)
-    return math.cos(theta), math.sin(theta)
 
 
 def _quadrature(d: int, c: float, s: float) -> tuple[float, float]:
@@ -422,53 +413,50 @@ def radial_kernel(d: int, theta: float,
     route.  Each route's core in ``_ROUTES`` states its mathematics and its error bound."""
     if not isinstance(rep, Representation):
         raise ValueError(f"unknown representation {rep!r}")
-    c, s = _cos_sin(d, theta)
-    return _kernel_value(rep, d, _power(s, 2 - d), *_ROUTES[rep](d, c, s))
+    _check_dimension(d)
+    _check_theta(theta)
+    s = math.sin(theta)
+    kernel, error = _ROUTES[rep](d, math.cos(theta), s)
+    return KernelValue(_finite_kernel(rep, d, kernel), error, rep, _power(s, 2 - d))
 
 
-def _every_route(d: int, theta: float) -> list:
-    """[(rep, ``radial_kernel(d, theta, rep)`` or the refusal it raises)] for every rep,
-    in ``Representation`` order, with the same bits and messages.  The angle is checked
-    and its cosine, sine and sin^(2-d) computed once, and the Ferrers route takes the
-    (kernel, error) of the route it equals, which has run before it, instead of summing
-    it again.
-    """
-    c, s = _cos_sin(d, theta)
-    power = _power(s, 2 - d)
-    pairs, routes = {}, []
-    for rep, route in _ROUTES.items():
-        try:
-            # where the route it equals refused, the Ferrers route runs and refuses alike
-            pair = pairs.get(_ferrers_source(c)) if route is _ferrers else None
-            pair = pairs[rep] = pair or route(d, c, s)
-            routes.append((rep, _kernel_value(rep, d, power, *pair)))
-        except _REFUSALS as refusal:
-            routes.append((rep, refusal))
-    return routes
-
-
-def _kernel_rows(d: int, thetas, rep: Representation, scale: tuple[float, int]):
-    """``radial_kernel(d, theta, rep).scaled(scale)`` bit for bit, or (nan, nan) where
-    the route refuses, at each angle of ``thetas``, which the caller keeps in [THETA_EDGE,
-    pi - THETA_EDGE].  The finite sum checks d and looks up its table once; each angle then
-    costs a cosine, a sine, the sum and one power of sin theta.  Other routes run their
-    scalar function.
+def _kernel_rows(d: int, thetas, reps: list[Representation], scale: tuple[float, int] = (1.0, 0)):
+    """(theta, rep, result) for each angle of ``thetas`` and each route of ``reps`` in
+    order: result is ``radial_kernel(d, theta, rep).scaled(scale)`` bit for bit, or the
+    refusal that call raises.  d is checked once and each angle as ``radial_kernel`` checks
+    it; an angle's cosine, sine and sin^(2-d) are computed once, and the Ferrers route takes
+    the (kernel, error) of the route it equals where that ran before it at the same angle.
+    The finite sum alone looks up its table once and skips the route dispatch.  Lazy: each
+    row is computed as it is asked for.
     """
     _check_dimension(d)
-    if rep is not Representation.FINITE_SUM:
+    if reps == [Representation.FINITE_SUM]:
+        rep, table = reps[0], _finite_sum_table(d)
         for theta in thetas:
+            _check_theta(theta)
+            c, s = math.cos(theta), math.sin(theta)
+            kernel = _finite_sum_kernel(d, c, s, table)
             try:
-                row = radial_kernel(d, theta, rep).scaled(scale)
-            except _REFUSALS:
-                row = math.nan, math.nan
-            yield row
+                result = _scale_with_error(_finite_kernel(rep, d, kernel),
+                                           _rounding_bound(d, kernel), scale, _power(s, 2 - d))
+            except NonConvergenceError as refusal:
+                result = refusal
+            yield theta, rep, result
         return
-    table = _finite_sum_table(d)
     for theta in thetas:
+        _check_theta(theta)
         c, s = math.cos(theta), math.sin(theta)
-        kernel = _finite_sum_kernel(d, c, s, table)
-        row = _scale_with_error(kernel, _rounding_bound(d, kernel), scale, _power(s, 2 - d))
-        yield row if math.isfinite(kernel) else (math.nan, math.nan)  # as _kernel_value refuses
+        power, pairs = _power(s, 2 - d), {}
+        for rep in reps:
+            route = _ROUTES[rep]
+            try:
+                # where the route it equals refused or did not run, the Ferrers route runs
+                pair = pairs.get(_ferrers_source(c)) if route is _ferrers else None
+                kernel, error = pairs[rep] = pair or route(d, c, s)
+                result = _scale_with_error(_finite_kernel(rep, d, kernel), error, scale, power)
+            except _REFUSALS as refusal:
+                result = refusal
+            yield theta, rep, result
 
 
 def double_factorial(n: int) -> int:

@@ -20,6 +20,7 @@ depends on the angle.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, Sequence
@@ -28,11 +29,12 @@ from .geometry import HyperPoint, _embed_rows, geodesic_distance
 from .harmonics import (DegenerateBranchError, QuantumNumbers, RadialSolutionKind,
                         convergence_order, ode_convergence_order)
 from .kernel import (
+    Representation,
     _check_dimension,
     _check_radius,
     _deviation,
-    _every_route,
     _finite_sum_kernel,
+    _kernel_rows,
     _pair_product,
     _power,
     _scaled,
@@ -253,7 +255,7 @@ def check_cross_representation(d: int) -> CheckReport:
     """Every other kernel route against the quadrature oracle at 50 angles
     evenly spaced over [0.05, pi - 0.05].
 
-    Every route is evaluated once per angle through ``kernel._every_route``, as
+    Every route is evaluated once per angle through ``kernel._kernel_rows``, as
     ``eval --method all`` does, and skipped only at the angles it refuses
     (``kernel._REFUSALS``); a refused quadrature reference is raised.
     For odd d the cotangent variant of the closed form is compared too, as
@@ -266,13 +268,14 @@ def check_cross_representation(d: int) -> CheckReport:
     worst = 0.0
     worst_at = ""
     routes = 0
-    for theta in thetas:
-        (_, quadrature), *others = _every_route(d, theta)
+    rows = _kernel_rows(d, thetas, list(Representation))
+    for theta, _, quadrature in rows:  # each angle's quadrature row heads its other routes
         if isinstance(quadrature, Exception):
             raise quadrature
-        reference = quadrature.value
+        reference = quadrature[0]
         denom = max(abs(reference), 1e-300)
-        candidates = {rep.value: result.value for rep, result in others
+        candidates = {rep.value: result[0]
+                      for _, rep, result in itertools.islice(rows, len(Representation) - 1)
                       if not isinstance(result, Exception)}
         if d % 2:
             try:

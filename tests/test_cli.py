@@ -413,6 +413,34 @@ class TestTable:
                         want = math.nan, math.nan
                     assert row[4:] == [fmt(x) for x in want], (lo, hi, row)
 
+    @pytest.mark.parametrize("d", [2, 5, 40])
+    def test_all_methods_rows_are_the_lines_of_eval_all(self, capsys, d):
+        # hyp2f1 and hyp2f1_euler refuse at 1e-6, and at 0.05 for d = 40
+        def table(lo, hi, methods):
+            code, out, err = run(capsys, "table", "--d", str(d), "--radius", "2.5", "--n", "2",
+                                 "--theta-min", lo, "--theta-max", hi, "--methods", methods)
+            assert code == 0 and err == ""
+            return {(row[2], row[3]): row[4:] for row in list(csv.reader(io.StringIO(out)))[1:]}
+
+        for lo, hi in [("1e-06", "0.05"), ("1.0", repr(math.pi - 1e-6))]:
+            rows = table(lo, hi, "all")
+            for theta in (lo, hi):
+                code, out, err = run(capsys, "eval", "--d", str(d), "--radius", "2.5",
+                                     "--theta", theta, "--method", "all")
+                assert code == 0 and err == ""
+                lines = [line.split() for line in out.splitlines()[:-1]]
+                assert [line[0] for line in lines] == list(METHOD_ORDER)
+                skipped = {line[0] for line in lines if line[1] == "skipped"}
+                if theta == "1e-06" or (d == 40 and theta == "0.05"):
+                    assert {"hyp2f1", "hyp2f1_euler"} <= skipped
+                for method, *fields in lines:
+                    want = ["nan", "nan"] if method in skipped else fields
+                    assert rows[(theta, method)] == want, (theta, method)
+            # the Ferrers rows do not depend on which routes run beside them
+            for methods in ("ferrers", "ferrers,hyp2f1", "finite_sum,ferrers"):
+                subset = table(lo, hi, methods)
+                assert subset == {key: rows[key] for key in subset}
+
     def test_rows_stream(self):
         # a billion-row table yields its first line at once: no row is built ahead
         args = argparse.Namespace(d=5, radius=1.0, theta_min=1.0, theta_max=2.0, n=10**9)

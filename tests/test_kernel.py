@@ -14,7 +14,7 @@ from sphgreen.kernel import (
     THETA_EDGE,
     Representation,
     SeriesWindowError,
-    _every_route,
+    _kernel_rows,
     _scaled,
     euclidean_fundamental,
     fundamental_solution,
@@ -325,45 +325,65 @@ class TestKernelProperties:
                 radial_kernel(d, 1.0, Representation.FINITE_SUM)
 
     @pytest.mark.parametrize(
-        "route", [*Representation, _every_route],
+        "route", [*Representation, _kernel_rows],
         ids=lambda route: getattr(route, "value", None) or route.__name__)
     def test_every_route_rejects_bad_input_alike(self, route):
-        call = (functools.partial(radial_kernel, rep=route)
-                if isinstance(route, Representation) else route)
-        for d in (1, 3.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
-                call(d, 1.0)
-        for theta in (0.0, 1e-13, math.pi, math.nan, math.inf):
-            with pytest.raises(ValueError, match=r"polar angle \S+ outside"):
-                call(3, theta)
+        if isinstance(route, Representation):
+            calls = [functools.partial(radial_kernel, rep=route)]
+        else:
+            # the driver's finite-sum branch and its loop over any routes
+            calls = [lambda d, theta, reps=reps: list(route(d, [theta], reps))
+                     for reps in ([Representation.FINITE_SUM], list(Representation))]
+        for call in calls:
+            for d in (1, 3.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+                    call(d, 1.0)
+            for theta in (0.0, 1e-13, math.pi, math.nan, math.inf):
+                with pytest.raises(ValueError, match=r"polar angle \S+ outside"):
+                    call(3, theta)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(d=st.integers(2, 400), theta=st.floats(THETA_EDGE, math.pi - THETA_EDGE))
+    @given(d=st.integers(2, 400),
+           thetas=st.lists(st.floats(THETA_EDGE, math.pi - THETA_EDGE), min_size=1, max_size=4),
+           reps=st.lists(st.sampled_from(Representation), min_size=1, max_size=6, unique=True),
+           radius=st.floats(-3.0, 3.0).map(lambda x: 10.0**x))
     # each side of the series window and of the Ferrers switch
-    @example(d=6, theta=math.acos(math.sqrt(SERIES_WINDOW)) - 1e-9)
-    @example(d=6, theta=math.acos(math.sqrt(SERIES_WINDOW)) + 1e-9)
-    @example(d=60, theta=math.pi - math.acos(math.sqrt(SERIES_WINDOW)) + 1e-9)
-    @example(d=7, theta=math.pi / 4 - 1e-9)
-    @example(d=7, theta=math.pi / 4 + 1e-9)
-    @example(d=2, theta=3 * math.pi / 4 + 1e-9)
-    @example(d=3, theta=1e-12)
-    @example(d=400, theta=0.15)  # hyp2f1 overflows
-    @example(d=200, theta=0.3)  # hyp2f1_euler refuses
-    def test_every_route_at_once_is_each_route_alone(self, d, theta):
+    @example(d=6, thetas=[math.acos(math.sqrt(SERIES_WINDOW)) - 1e-9], reps=[*Representation],
+             radius=1.0)
+    @example(d=6, thetas=[math.acos(math.sqrt(SERIES_WINDOW)) + 1e-9], reps=[*Representation],
+             radius=1.0)
+    @example(d=60, thetas=[math.pi - math.acos(math.sqrt(SERIES_WINDOW)) + 1e-9],
+             reps=[*Representation], radius=1.0)
+    @example(d=7, thetas=[math.pi / 4 - 1e-9], reps=[*Representation], radius=1.0)
+    @example(d=7, thetas=[math.pi / 4 + 1e-9], reps=[*Representation], radius=1.0)
+    @example(d=2, thetas=[3 * math.pi / 4 + 1e-9], reps=[*Representation], radius=1.0)
+    @example(d=3, thetas=[1e-12], reps=[*Representation], radius=1.0)
+    @example(d=400, thetas=[0.15], reps=[*Representation], radius=1.0)  # hyp2f1 overflows
+    @example(d=200, thetas=[0.3], reps=[*Representation], radius=1.0)  # hyp2f1_euler refuses
+    # Ferrers ahead of the route it equals, on both sides of the switch
+    @example(d=9, thetas=[0.5, 1.0, 2.9], reps=[Representation.FERRERS_Q, Representation.HYP2F1,
+                                                Representation.FINITE_SUM], radius=1.0)
+    # the finite-sum branch, where the scaled values overflow and underflow
+    @example(d=300, thetas=[1e-12, 1.0, math.pi - 1e-12], reps=[Representation.FINITE_SUM],
+             radius=1e-3)
+    @example(d=300, thetas=[0.5, 1.5], reps=[Representation.FINITE_SUM], radius=1e3)
+    def test_kernel_rows_are_each_route_alone(self, d, thetas, reps, radius):
         def bits(outcome):
             # repr tells -0.0 from 0.0 and shows every bit of a double
             if isinstance(outcome, Exception):
                 return type(outcome), str(outcome)
             return repr(tuple(outcome))
 
-        routes = _every_route(d, theta)
-        assert [rep for rep, _ in routes] == list(Representation)
-        for rep, outcome in routes:
+        scale = solution_scale(d, radius)
+        rows = list(_kernel_rows(d, thetas, reps, scale))
+        assert [(theta, rep) for theta, rep, _ in rows] == [
+            (theta, rep) for theta in thetas for rep in reps]
+        for theta, rep, outcome in rows:
             try:
-                alone = radial_kernel(d, theta, rep)
+                alone = radial_kernel(d, theta, rep).scaled(scale)
             except (SeriesWindowError, NonConvergenceError, ToleranceNotMetError) as refusal:
                 alone = refusal
-            assert bits(outcome) == bits(alone), rep
+            assert bits(outcome) == bits(alone), (theta, rep)
 
     def test_ferrers_refuses_where_the_route_it_equals_refuses(self, monkeypatch):
         # below the switch the Ferrers route is the hyp2f1 series, and refuses where it does
@@ -375,11 +395,30 @@ class TestKernelProperties:
             raise refusal
 
         monkeypatch.setitem(kernel._ROUTES, Representation.HYP2F1, refuse)
-        routes = dict(_every_route(5, 1.0))
-        assert routes[Representation.HYP2F1] is routes[Representation.FERRERS_Q] is refusal
+        every, ferrers_first = (
+            {rep: result for _, rep, result in _kernel_rows(5, [1.0], reps)}
+            for reps in ([*Representation], [Representation.FERRERS_Q, Representation.HYP2F1]))
+        for routes in (every, ferrers_first):
+            assert routes[Representation.HYP2F1] is routes[Representation.FERRERS_Q] is refusal
         with pytest.raises(NonConvergenceError, match="refused"):
             radial_kernel(5, 1.0, Representation.FERRERS_Q)
-        assert isinstance(routes[Representation.FINITE_SUM], kernel.KernelValue)
+        assert isinstance(every[Representation.FINITE_SUM], tuple)
+
+    @pytest.mark.parametrize("reps", [[Representation.FINITE_SUM],
+                                      [Representation.RECURRENCE, Representation.FINITE_SUM]])
+    def test_a_kernel_that_is_not_finite_is_refused_alike(self, monkeypatch, reps):
+        # both branches of the driver and radial_kernel share one refusal
+        from sphgreen import kernel
+
+        monkeypatch.setattr(kernel, "_finite_sum_kernel", lambda *args, **kwargs: math.inf)
+        with pytest.raises(NonConvergenceError) as alone:
+            radial_kernel(5, 1.0)
+        assert str(alone.value) == "finite_sum route: the kernel sin^(d-2) I_d is inf at d=5"
+        rows = {rep: result for _, rep, result in _kernel_rows(5, [1.0], reps)}
+        refused = rows[Representation.FINITE_SUM]
+        assert type(refused) is NonConvergenceError and str(refused) == str(alone.value)
+        assert all(isinstance(result, tuple) for rep, result in rows.items()
+                   if rep is not Representation.FINITE_SUM)
 
     def test_pole_adjacent_overflow_saturates(self):
         # far past double range the cot/inverse-sine powers saturate to +-inf

@@ -286,12 +286,12 @@ class TestCrossRepresentation:
 
     @staticmethod
     def _patch(monkeypatch, reference=None, recurrence=None, every_route=None):
-        """Replace the kernel of the quadrature reference, of the recurrence
+        """Replace the value of the quadrature reference, of the recurrence
         route or of every other route by the given value.  The value replaces
-        what the route returned, because ``_kernel_value`` refuses a route's
-        own kernel that is not finite."""
+        what the driver yielded, because the driver refuses a route's own
+        kernel that is not finite."""
         import sphgreen.oracle as oracle
-        from sphgreen.kernel import Representation, _every_route
+        from sphgreen.kernel import Representation, _kernel_rows
 
         def replacement(rep):
             if rep is Representation.QUADRATURE:
@@ -300,12 +300,13 @@ class TestCrossRepresentation:
                 return every_route
             return recurrence if rep is Representation.RECURRENCE else None
 
-        def routes(d, theta):
-            return [(rep, kv if replacement(rep) is None or isinstance(kv, Exception)
-                     else kv._replace(kernel=replacement(rep)))
-                    for rep, kv in _every_route(d, theta)]
+        def rows(d, thetas, reps, scale=(1.0, 0)):
+            for theta, rep, result in _kernel_rows(d, thetas, reps, scale):
+                if replacement(rep) is not None and not isinstance(result, Exception):
+                    result = replacement(rep), result[1]
+                yield theta, rep, result
 
-        monkeypatch.setattr(oracle, "_every_route", routes)
+        monkeypatch.setattr(oracle, "_kernel_rows", rows)
 
     def test_nan_route_fails(self, monkeypatch):
         self._patch(monkeypatch, recurrence=math.nan)
