@@ -7,7 +7,8 @@ Subcommands:
   distance  geodesic distance and separation angle between two points
 
 Exit codes: 0 ok, 1 check failure, 2 bad arguments, 3 convergence failure,
-4 I/O error.  Angles are radians; floats print in shortest round-trip form.
+4 I/O error (silent when the reader of stdout stops early).  Angles are
+radians; floats print in shortest round-trip form.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import contextlib
 import functools
 import itertools
 import math
+import os
 import sys
 
 from .kernel import (
@@ -210,13 +212,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
     except _REFUSALS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): point stdout at os.devnull, so
+        # that the flush at exit does not fail again, as the Python docs' "Note
+        # on SIGPIPE" does, and say nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

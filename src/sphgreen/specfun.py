@@ -5,12 +5,21 @@ Gamma (exact on integers and half-integers, through the rising factorial
 first and second kind (associated Legendre functions on the cut).
 ``double_factorial`` and ``NonConvergenceError`` are ``kernel``'s, which the
 production path loads alone.
+
+The 2F1 series reads its term ratios (a+n)(b+n) / ((c+n)(n+1)) from a table
+kept for each (a, b, c) of the 256 most recently used, which doubles as calls
+need more terms; a term then costs one product with z, with the bits of the
+ratio computed in place.  The Ferrers functions keep their Gamma(g) / Gamma(r)
+prefactors per (g, r) the same way.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from collections import namedtuple
+from itertools import islice
 
 from .kernel import NonConvergenceError, double_factorial
 
@@ -109,47 +118,88 @@ def _gauss_2f1_sums(a: float, b: float, c: float, z: float) -> tuple[float, floa
         raise ValueError(f"series requires |z| < 1, got z={z}")
     # tol * max(|total|, 1e-300) == max(tol * |total|, floor) exactly, because
     # multiplying by tol > 0 preserves order after rounding; this form makes
-    # no builtin call per term.  The index n is a float, so every operation is
-    # float-float, with the bits of an int n: float(n) is exact below 2^53 and
-    # a + n rounds once.  A running counter (an += 1.0) would round at every
-    # step and drift from a + n.
+    # no builtin call per term.  Each term is the last one times r_n z, with
+    # r_n from the triple's table: the bits of ((a+n)(b+n) / ((c+n)(n+1))) z.
     tol, max_terms = TOLERANCE, MAX_TERMS
     floor = tol * 1e-300
     total = magnitude = term = 1.0
     below = 0
-    n = 0.0
-    if a > 0.0 and b > 0.0 and c > 0.0 and z >= 0.0:
-        # every term is >= 0 (z = -0.0 gives -0.0 terms, which add nothing), so
-        # the sum of magnitudes is the sum bit for bit, and the total stays
-        # >= 1, where tol * total >= tol > floor: the same stop rule, less work
-        for count in range(2, max_terms + 2):
-            n1 = n + 1.0
-            term *= (a + n) * (b + n) / ((c + n) * n1) * z
-            n = n1
-            total += term
-            if term <= tol * total:
-                below += 1
-                if below == 3:
-                    return total, total, count
-            else:
-                below = 0
-    else:
-        for count in range(2, max_terms + 2):
-            n1 = n + 1.0
-            term *= (a + n) * (b + n) / ((c + n) * n1) * z
-            n = n1
-            total += term
-            mag = term if term >= 0.0 else -term
-            magnitude += mag
-            if mag <= tol * (total if total >= 0.0 else -total) or mag <= floor:
-                below += 1
-                if below == 3:
-                    return total, magnitude, count
-            else:
-                below = 0
+    # every term of an all-positive series is >= 0 (z = -0.0 gives -0.0 terms,
+    # which add nothing), so the sum of magnitudes is the sum bit for bit, and
+    # the total stays >= 1, where tol * total >= tol > floor: the same stop
+    # rule, less work
+    lean = a > 0.0 and b > 0.0 and c > 0.0 and z >= 0.0
+    slot = _ratio_slot(a, b, c)
+    ratios = slot[0]
+    done = 0  # ratios read: the terms summed after the leading 1
+    while done < max_terms:
+        if len(ratios) <= done:
+            ratios = _more_ratios(a, b, c, ratios, min(max(2 * done, _FIRST_RATIOS), max_terms))
+            if len(ratios) <= _MAX_CACHED_RATIOS:
+                slot[0] = ratios
+        stop = len(ratios)
+        if done or stop > max_terms:
+            # resume where the last table ended, and read no more than
+            # MAX_TERMS ratios of a table that grew before it was lowered
+            stop = min(stop, max_terms)
+            terms = enumerate(islice(ratios, done, stop), done + 2)
+        else:
+            terms = enumerate(ratios, 2)
+        if lean:
+            for count, r in terms:
+                term *= r * z
+                total += term
+                if term <= tol * total:
+                    below += 1
+                    if below == 3:
+                        return total, total, count
+                else:
+                    below = 0
+        else:
+            for count, r in terms:
+                term *= r * z
+                total += term
+                mag = term if term >= 0.0 else -term
+                magnitude += mag
+                if mag <= tol * (total if total >= 0.0 else -total) or mag <= floor:
+                    below += 1
+                    if below == 3:
+                        return total, magnitude, count
+                else:
+                    below = 0
+        done = stop
     raise NonConvergenceError(
         f"2F1({a},{b};{c};{z}) did not converge in {max_terms} terms",
         total, max_terms)
+
+
+# A triple's table starts with _FIRST_RATIOS term ratios and doubles when a
+# series needs more.  One longer than _MAX_CACHED_RATIOS (128 KiB) is built for
+# its call alone, so the 256 cached tables never hold more than 32 MiB.
+_FIRST_RATIOS = 16
+_MAX_CACHED_RATIOS = 1 << 14
+
+
+@functools.lru_cache(maxsize=256)
+def _ratio_slot(a: float, b: float, c: float) -> list:
+    """A one-item list holding the term-ratio table of (a, b, c).
+
+    A grown table replaces the item as a new object, so a thread iterating
+    the old one never sees it change.  Threads that grow one table at once
+    each build their own, and the last one stored stays: every table holds
+    the same ratios as far as it goes.  0.0 and -0.0 share a key: a + 0.0 is
+    +0.0 for either, so their tables are the same."""
+    return [array("d")]
+
+
+def _more_ratios(a: float, b: float, c: float, ratios: array, size: int) -> array:
+    """``ratios`` extended to ``size`` term ratios r_n = (a+n)(b+n) / ((c+n)(n+1)).
+
+    The index n is a float, so every operation is float-float, with the bits
+    of an int n: float(n) is exact below 2^53 and a + n rounds once.  A running
+    counter (an += 1.0) would round at every step and drift from a + n."""
+    return ratios + array("d", [(a + n) * (b + n) / ((c + n) * (n + 1.0))
+                                for n in map(float, range(len(ratios), size))])
 
 
 class FerrersOrderDegree(namedtuple("FerrersOrderDegree", "degree order argument")):
@@ -200,9 +250,16 @@ def _two_term_sum(pd: FerrersOrderDegree, odd_weight: float | None,
             (even_weight, (nu + mu + 1.0) / 2.0, (nu - mu + 2.0) / 2.0, 1.0,
              (-nu - mu) / 2.0, (nu - mu + 1.0) / 2.0, 0.5)):
         if weight is not None:
-            value += weight * (gamma_real(g) * reciprocal_gamma(r) * lead * pow_fac
-                               * gauss_2f1(a, b, c, x * x))
+            value += weight * (_gamma_ratio(g, r) * lead * pow_fac * gauss_2f1(a, b, c, x * x))
     return value
+
+
+@functools.lru_cache(maxsize=256)
+def _gamma_ratio(g: float, r: float) -> float:
+    """Gamma(g) / Gamma(r) as the product Gamma(g) * (1 / Gamma(r)) that leads
+    a block of ``_two_term_sum``.  A Ferrers call needs two; ``check ode``
+    reaches only a few (g, r), so they are kept (an error is not)."""
+    return gamma_real(g) * reciprocal_gamma(r)
 
 
 def ferrers_p(pd: FerrersOrderDegree) -> float:

@@ -451,6 +451,30 @@ class TestTable:
         value, err = radial_kernel(5, 1.0).scaled(scale)
         assert first == f"5,1.0,1.0,finite_sum,{fmt(value)},{fmt(err)}\n"
 
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_a_reader_that_stops_early_gets_exit_4_and_no_message(self, tmp_path, buffered):
+        # `sphgreen table ... | head -1`: the writes after the reader has gone
+        # fail with EPIPE, and neither main nor the flush at exit says so
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sphgreen.cli", "table", "--d", "7", "--theta-min", "0.1",
+             "--theta-max", "3", "--n", "100000", "--methods", "finite_sum"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=tmp_path)
+        assert proc.stdout.readline() == b"d,R,theta,method,value,est_error\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 4
+        assert err == b""
+
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run(capsys, "table", "--d", "3", "--n", "3",
                          "--theta-min", "2", "--theta-max", "1")

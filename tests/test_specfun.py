@@ -403,6 +403,153 @@ class TestGauss2F1BitIdentity:
                     == outcome(reference_gauss_2f1_sums, *args))
 
 
+def cold(fn, *args):
+    """``outcome`` of fn with every term-ratio table dropped first."""
+    specfun._ratio_slot.cache_clear()
+    return outcome(fn, *args)
+
+
+def table_sizes():
+    """The lengths a triple's table takes as it doubles, up to 1024."""
+    size, sizes = specfun._FIRST_RATIOS, []
+    while size <= 1024:
+        sizes.append(size)
+        size *= 2
+    return sizes
+
+
+class TestRatioTables:
+    """Each (a, b, c) keeps a table of its term ratios, which grows as calls
+    need more terms; whatever the tables hold, every call returns the frozen
+    reference's bits, cold or warm."""
+
+    LEAN = (0.5, 20.0, 1.5, 0.999)
+    GENERAL = (0.5, 20.0, 1.5, -0.999)
+
+    def test_terminating_series_across_each_growth_step(self):
+        # 2F1(-m, 5/2; 3/2; 0.7) stops at m + 4 terms, so each table size k
+        # is read short of its last ratio, to it (k + 1 terms), then past it
+        counts = set()
+        for k in table_sizes()[:3]:
+            for m in range(k - 5, k - 1):
+                args = (-float(m), 2.5, 1.5, 0.7)
+                want = outcome(reference_gauss_2f1_sums, *args)
+                assert cold(specfun._gauss_2f1_sums, *args) == want
+                assert outcome(specfun._gauss_2f1_sums, *args) == want
+                counts.add(specfun._gauss_2f1_sums(*args)[2])
+        assert {63, 64, 65, 66} <= counts
+
+    @pytest.mark.parametrize("args", [LEAN, GENERAL])
+    def test_series_cut_at_each_growth_step(self, args):
+        # MAX_TERMS = k reads exactly k ratios; k + 1 needs a grown table.  Each
+        # is read cold, from a table grown by the call before, and from one
+        # grown by a longer call
+        specfun._ratio_slot.cache_clear()
+        for k in table_sizes():
+            for max_terms in (k - 1, k, k + 1):
+                with mock.patch.object(specfun, "MAX_TERMS", max_terms):
+                    want = outcome(reference_gauss_2f1_sums, *args)
+                    assert want[0] == "NonConvergenceError"
+                    assert outcome(specfun._gauss_2f1_sums, *args) == want
+                    assert cold(specfun._gauss_2f1_sums, *args) == want
+        # the table grew no further than the MAX_TERMS of the call that grew it
+        assert len(specfun._ratio_slot(*args[:3])[0]) == table_sizes()[-1] + 1
+        for k in table_sizes():
+            with mock.patch.object(specfun, "MAX_TERMS", k + 1):
+                assert (outcome(specfun._gauss_2f1_sums, *args)
+                        == outcome(reference_gauss_2f1_sums, *args))
+
+    @pytest.mark.parametrize("max_terms", [1, 2, 15, 16, 17, 100, 255])
+    def test_max_terms_below_a_cached_table(self, max_terms):
+        # a table that grew under the default cap is read no further than a
+        # lower MAX_TERMS, and keeps its length for the next call
+        args = (0.5, 20.0, 1.5, 0.95)
+        assert cold(specfun._gauss_2f1_sums, *args) == outcome(reference_gauss_2f1_sums, *args)
+        size = len(specfun._ratio_slot(*args[:3])[0])
+        assert size >= 256
+        for z in (0.95, 0.5):
+            with mock.patch.object(specfun, "MAX_TERMS", max_terms):
+                assert (outcome(specfun._gauss_2f1_sums, *args[:3], z)
+                        == outcome(reference_gauss_2f1_sums, *args[:3], z))
+        assert len(specfun._ratio_slot(*args[:3])[0]) == size
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_signed_zeros_share_a_table(self, first):
+        specfun._ratio_slot.cache_clear()
+        for a, b in ((first, 2.0), (-first, 2.0), (2.0, first), (2.0, -first)):
+            for z in (0.5, -0.5, 0.99):
+                args = (a, b, 1.5, z)
+                assert (outcome(specfun._gauss_2f1_sums, *args)
+                        == outcome(reference_gauss_2f1_sums, *args))
+        assert specfun._ratio_slot(0.0, 2.0, 1.5) is specfun._ratio_slot(-0.0, 2.0, 1.5)
+        assert specfun._ratio_slot(2.0, 0.0, 1.5) is specfun._ratio_slot(2.0, -0.0, 1.5)
+
+    def test_interleaved_triples(self):
+        # calls on different triples, each growing its own table in turn
+        triples = [(0.5, 20.0, 1.5), (1.0, -18.5, 1.5), (-3.5, 0.25, 0.5), (0.5, 2.0, 1.5)]
+        specfun._ratio_slot.cache_clear()
+        for z in (0.1, -0.6, 0.9, 0.3, 0.99, -0.999, 0.999):
+            for args in (t + (z,) for t in triples):
+                assert (outcome(specfun._gauss_2f1_sums, *args)
+                        == outcome(reference_gauss_2f1_sums, *args))
+
+    def test_threads_growing_one_triple(self):
+        # more threads than cores, switching every microsecond, each growing
+        # the one table from cold through every size up to 16384 ratios
+        import sys
+        import threading
+
+        zs = [0.5 + 0.495 * k / 40 for k in range(41)]
+        want = [outcome(reference_gauss_2f1_sums, 0.5, 20.0, 1.5, z) for z in zs]
+        got = [[] for _ in range(4)]
+        start = threading.Barrier(len(got))
+
+        def run(out):
+            start.wait(timeout=60)
+            for z in zs:
+                out.append(outcome(specfun._gauss_2f1_sums, 0.5, 20.0, 1.5, z))
+
+        specfun._ratio_slot.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(out,)) for out in got]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * len(got)
+
+    def test_more_triples_than_the_cache_holds(self):
+        info = specfun._ratio_slot.cache_info()
+        assert info.maxsize == 256
+        specfun._ratio_slot.cache_clear()
+        for k in range(300):
+            args = (0.5, 1.0 + k / 8.0, 1.5, 0.9)
+            assert (outcome(specfun._gauss_2f1_sums, *args)
+                    == outcome(reference_gauss_2f1_sums, *args))
+        assert specfun._ratio_slot.cache_info().currsize == 256
+
+    def test_a_long_series_is_not_kept(self):
+        # a table past _MAX_CACHED_RATIOS is built for its call alone
+        args = (0.5, 20.0, 1.5, 0.999)
+        with mock.patch.object(specfun, "_MAX_CACHED_RATIOS", 64):
+            want = outcome(reference_gauss_2f1_sums, *args)
+            assert cold(specfun._gauss_2f1_sums, *args) == want
+            assert outcome(specfun._gauss_2f1_sums, *args) == want
+            assert len(specfun._ratio_slot(*args[:3])[0]) == 64
+
+    @BIT_SETTINGS
+    @given(a=PARAMETER, b=PARAMETER, c=PARAMETER, z=st.floats(-1.0, 1.0, allow_nan=False))
+    def test_a_cold_call_gives_the_bits_of_a_warm_one(self, a, b, c, z):
+        with mock.patch.object(specfun, "MAX_TERMS", 3000):
+            first = cold(specfun._gauss_2f1_sums, a, b, c, z)
+            assert outcome(specfun._gauss_2f1_sums, a, b, c, z) == first
+            assert first == outcome(reference_gauss_2f1_sums, a, b, c, z)
+
 def reference_ferrers(pd, second_kind):
     """The closure-based Ferrers P and Q that the two-term sum replaced, frozen
     as the bit reference.  It calls the special functions through the module,
@@ -444,7 +591,10 @@ def reference_ferrers(pd, second_kind):
 
 def traced_outcome(fn, *args):
     """``outcome`` of fn (ZeroDivisionError and OverflowError included) and the
-    calls it made to gamma_real, reciprocal_gamma and gauss_2f1, in order."""
+    calls it made to gamma_real, reciprocal_gamma and gauss_2f1, in order.
+
+    The kept Gamma prefactors are dropped first, so that every call is made."""
+    specfun._gamma_ratio.cache_clear()
     calls = []
 
     def recording(name):
@@ -487,6 +637,19 @@ class TestFerrersBitIdentity:
         _, calls = traced_outcome(ferrers_q, FerrersOrderDegree(0.5, 0.25, 0.3))
         block = ["gamma_real", "reciprocal_gamma", "gamma_real", "gauss_2f1"]
         assert [c[0] for c in calls] == block * 2
+
+    def test_gamma_prefactors_are_kept(self):
+        # a second call with the same (nu, mu) reuses both blocks' Gamma(g) /
+        # Gamma(r) and returns the same bits; only the series are summed again
+        pd = FerrersOrderDegree(2.5, -2.5, 0.3)
+        other = pd._replace(argument=-0.7)
+        want = [traced_outcome(reference_ferrers, p, True)[0] for p in (pd, other)]
+        assert traced_outcome(ferrers_q, pd)[0] == want[0]
+        calls = []
+        real = specfun.gamma_real
+        with mock.patch.object(specfun, "gamma_real", lambda z: calls.append(z) or real(z)):
+            assert [outcome(ferrers_q, p) for p in (pd, other)] == want
+        assert calls == []
 
 
 # the (nu, mu) of the radial harmonics that ``sphgreen check ode`` runs, where
