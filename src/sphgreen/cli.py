@@ -25,6 +25,7 @@ from .kernel import (
     _REFUSALS,
     Representation,
     SeriesWindowError,
+    _angle_grid,
     _check_dimension,
     _check_radius,
     _check_theta,
@@ -107,11 +108,8 @@ def _parse_methods(text: str) -> list[Representation]:
 
 def _table_rows(args, reps: list[Representation], scale: tuple[float, int]):
     """The CSV lines of ``table``, theta-major, as computed; no field needs quoting."""
-    step = (args.theta_max - args.theta_min) / (args.n - 1)
     head = f"{args.d},{args.radius!r},"
-    # the last row is --theta-max itself, which (n - 1) * step can miss by an ulp
-    thetas = itertools.chain((args.theta_min + i * step for i in range(args.n - 1)),
-                             (args.theta_max,))
+    thetas = _angle_grid(args.theta_min, args.theta_max, args.n)
     for theta, rep, result in _kernel_rows(args.d, thetas, reps, scale):
         value, err = (math.nan, math.nan) if isinstance(result, Exception) else result
         yield f"{head}{theta!r},{rep.value},{value!r},{err!r}\n"

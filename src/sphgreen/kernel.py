@@ -13,7 +13,9 @@ with an error bound, from cos theta and sin theta: one core per route in
 ``_kernel_rows`` for any routes over many angles.  ``_scaled`` multiplies it
 by the unbounded factors c0(d), R^{2-d} and sin^{2-d}(theta), kept as
 (mantissa, exponent) pairs, and rounds once, so a value is +-inf or 0.0 only
-where the exact one lies outside double range.
+where the exact one lies outside double range.  ``_angle_grid`` spaces the
+angles of ``table`` and ``check xrep``; the ``finite_sum`` core also takes
+arrays of cos theta and sin theta, for ``check delta``.
 
 The production path (finite sum, recurrence) needs no other module: ``specfun``
 and ``quadrature`` load on the first call of a series or quadrature route.
@@ -289,34 +291,27 @@ def _rounding_bound(d: int, kernel: float) -> float:
     return 2.0 * d * sys.float_info.epsilon * abs(kernel)
 
 
-def _finite_sum_kernel(d, c, s, table=None, asinh=math.asinh):
-    """The finite sum K_d of ``_finite_sum`` from c = cos theta, s = sin theta, its
-    even-d B = log cot(theta/2) included as asinh(c / s), which keeps full relative accuracy
-    near the poles and near pi/2, where -log tan(theta/2) cancels.  Arithmetic and ``asinh``
-    only, so c and s may be arrays (with ``asinh=np.arcsinh``).  A caller with many angles
-    passes ``_finite_sum_table(d)``.
-    """
-    table = _finite_sum_table(d) if table is None else table
-    s2 = s * s
-    acc = 0.0
-    for coef in table:
-        acc = acc * s2 + coef
-    if d % 2:
-        return c * acc
-    return c * acc + (table[0] if table else 1.0) * asinh(c / s) * s ** (d - 2)
-
-
-def _finite_sum(d: int, c: float, s: float) -> tuple[float, float]:
-    """Closed-form evaluation in O(d) arithmetic operations.
+def _finite_sum(d, c, s, table=None, asinh=math.asinh):
+    """Closed-form evaluation in O(d) arithmetic operations: (K_d, ``_rounding_bound``).
 
     I_d = (d-3)!!/(d-2)!! [B + cos(theta) sum_j (j-1)!!/j!! s^{-(j+1)}] with
     s = sin(theta), over j = d-3, d-5, ... >= 0, and B = log cot(theta/2) for
     even d, B = 0 for odd d (the double-factorial inverse-sine variant).  So
     K_d = cos(theta) P(s^2)/(d-2) + r B s^{d-2} with r = (d-3)!!/(d-2)!!: the
     products of the two double-factorial ratios are the coefficients of
-    ``_finite_sum_table``.
+    ``_finite_sum_table``.  B is asinh(c / s), which keeps full relative accuracy
+    near the poles and near pi/2, where -log tan(theta/2) cancels.  Arithmetic and
+    ``asinh`` only, so c and s may be arrays (with ``asinh=np.arcsinh``).  A caller
+    with many angles passes ``_finite_sum_table(d)``.
     """
-    kernel = _finite_sum_kernel(d, c, s)
+    table = _finite_sum_table(d) if table is None else table
+    s2 = s * s
+    acc = 0.0
+    for coef in table:
+        acc = acc * s2 + coef
+    kernel = c * acc
+    if not d % 2:
+        kernel += (table[0] if table else 1.0) * asinh(c / s) * s ** (d - 2)
     return kernel, _rounding_bound(d, kernel)
 
 
@@ -420,6 +415,16 @@ def radial_kernel(d: int, theta: float,
     return KernelValue(_finite_kernel(rep, d, kernel), error, rep, _power(s, 2 - d))
 
 
+def _angle_grid(lo: float, hi: float, n: int):
+    """n >= 2 angles from lo to hi, each made as it is asked for: lo + i (hi - lo)/(n - 1)
+    for i < n - 1, then hi itself, which (n - 1) times the step can miss by an ulp.  These
+    are the doubles of numpy's linspace."""
+    step = (hi - lo) / (n - 1)
+    for i in range(n - 1):
+        yield lo + i * step
+    yield hi
+
+
 def _kernel_rows(d: int, thetas, reps: list[Representation], scale: tuple[float, int] = (1.0, 0)):
     """(theta, rep, result) for each angle of ``thetas`` and each route of ``reps`` in
     order: result is ``radial_kernel(d, theta, rep).scaled(scale)`` bit for bit, or the
@@ -435,10 +440,10 @@ def _kernel_rows(d: int, thetas, reps: list[Representation], scale: tuple[float,
         for theta in thetas:
             _check_theta(theta)
             c, s = math.cos(theta), math.sin(theta)
-            kernel = _finite_sum_kernel(d, c, s, table)
+            kernel, error = _finite_sum(d, c, s, table)
             try:
-                result = _scale_with_error(_finite_kernel(rep, d, kernel),
-                                           _rounding_bound(d, kernel), scale, _power(s, 2 - d))
+                result = _scale_with_error(_finite_kernel(rep, d, kernel), error, scale,
+                                           _power(s, 2 - d))
             except NonConvergenceError as refusal:
                 result = refusal
             yield theta, rep, result
@@ -460,22 +465,16 @@ def _kernel_rows(d: int, thetas, reps: list[Representation], scale: tuple[float,
 
 
 def double_factorial(n: int) -> int:
-    """n!! = n(n-2)... down to 1 or 2, with (-1)!! = 0!! = 1.  The top of n's range keeps
-    n // 2 within sys.maxsize, ``math.factorial``'s limit, and is checked before any work."""
-    if not -1 <= n <= 2 * sys.maxsize + 1:
-        raise ValueError(f"double factorial requires -1 <= n <= {2 * sys.maxsize + 1}, got {n}")
+    """n!! = n(n-2)... down to 1 or 2, with (-1)!! = 0!! = 1: (n/2)! 2^(n/2) for even n,
+    and (2m)!/m! / 2^m with m = (n+1)/2 for odd n.  The top of n's range keeps
+    (n + 1) // 2 within sys.maxsize, the limit of ``math.factorial`` and ``math.perm``,
+    and is checked before any work."""
+    if not -1 <= n <= 2 * sys.maxsize:
+        raise ValueError(f"double factorial requires -1 <= n <= {2 * sys.maxsize}, got {n}")
     if n % 2 == 0:
         return math.factorial(n // 2) << (n // 2)
-    return _odd_product(1, n)
-
-
-def _odd_product(lo: int, hi: int) -> int:
-    """lo (lo + 2) ... hi for odd lo, split in halves so that big factors stay balanced
-    (one running product is quadratic in the number of factors)."""
-    if hi - lo < 128:
-        return math.prod(range(lo, hi + 1, 2))
-    mid = (lo + hi) // 4 * 2 + 1
-    return _odd_product(lo, mid) * _odd_product(mid + 2, hi)
+    m = (n + 1) // 2
+    return math.perm(2 * m, m) >> m
 
 
 def solution_scale(d: int, radius: float) -> tuple[float, int]:
@@ -486,7 +485,7 @@ def solution_scale(d: int, radius: float) -> tuple[float, int]:
     is (d-2)!! / 2^{d/2-1} for even d and (d-2)!! sqrt(pi) / 2^{(d-1)/2} for odd d.
     The factor is a (mantissa, exponent) pair for ``KernelValue.scaled``, so
     it never overflows.  Raises ValueError for a radius that is not positive
-    and finite, and for d < 1 or (d - 2) // 2 > sys.maxsize (``double_factorial``).
+    and finite, and for d < 1 or d - 2 > 2 sys.maxsize (``double_factorial``).
     """
     _check_radius(radius)
     _check_integer(d, "dimension", 1)

@@ -10,11 +10,11 @@ adaptive quadrature.  ``SUITES`` groups them into the suites of
 are first called.
 
 The distance and delta checks run their grids as arrays through the library's
-own code (``geometry._embed_rows``, ``kernel._finite_sum_kernel``); the polar
-side of the distance check stays the scalar ``geodesic_distance`` that
-``sphgreen distance`` runs.  The cross-representation sweep stays scalar, on
-the standard library alone: its series routes loop for a number of terms that
-depends on the angle.
+own code (``geometry._embed_rows``, and ``kernel._finite_sum``, the core of the
+``finite_sum`` route); the polar side of the distance check stays the scalar
+``geodesic_distance`` that ``sphgreen distance`` runs.  The cross-representation
+sweep stays scalar, on the standard library alone: its series routes loop for a
+number of terms that depends on the angle.
 """
 
 from __future__ import annotations
@@ -30,10 +30,12 @@ from .harmonics import (DegenerateBranchError, QuantumNumbers, RadialSolutionKin
                         convergence_order, ode_convergence_order)
 from .kernel import (
     Representation,
+    _angle_grid,
     _check_dimension,
     _check_radius,
+    _check_theta,
     _deviation,
-    _finite_sum_kernel,
+    _finite_sum,
     _kernel_rows,
     _pair_product,
     _power,
@@ -125,7 +127,8 @@ def check_laplace_annihilation(d: int, radius: float, theta: float) -> CheckRepo
     S 2^-E, E the binary exponent of S(theta), stays in range at any d, with the same orders.
     """
     m, _ = solution_scale(d, radius)
-    scale = m, -radial_kernel(d, theta).sine_power[1]
+    _check_theta(theta)  # before math.sin, which raises an unnamed error at +-inf
+    scale = m, -_power(math.sin(theta), 2 - d)[1]
     order = convergence_order(lambda t: radial_kernel(d, t).scaled(scale)[0], d, 0, theta)
     return _order_report(f"laplace-annihilation d={d} R={radius} theta={theta}", [order],
                          "convergence order at steps min(theta, pi - theta)/(4d) and half that")
@@ -169,7 +172,7 @@ def check_delta_identity(d: int, radius: float) -> CheckReport:
 
     theta, w_theta, s = _rule_for(d)
     c = np.cos(theta)
-    kernel = _finite_sum_kernel(d, c, s, asinh=np.arcsinh)
+    kernel = _finite_sum(d, c, s, asinh=np.arcsinh)[0]
     polar = float(np.sum(w_theta * d * c * kernel * s))
     measured = _scaled(polar, solution_scale(d, radius), _power(radius, d - 2),
                        _sphere_area(d - 1, w_theta, s))
@@ -253,7 +256,7 @@ def _finite_sum_cot(d: int, theta: float) -> float:
 
 def check_cross_representation(d: int) -> CheckReport:
     """Every other kernel route against the quadrature oracle at 50 angles
-    evenly spaced over [0.05, pi - 0.05].
+    evenly spaced over [0.05, pi - 0.05] (``kernel._angle_grid``).
 
     Every route is evaluated once per angle through ``kernel._kernel_rows``, as
     ``eval --method all`` does, and skipped only at the angles it refuses
@@ -262,13 +265,11 @@ def check_cross_representation(d: int) -> CheckReport:
     ``finite_sum_cot``, where it stays in double range.  Measured value is
     the worst relative deviation (``kernel._deviation``).
     """
-    lo, hi = 0.05, math.pi - 0.05
-    step = (hi - lo) / 49
-    thetas = [lo + i * step for i in range(49)] + [hi]  # the doubles of numpy's linspace
+    angles = 50
     worst = 0.0
     worst_at = ""
     routes = 0
-    rows = _kernel_rows(d, thetas, list(Representation))
+    rows = _kernel_rows(d, _angle_grid(0.05, math.pi - 0.05, angles), list(Representation))
     for theta, _, quadrature in rows:  # each angle's quadrature row heads its other routes
         if isinstance(quadrature, Exception):
             raise quadrature
@@ -294,7 +295,7 @@ def check_cross_representation(d: int) -> CheckReport:
         expected=0.0,
         tolerance=1e-9,
         passed=worst <= 1e-9,
-        detail=f"{routes} route evaluations over {len(thetas)} angles; "
+        detail=f"{routes} route evaluations over {angles} angles; "
                f"worst: {worst_at}; quadrature tol={TOLERANCE}")
 
 

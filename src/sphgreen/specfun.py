@@ -1,8 +1,8 @@
 """Real-argument special functions used by the hypersphere kernel.
 
-Gamma (exact on integers and half-integers, through the rising factorial
-``pochhammer``), the Gauss 2F1 series on (-1, 1), and Ferrers functions of the
-first and second kind (associated Legendre functions on the cut).
+Gamma (exact on integers and half-integers), the Gauss 2F1 series on (-1, 1),
+and Ferrers functions of the first and second kind (associated Legendre
+functions on the cut).
 ``double_factorial`` and ``NonConvergenceError`` are ``kernel``'s, which the
 production path loads alone.
 
@@ -51,16 +51,6 @@ def _is_integer(z: float) -> bool:
     return z == round(z)
 
 
-def pochhammer(z: float, n: int) -> float:
-    """Rising factorial (z)_n = z(z+1)...(z+n-1); empty product is 1."""
-    if n < 0:
-        raise ValueError(f"pochhammer requires n >= 0, got {n}")
-    out = 1.0
-    for i in range(n):
-        out *= z + i
-    return out
-
-
 def gamma_real(z: float) -> float:
     """Gamma function for real z outside the nonpositive integers.
 
@@ -82,9 +72,9 @@ def gamma_real(z: float) -> float:
         if m >= 0:
             # int / int is correctly rounded where (2m-1)!! alone overflows a double
             return double_factorial(2 * m - 1) / 2**m * _SQRT_PI
-        # negative half-integer: climb to Gamma(1/2) with Gamma(z+1) = z Gamma(z)
-        k = int(round(0.5 - z))
-        return _SQRT_PI / pochhammer(z, k)
+        # negative half-integer: climb to Gamma(1/2) with Gamma(z+1) = z Gamma(z),
+        # dividing by the rising factorial z (z+1) ... (-1/2)
+        return _SQRT_PI / math.prod(z + i for i in range(int(round(0.5 - z))))
     return math.gamma(z)
 
 

@@ -147,15 +147,17 @@ class TestEval:
         assert_prints_reference(capsys, d, "1", solution_reference, nearest)
 
     @pytest.mark.parametrize("command", ["eval", "table"])
-    @pytest.mark.parametrize("d", ["20000000000000000000", "20000000000000000001"])
+    @pytest.mark.parametrize("d", ["20000000000000000000", "20000000000000000001",
+                                   "18446744073709551617"])
     def test_dimension_past_the_exact_double_factorial_exits_2(self, tmp_path, command, d):
-        # (d-2)!! needs (d - 2) // 2 <= sys.maxsize; an odd d past that once ran
-        # without end, so each call runs in a fresh process with a timeout
+        # (d-2)!! needs (d - 1) // 2 <= sys.maxsize; an odd d past that once ran
+        # without end (d = 2 sys.maxsize + 3 did, before the limit moved below
+        # it), so each call runs in a fresh process with a timeout
         argv = {"eval": ("--theta", "1"),
                 "table": ("--theta-min", "0.5", "--theta-max", "1", "--n", "2")}[command]
         code, out, err, _ = fresh_cli(tmp_path, command, "--d", d, *argv, timeout=20)
         assert (code, out) == (2, "")
-        assert err == ("error: double factorial requires -1 <= n <= 18446744073709551615, "
+        assert err == ("error: double factorial requires -1 <= n <= 18446744073709551614, "
                        f"got {int(d) - 2}\n")
 
     @pytest.mark.parametrize("argv, want", [
@@ -502,6 +504,11 @@ class TestTable:
         assert code == 2 and out == ""
         assert "unrecognized arguments: --tol" in err
 
+    def test_empty_method_list_exits_2(self, capsys):
+        code, out, err = run(capsys, "table", "--d", "5", "--theta-min", "1", "--theta-max", "2",
+                             "--n", "3", "--methods", ",,")
+        assert (code, out, err) == (2, "", "error: no methods given\n")
+
     def test_unwritable_path_exits_4(self, capsys, tmp_path):
         path = str(tmp_path / "missing-dir" / "t.csv")
         code, out, err = run(capsys, "table", "--d", "3", "--n", "2",
@@ -541,6 +548,16 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "xrep")
         assert code == 0
         assert out.count("PASS") == 9  # one line per d in 2..10
+
+    def test_xrep_raises_a_refused_quadrature_reference(self, capsys, monkeypatch):
+        # no other route is compared where the reference itself was refused
+        from sphgreen import kernel
+
+        def refuse(d, c, s):
+            raise kernel.ToleranceNotMetError(f"quadrature refused at d={d}", 0.0, 1.0)
+
+        monkeypatch.setitem(kernel._ROUTES, Representation.QUADRATURE, refuse)
+        assert run(capsys, "check", "xrep") == (3, "", "error: quadrature refused at d=2\n")
 
     def test_limit_suite_reports_d2_failure(self, capsys):
         # the d=2 comparison grows with R (additive-constant mismatch); the

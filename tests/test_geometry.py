@@ -146,6 +146,10 @@ class TestSeparationAngle:
                 oracle = math.acos(min(1.0, max(-1.0, float(ua @ ub))))
                 assert abs(gamma - oracle) <= 1e-12
 
+    def test_no_angles_rejected(self):
+        with pytest.raises(ValueError, match="^need at least the azimuth angle$"):
+            separation_angle((), ())
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             separation_angle((0.1,), (0.1, 0.2))

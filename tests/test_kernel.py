@@ -319,6 +319,11 @@ class TestKernelProperties:
         assert kv.method is Representation.FINITE_SUM
         assert kv.value == radial_kernel(5, 1.1, Representation.FINITE_SUM).value
 
+    def test_a_route_named_by_string_is_refused(self):
+        # a route is a Representation; its value string is not looked up
+        with pytest.raises(ValueError, match="^unknown representation 'finite_sum'$"):
+            radial_kernel(3, 1.0, "finite_sum")
+
     def test_dimension_validation(self):
         for d in (1, 3.0, math.inf, math.nan, -10**400):
             with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
@@ -410,7 +415,11 @@ class TestKernelProperties:
         # both branches of the driver and radial_kernel share one refusal
         from sphgreen import kernel
 
-        monkeypatch.setattr(kernel, "_finite_sum_kernel", lambda *args, **kwargs: math.inf)
+        def not_finite(*args, **kwargs):
+            return math.inf, math.inf
+
+        monkeypatch.setattr(kernel, "_finite_sum", not_finite)
+        monkeypatch.setitem(kernel._ROUTES, Representation.FINITE_SUM, not_finite)
         with pytest.raises(NonConvergenceError) as alone:
             radial_kernel(5, 1.0)
         assert str(alone.value) == "finite_sum route: the kernel sin^(d-2) I_d is inf at d=5"

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -367,16 +368,17 @@ class TestGeometryChecks:
         # the delta identity's array evaluation against the scalar route at its nodes
         import numpy as np
 
-        from sphgreen.kernel import Representation, _finite_sum_kernel, radial_kernel
+        from sphgreen.kernel import Representation, _finite_sum, radial_kernel
         from sphgreen.oracle import _polar_rule
 
         theta, _, s = _polar_rule(400)
         c = np.cos(theta)
         for d in range(2, 61):
-            got = _finite_sum_kernel(d, c, s, asinh=np.arcsinh)
+            got, bound = _finite_sum(d, c, s, asinh=np.arcsinh)
             want = np.array([radial_kernel(d, t, Representation.FINITE_SUM).kernel
                              for t in theta.tolist()])
             assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want))), d
+            assert np.array_equal(bound, 2.0 * d * sys.float_info.epsilon * np.abs(got)), d
 
     def test_volume(self):
         report = check_volume(3)

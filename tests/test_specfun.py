@@ -1,4 +1,5 @@
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,6 @@ from sphgreen.specfun import (
     ferrers_q,
     gamma_real,
     gauss_2f1,
-    pochhammer,
     reciprocal_gamma,
 )
 
@@ -112,6 +112,15 @@ class TestGamma:
         assert gamma_real(2.5) == pytest.approx(0.75 * SQRT_PI, rel=1e-15)
         assert gamma_real(-0.5) == pytest.approx(-2.0 * SQRT_PI, rel=1e-14)
 
+    def test_negative_half_integers_keep_the_rising_factorial_bits(self):
+        # the reference is the running product sqrt(pi) / (z (z+1) ... (-1/2))
+        for k in range(1, 32):
+            z = 0.5 - k
+            product = 1.0
+            for i in range(k):
+                product *= z + i
+            assert gamma_real(z) == SQRT_PI / product, z
+
     def test_pole_raises(self):
         for z in (0.0, -1.0, -4.0):
             with pytest.raises(GammaPoleError):
@@ -163,6 +172,12 @@ class TestDoubleFactorial:
         with pytest.raises(ValueError):
             double_factorial(-2)
 
+    def test_rejects_an_odd_n_past_math_perm(self):
+        # (n + 1) // 2 must fit math.perm's k: n = 2 sys.maxsize + 1 is refused by name
+        top = 2 * sys.maxsize
+        with pytest.raises(ValueError, match=f"requires -1 <= n <= {top}, got {top + 1}$"):
+            double_factorial(top + 1)
+
     def test_even_identity(self):
         for n in range(16):
             assert double_factorial(2 * n) == 2**n * math.factorial(n)
@@ -171,24 +186,6 @@ class TestDoubleFactorial:
     def test_equals_the_running_product(self, ns):
         for n in ns:
             assert double_factorial(n) == math.prod(range(n, 1, -2)), n
-
-
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(3.7, 0) == 1.0
-        assert pochhammer(-2.0, 0) == 1.0
-
-    def test_factorial_case(self):
-        assert pochhammer(1.0, 4) == 24.0
-
-    def test_half_case(self):
-        assert pochhammer(0.5, 2) == 0.75
-
-    def test_gamma_ratio(self):
-        for z in (0.3, 1.7, 2.5):
-            for n in (1, 3, 6):
-                assert pochhammer(z, n) == pytest.approx(
-                    gamma_real(z + n) / gamma_real(z), rel=1e-13)
 
 
 class TestGauss2F1:
