@@ -109,10 +109,11 @@ def _parse_methods(text: str) -> list[Representation]:
 def _table_rows(args, reps: list[Representation], scale: tuple[float, int]):
     """The CSV lines of ``table``, theta-major, as computed; no field needs quoting."""
     head = f"{args.d},{args.radius!r},"
+    names = {rep: rep.value for rep in reps}  # ``rep.value`` is a Python-level property
     thetas = _angle_grid(args.theta_min, args.theta_max, args.n)
     for theta, rep, result in _kernel_rows(args.d, thetas, reps, scale):
         value, err = (math.nan, math.nan) if isinstance(result, Exception) else result
-        yield f"{head}{theta!r},{rep.value},{value!r},{err!r}\n"
+        yield f"{head}{theta!r},{names[rep]},{value!r},{err!r}\n"
 
 
 def cmd_table(args) -> int:
@@ -203,10 +204,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with the top-level pass skipped where it adds
+    nothing: when argv[0] names a subcommand, that subcommand's parser alone parses the
+    rest.  Anything it leaves over, and any other argv, goes to the whole parser, so that
+    argparse writes every message, usage line and exit code as before."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv:
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        subparser = action.choices.get(argv[0])
+        if subparser is not None:
+            args, extra = subparser.parse_known_args(argv[1:])
+            if not extra:
+                args.command = argv[0]
+                return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from sphgreen.cli import METHOD_ORDER, _parse_methods, _table_rows, fmt, main
+from sphgreen.cli import METHOD_ORDER, _parse, _parse_methods, _table_rows, build_parser, fmt, main
 from sphgreen.kernel import _REFUSALS, Representation, radial_kernel, solution_scale
 
 
@@ -691,6 +691,76 @@ class TestParserReuse:
                               text=True, env=env, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [fresh(argv) for argv in commands]
+
+
+class TestParsing:
+    """``main`` parses a subcommand's argv with that subcommand's parser alone; every
+    byte and exit code is what the whole parser followed by the same command gives."""
+
+    POINT = ("--d", "3", "--point-a", "0.7,1.1,0.9", "--point-b", "1.2,0.3,2.0")
+    CORPUS = [
+        # one valid call of each subcommand
+        ("eval", "--d", "3", "--theta", "1"),
+        ("eval", "--d", "5", "--radius", "2.5", "--theta", "0.4", "--method", "all"),
+        ("table", "--d", "4", "--theta-min", "0.1", "--theta-max", "3.0", "--n", "3",
+         "--methods", "finite_sum"),
+        ("check", "ode"),
+        ("distance", *POINT),
+        # help and no arguments at both levels
+        (), ("-h",), ("--help",), ("eval", "-h"), ("table", "--help"), ("check", "-h"),
+        ("distance", "--help"), ("eval",), ("check",), ("eval", "--d", "3", "--theta", "1", "-h"),
+        # unknown subcommand, or an option first
+        ("bogus", "--d", "3"), ("--d", "3", "eval", "--theta", "1"), ("-x", "eval"),
+        # abbreviated, attached, ambiguous and repeated flags; --
+        ("eval", "--d", "3", "--rad", "2", "--theta", "1"), ("eval", "--d=3", "--theta=1"),
+        ("table", "--d", "4", "--theta-m", "0.1", "--n", "3"),
+        ("eval", "--d", "3", "--d", "4", "--theta", "1"),
+        ("eval", "--d", "3", "--theta", "1", "--"), ("eval", "--d", "3", "--", "--theta", "1"),
+        ("--", "eval", "--d", "3", "--theta", "1"), ("check", "--", "ode"),
+        # something left over
+        ("eval", "--d", "3", "--theta", "1", "--bogus"),
+        ("eval", "--d", "3", "--theta", "1", "--bogus=2"),
+        ("eval", "--d", "3", "--theta", "1", "extra"), ("check", "ode", "extra"),
+        # bad values, negative numbers among them
+        ("eval", "--d", "three", "--theta", "1"),
+        ("eval", "--d", "3", "--theta", "1", "--method", "bogus"), ("check", "bogus"),
+        ("eval", "--d", "3", "--theta", "-1"), ("eval", "--d", "3", "--theta", "1", "--radius", "-2"),
+        ("distance", "--d", "3", "--point-a", "-0.7,1.1,0.9", "--point-b", "1.2,0.3,2.0"),
+    ]
+
+    @staticmethod
+    def whole_parser(argv):
+        return build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", CORPUS, ids=lambda argv: " ".join(argv) or "(empty)")
+    def test_main_prints_what_the_whole_parser_gives(self, capsys, monkeypatch, argv):
+        got = run(capsys, *argv)
+        with monkeypatch.context() as patch:
+            patch.setattr("sphgreen.cli._parse", self.whole_parser)
+            assert got == run(capsys, *argv)
+        try:
+            want = self.whole_parser(list(argv))
+        except SystemExit:
+            capsys.readouterr()
+            return
+        assert _parse(list(argv)) == want and want.command == argv[0]
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--d", "3", "--theta", "1"), ("eval", "--d", "3", "--theta", "1", "--bogus"),
+        ("eval", "--d", "3"), (),
+    ])
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch, argv):
+        import sys
+
+        monkeypatch.setattr(sys, "argv", ["sphgreen", *argv])
+        got = main(), *capsys.readouterr()
+        assert got == run(capsys, *argv)
+
+    def test_a_leftover_argument_gets_the_top_level_usage(self, capsys):
+        code, out, err = run(capsys, "eval", "--d", "3", "--theta", "1", "--bogus")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["usage: sphgreen [-h] {eval,table,check,distance} ...",
+                                    "sphgreen: error: unrecognized arguments: --bogus"]
 
 
 class TestImportHygiene:

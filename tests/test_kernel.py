@@ -324,6 +324,17 @@ class TestKernelProperties:
         with pytest.raises(ValueError, match="^unknown representation 'finite_sum'$"):
             radial_kernel(3, 1.0, "finite_sum")
 
+    @pytest.mark.parametrize("rep", list(Representation), ids=lambda rep: rep.value)
+    def test_a_route_hashes_by_identity_through_pickle_and_deepcopy(self, rep):
+        import copy
+        import pickle
+
+        from sphgreen.kernel import _ROUTES
+
+        for twin in (pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep)):
+            assert twin is rep and hash(twin) == object.__hash__(rep)
+            assert _ROUTES[twin] is _ROUTES[rep] and {rep: 1}[twin] == 1
+
     def test_dimension_validation(self):
         for d in (1, 3.0, math.inf, math.nan, -10**400):
             with pytest.raises(ValueError, match="dimension must be an integer >= 2"):

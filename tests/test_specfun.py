@@ -173,7 +173,8 @@ class TestDoubleFactorial:
             double_factorial(-2)
 
     def test_rejects_an_odd_n_past_math_perm(self):
-        # (n + 1) // 2 must fit math.perm's k: n = 2 sys.maxsize + 1 is refused by name
+        # n // 2 must fit math.factorial: n = 2 sys.maxsize + 1 is refused by name, before
+        # any product of odd factors starts
         top = 2 * sys.maxsize
         with pytest.raises(ValueError, match=f"requires -1 <= n <= {top}, got {top + 1}$"):
             double_factorial(top + 1)
