@@ -7,10 +7,10 @@ functions on the cut).
 production path loads alone.
 
 The 2F1 series reads its term ratios (a+n)(b+n) / ((c+n)(n+1)) from a table
-kept for each (a, b, c) of the 256 most recently used, which doubles as calls
-need more terms; a term then costs one product with z, with the bits of the
-ratio computed in place.  The Ferrers functions keep their Gamma(g) / Gamma(r)
-prefactors per (g, r) the same way.
+kept for each (a, b, c) of the 256 most recently used, and makes the ratios
+past its end as the loop reads them, to extend it; a term then costs one
+product with z, with the bits of the ratio computed in place.  The Ferrers
+functions keep their Gamma(g) / Gamma(r) prefactors per (g, r) the same way.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import functools
 import math
 from array import array
 from collections import namedtuple
-from itertools import islice
 
 from .kernel import NonConvergenceError, double_factorial
 
@@ -120,53 +119,48 @@ def _gauss_2f1_sums(a: float, b: float, c: float, z: float) -> tuple[float, floa
     # rule, less work
     lean = a > 0.0 and b > 0.0 and c > 0.0 and z >= 0.0
     slot = _ratio_slot(a, b, c)
-    ratios = slot[0]
-    done = 0  # ratios read: the terms summed after the leading 1
-    while done < max_terms:
-        if len(ratios) <= done:
-            ratios = _more_ratios(a, b, c, ratios, min(max(2 * done, _FIRST_RATIOS), max_terms))
-            if len(ratios) <= _MAX_CACHED_RATIOS:
-                slot[0] = ratios
-        stop = len(ratios)
-        if done or stop > max_terms:
-            # resume where the last table ended, and read no more than
-            # MAX_TERMS ratios of a table that grew before it was lowered
-            stop = min(stop, max_terms)
-            terms = enumerate(islice(ratios, done, stop), done + 2)
-        else:
-            terms = enumerate(ratios, 2)
-        if lean:
-            for count, r in terms:
-                term *= r * z
-                total += term
-                if term <= tol * total:
-                    below += 1
-                    if below == 3:
-                        return total, total, count
-                else:
-                    below = 0
-        else:
-            for count, r in terms:
-                term *= r * z
-                total += term
-                mag = term if term >= 0.0 else -term
-                magnitude += mag
-                if mag <= tol * (total if total >= 0.0 else -total) or mag <= floor:
-                    below += 1
-                    if below == 3:
-                        return total, magnitude, count
-                else:
-                    below = 0
-        done = stop
-    raise NonConvergenceError(
-        f"2F1({a},{b};{c};{z}) did not converge in {max_terms} terms",
-        total, max_terms)
+    ratios = table = slot[0]
+    if len(table) > max_terms:
+        ratios = table[:max_terms]  # a lowered MAX_TERMS (tests only)
+    first, made = 2, None
+    try:
+        # read the cached table to its end, then ratios made as they are read
+        while True:
+            if lean:
+                for count, r in enumerate(ratios, first):
+                    term *= r * z
+                    total += term
+                    if term <= tol * total:
+                        below += 1
+                        if below == 3:
+                            return total, total, count
+                    else:
+                        below = 0
+            else:
+                for count, r in enumerate(ratios, first):
+                    term *= r * z
+                    total += term
+                    mag = term if term >= 0.0 else -term
+                    magnitude += mag
+                    if mag <= tol * (total if total >= 0.0 else -total) or mag <= floor:
+                        below += 1
+                        if below == 3:
+                            return total, magnitude, count
+                    else:
+                        below = 0
+            if made is not None:
+                break
+            made = array("d")
+            first, ratios = len(table) + 2, _made_ratios(a, b, c, len(table), max_terms, made)
+    finally:
+        if made and len(table) < _MAX_CACHED_RATIOS:
+            slot[0] = table + made[:_MAX_CACHED_RATIOS - len(table)]
+    raise NonConvergenceError(f"2F1({a},{b};{c};{z}) did not converge in {max_terms} terms",
+                              total, max_terms)
 
 
-# A triple's table starts with _FIRST_RATIOS term ratios and doubles when a
-# series needs more.  One longer than _MAX_CACHED_RATIOS (128 KiB) is built for
-# its call alone, so the 256 cached tables never hold more than 32 MiB.
-_FIRST_RATIOS = 16
+# A table keeps no more than its first _MAX_CACHED_RATIOS (128 KiB), so the 256
+# cached tables never hold more than 32 MiB.
 _MAX_CACHED_RATIOS = 1 << 14
 
 
@@ -174,22 +168,26 @@ _MAX_CACHED_RATIOS = 1 << 14
 def _ratio_slot(a: float, b: float, c: float) -> list:
     """A one-item list holding the term-ratio table of (a, b, c).
 
-    A grown table replaces the item as a new object, so a thread iterating
-    the old one never sees it change.  Threads that grow one table at once
-    each build their own, and the last one stored stays: every table holds
+    A call that reads past the table's end stores the table and the ratios it
+    made as a new object, so a thread iterating the old one never sees it
+    change.  Threads that extend one table at once
+    each store their own, and the last one stored stays: every table holds
     the same ratios as far as it goes.  0.0 and -0.0 share a key: a + 0.0 is
     +0.0 for either, so their tables are the same."""
     return [array("d")]
 
 
-def _more_ratios(a: float, b: float, c: float, ratios: array, size: int) -> array:
-    """``ratios`` extended to ``size`` term ratios r_n = (a+n)(b+n) / ((c+n)(n+1)).
+def _made_ratios(a: float, b: float, c: float, start: int, stop: int, made: array):
+    """The term ratios r_n = (a+n)(b+n) / ((c+n)(n+1)) for start <= n < stop,
+    each appended to ``made`` before it is yielded.
 
     The index n is a float, so every operation is float-float, with the bits
     of an int n: float(n) is exact below 2^53 and a + n rounds once.  A running
     counter (an += 1.0) would round at every step and drift from a + n."""
-    return ratios + array("d", [(a + n) * (b + n) / ((c + n) * (n + 1.0))
-                                for n in map(float, range(len(ratios), size))])
+    for n in map(float, range(start, stop)):
+        r = (a + n) * (b + n) / ((c + n) * (n + 1.0))
+        made.append(r)
+        yield r
 
 
 class FerrersOrderDegree(namedtuple("FerrersOrderDegree", "degree order argument")):

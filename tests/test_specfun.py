@@ -407,13 +407,18 @@ def cold(fn, *args):
     return outcome(fn, *args)
 
 
-def table_sizes():
-    """The lengths a triple's table takes as it doubles, up to 1024."""
-    size, sizes = specfun._FIRST_RATIOS, []
-    while size <= 1024:
-        sizes.append(size)
-        size *= 2
-    return sizes
+def table(args):
+    """The term-ratio table kept for the (a, b, c) of args."""
+    return specfun._ratio_slot(*args[:3])[0]
+
+
+def warm(args, size):
+    """Drop every table, then leave args' triple one of ``size`` ratios: the
+    ratios read by its series at z = 0.999 cut at MAX_TERMS = size."""
+    specfun._ratio_slot.cache_clear()
+    with mock.patch.object(specfun, "MAX_TERMS", size):
+        outcome(specfun._gauss_2f1_sums, *args[:3], 0.999)
+    assert len(table(args)) == size
 
 
 class TestRatioTables:
@@ -424,38 +429,69 @@ class TestRatioTables:
     LEAN = (0.5, 20.0, 1.5, 0.999)
     GENERAL = (0.5, 20.0, 1.5, -0.999)
 
-    def test_terminating_series_across_each_growth_step(self):
-        # 2F1(-m, 5/2; 3/2; 0.7) stops at m + 4 terms, so each table size k
-        # is read short of its last ratio, to it (k + 1 terms), then past it
-        counts = set()
-        for k in table_sizes()[:3]:
-            for m in range(k - 5, k - 1):
-                args = (-float(m), 2.5, 1.5, 0.7)
-                want = outcome(reference_gauss_2f1_sums, *args)
-                assert cold(specfun._gauss_2f1_sums, *args) == want
-                assert outcome(specfun._gauss_2f1_sums, *args) == want
-                counts.add(specfun._gauss_2f1_sums(*args)[2])
-        assert {63, 64, 65, 66} <= counts
+    def test_a_table_holds_the_ratios_its_longest_call_read(self):
+        # a call that sums n terms reads n - 1 ratios; one that ends inside
+        # the table leaves the same table in the slot
+        specfun._ratio_slot.cache_clear()
+        for z, n in ((0.5, 103), (0.9, 687)):
+            args = (0.5, 20.0, 1.5, z)
+            assert (outcome(specfun._gauss_2f1_sums, *args)
+                    == outcome(reference_gauss_2f1_sums, *args))
+            assert specfun._gauss_2f1_sums(*args)[2] == n
+            assert len(table(args)) == n - 1
+        kept = table(args)
+        for z in (0.5, 0.9, -0.5, 0.0, -0.0):
+            args = (0.5, 20.0, 1.5, z)
+            assert (outcome(specfun._gauss_2f1_sums, *args)
+                    == outcome(reference_gauss_2f1_sums, *args))
+            assert table(args) is kept
+
+    @pytest.mark.parametrize("m", [1, 10, 40, 60])
+    def test_terminating_series_at_the_table_end(self, m):
+        # 2F1(-m, 5/2; 3/2; z) reads m + 3 ratios at 0.7 and at 0.999, so its
+        # table never grows past them: a call reads past the end of a table
+        # one ratio short, then to the end of one it left
+        args = (-float(m), 2.5, 1.5, 0.7)
+        want = outcome(reference_gauss_2f1_sums, *args)
+        assert specfun._gauss_2f1_sums(*args)[2] == m + 4
+        assert cold(specfun._gauss_2f1_sums, *args) == want
+        assert len(table(args)) == m + 3
+        for size in (m + 2, m + 3):
+            warm(args, size)
+            assert outcome(specfun._gauss_2f1_sums, *args) == want
+            assert outcome(specfun._gauss_2f1_sums, *args) == want
+            assert len(table(args)) == m + 3
+
+    @pytest.mark.parametrize("args", [(0.5, 20.0, 1.5, 0.5), (0.5, 20.0, 1.5, -0.5),
+                                      (0.5, 20.0, 1.5, 0.9), (-3.5, 0.25, 0.5, -0.9)])
+    def test_series_stopping_at_the_table_end(self, args):
+        # a series that reads k ratios, cold and from a table of k + 1, k and
+        # k - 1: it stops short of the table's end, at it, and one past it
+        want = outcome(reference_gauss_2f1_sums, *args)
+        k = specfun._gauss_2f1_sums(*args)[2] - 1
+        assert cold(specfun._gauss_2f1_sums, *args) == want
+        assert len(table(args)) == k
+        for size in (k + 1, k, k - 1):
+            warm(args, size)
+            assert outcome(specfun._gauss_2f1_sums, *args) == want
+            assert len(table(args)) == max(size, k)
 
     @pytest.mark.parametrize("args", [LEAN, GENERAL])
-    def test_series_cut_at_each_growth_step(self, args):
-        # MAX_TERMS = k reads exactly k ratios; k + 1 needs a grown table.  Each
-        # is read cold, from a table grown by the call before, and from one
-        # grown by a longer call
-        specfun._ratio_slot.cache_clear()
-        for k in table_sizes():
-            for max_terms in (k - 1, k, k + 1):
+    def test_series_cut_at_the_table_end(self, args):
+        # MAX_TERMS = len - 1 stops inside a warmed table, len at its end and
+        # len + 1 one ratio past it; each is also run cold, and a call cut
+        # at MAX_TERMS leaves no more ratios than it read
+        for size in (1, 16, 100, 1000):
+            for max_terms in (size - 1, size, size + 1):
                 with mock.patch.object(specfun, "MAX_TERMS", max_terms):
                     want = outcome(reference_gauss_2f1_sums, *args)
                     assert want[0] == "NonConvergenceError"
-                    assert outcome(specfun._gauss_2f1_sums, *args) == want
                     assert cold(specfun._gauss_2f1_sums, *args) == want
-        # the table grew no further than the MAX_TERMS of the call that grew it
-        assert len(specfun._ratio_slot(*args[:3])[0]) == table_sizes()[-1] + 1
-        for k in table_sizes():
-            with mock.patch.object(specfun, "MAX_TERMS", k + 1):
-                assert (outcome(specfun._gauss_2f1_sums, *args)
-                        == outcome(reference_gauss_2f1_sums, *args))
+                    assert len(table(args)) == max_terms
+                warm(args, size)
+                with mock.patch.object(specfun, "MAX_TERMS", max_terms):
+                    assert outcome(specfun._gauss_2f1_sums, *args) == want
+                assert len(table(args)) == max(size, max_terms)
 
     @pytest.mark.parametrize("max_terms", [1, 2, 15, 16, 17, 100, 255])
     def test_max_terms_below_a_cached_table(self, max_terms):
@@ -492,8 +528,8 @@ class TestRatioTables:
                         == outcome(reference_gauss_2f1_sums, *args))
 
     def test_threads_growing_one_triple(self):
-        # more threads than cores, switching every microsecond, each growing
-        # the one table from cold through every size up to 16384 ratios
+        # more threads than cores, switching every microsecond, each extending
+        # the one table from cold, z by z, to 13774 ratios
         import sys
         import threading
 
@@ -531,14 +567,16 @@ class TestRatioTables:
                     == outcome(reference_gauss_2f1_sums, *args))
         assert specfun._ratio_slot.cache_info().currsize == 256
 
-    def test_a_long_series_is_not_kept(self):
-        # a table past _MAX_CACHED_RATIOS is built for its call alone
+    def test_a_table_keeps_only_its_first_max_cached_ratios(self):
+        # a call that reads past _MAX_CACHED_RATIOS stores no more of them,
+        # and one that reads past a full table stores nothing
         args = (0.5, 20.0, 1.5, 0.999)
         with mock.patch.object(specfun, "_MAX_CACHED_RATIOS", 64):
             want = outcome(reference_gauss_2f1_sums, *args)
             assert cold(specfun._gauss_2f1_sums, *args) == want
+            kept = table(args)
             assert outcome(specfun._gauss_2f1_sums, *args) == want
-            assert len(specfun._ratio_slot(*args[:3])[0]) == 64
+            assert len(kept) == 64 and table(args) is kept
 
     @BIT_SETTINGS
     @given(a=PARAMETER, b=PARAMETER, c=PARAMETER, z=st.floats(-1.0, 1.0, allow_nan=False))
