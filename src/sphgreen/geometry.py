@@ -11,23 +11,14 @@ angles, innermost first.  The embedding consumes them outermost-in (the last
 entry produces the leading Cartesian component after x0), and the
 separation-angle product formula enumerates them in that same outermost-first
 order.
-
-Only the embeddings build arrays: ``_embed_rows`` embeds many points at once,
-and ``embed`` wraps it for one.  It imports NumPy when first called, so the
-rest of the module, ``geodesic_distance`` included, runs on the standard
-library alone.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
 from .kernel import _check_dimension, _check_radius, _pair_product, _power, _scaled
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "HyperPoint",
@@ -61,8 +52,8 @@ class HyperPoint(namedtuple("HyperPoint", "dimension radius polar direction")):
         _check_radius(radius)
         if not 0.0 <= polar <= math.pi:
             raise ValueError(f"polar angle must lie in [0, pi], got {polar}")
-        self = super().__new__(cls, int(dimension), float(radius), float(polar),
-                               tuple(float(a) for a in direction))
+        self = tuple.__new__(cls, (int(dimension), float(radius), float(polar),
+                                   tuple(map(float, direction))))
         self.__post_init__()
         return self
 
@@ -81,38 +72,22 @@ class HyperPoint(namedtuple("HyperPoint", "dimension radius polar direction")):
                 raise ValueError(f"direction angle must lie in [0, pi], got {a}")
 
 
-def _embed_rows(radius, polar, direction) -> np.ndarray:
-    """Ambient coordinates of n points as an (n, d+1) array.
-
-    ``radius`` and ``polar`` hold one value per point (shape (n,)) and
-    ``direction`` one row of d-1 direction angles per point.  Column 0 is
-    R cos(theta); the rest is R sin(theta) times the direction unit vector,
-    whose entries take the direction angles outermost first.
-    """
-    import numpy as np
-
-    direction = np.asarray(direction, dtype=float)
-    n, k = direction.shape
-    out = np.empty((n, k + 2))
-    out[:, 0] = radius * np.cos(polar)
-    sin_prod = np.ones(n)
-    for i in range(k - 1):
-        ang = direction[:, k - 1 - i]
-        out[:, i + 1] = sin_prod * np.cos(ang)
-        sin_prod = sin_prod * np.sin(ang)
-    out[:, k] = sin_prod * np.cos(direction[:, 0])
-    out[:, k + 1] = sin_prod * np.sin(direction[:, 0])
-    out[:, 1:] *= (radius * np.sin(polar)).reshape(n, 1)
-    return out
-
-
-def embed(p: HyperPoint) -> np.ndarray:
+def embed(p: HyperPoint) -> tuple[float, ...]:
     """Cartesian coordinates (x0, ..., xd) in the ambient Euclidean space.
 
     x0 = R cos(theta) and the remaining block is R sin(theta) times the
-    direction unit vector, so (x, x) = R^2.
+    direction unit vector, so (x, x) = R^2.  The block's entries take the
+    direction angles outermost first, each R sin(theta) times the running
+    product of the outer sines times one cosine; the azimuth gives the last two.
     """
-    return _embed_rows(p.radius, p.polar, [p.direction])[0]
+    _, radius, polar, direction = p
+    sin_prod = radius * math.sin(polar)
+    coords = [radius * math.cos(polar)]
+    for angle in direction[:0:-1]:
+        coords.append(sin_prod * math.cos(angle))
+        sin_prod *= math.sin(angle)
+    coords += sin_prod * math.cos(direction[0]), sin_prod * math.sin(direction[0])
+    return tuple(coords)
 
 
 def separation_angle(u: tuple[float, ...], v: tuple[float, ...]) -> float:

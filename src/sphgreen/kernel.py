@@ -14,8 +14,8 @@ with an error bound, from cos theta and sin theta: one core per route in
 by the unbounded factors c0(d), R^{2-d} and sin^{2-d}(theta), kept as
 (mantissa, exponent) pairs, and rounds once, so a value is +-inf or 0.0 only
 where the exact one lies outside double range.  ``_angle_grid`` spaces the
-angles of ``table`` and ``check xrep``; the ``finite_sum`` core also takes
-arrays of cos theta and sin theta, for ``check delta``.
+angles of ``table`` and ``check xrep``; ``check delta`` sums the
+``finite_sum`` core over its quadrature nodes.
 
 The production path (finite sum, recurrence) needs no other module: ``specfun``
 and ``quadrature`` load on the first call of a series or quadrature route.
@@ -294,7 +294,7 @@ def _rounding_bound(d: int, kernel: float) -> float:
     return 2.0 * d * sys.float_info.epsilon * abs(kernel)
 
 
-def _finite_sum(d, c, s, table=None, asinh=math.asinh):
+def _finite_sum(d: int, c: float, s: float, table=None) -> tuple[float, float]:
     """Closed-form evaluation in O(d) arithmetic operations: (K_d, ``_rounding_bound``).
 
     I_d = (d-3)!!/(d-2)!! [B + cos(theta) sum_j (j-1)!!/j!! s^{-(j+1)}] with
@@ -303,8 +303,7 @@ def _finite_sum(d, c, s, table=None, asinh=math.asinh):
     K_d = cos(theta) P(s^2)/(d-2) + r B s^{d-2} with r = (d-3)!!/(d-2)!!: the
     products of the two double-factorial ratios are the coefficients of
     ``_finite_sum_table``.  B is asinh(c / s), which keeps full relative accuracy
-    near the poles and near pi/2, where -log tan(theta/2) cancels.  Arithmetic and
-    ``asinh`` only, so c and s may be arrays (with ``asinh=np.arcsinh``).  A caller
+    near the poles and near pi/2, where -log tan(theta/2) cancels.  A caller
     with many angles passes ``_finite_sum_table(d)``.
     """
     table = _finite_sum_table(d) if table is None else table
@@ -314,7 +313,7 @@ def _finite_sum(d, c, s, table=None, asinh=math.asinh):
         acc = acc * s2 + coef
     kernel = c * acc
     if not d % 2:
-        kernel += (table[0] if table else 1.0) * asinh(c / s) * s ** (d - 2)
+        kernel += (table[0] if table else 1.0) * math.asinh(c / s) * s ** (d - 2)
     return kernel, _rounding_bound(d, kernel)
 
 

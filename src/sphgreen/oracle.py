@@ -6,15 +6,13 @@ the fundamental solution, which the operator annihilates; the distributional
 (test-function) identity by product quadrature, the zero-curvature limit
 against the Euclidean solution, and the cross-representation sweep against
 adaptive quadrature.  ``SUITES`` groups them into the suites of
-``sphgreen check``.  NumPy is imported by the checks that use it, when they
-are first called.
+``sphgreen check``.
 
-The distance and delta checks run their grids as arrays through the library's
-own code (``geometry._embed_rows``, and ``kernel._finite_sum``, the core of the
-``finite_sum`` route); the polar side of the distance check stays the scalar
-``geodesic_distance`` that ``sphgreen distance`` runs.  The cross-representation
-sweep stays scalar, on the standard library alone: its series routes loop for a
-number of terms that depends on the angle.
+Every check runs on the standard library alone, through the library's own
+code: the delta identity sums ``kernel._finite_sum``, the core of the
+``finite_sum`` route, over an owned Gauss-Legendre rule (``_polar_rule``), and
+the distance check sets ``geometry.embed`` against the ``geodesic_distance``
+that ``sphgreen distance`` runs.
 """
 
 from __future__ import annotations
@@ -22,10 +20,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
+import random
 from collections import namedtuple
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from .geometry import HyperPoint, _embed_rows, geodesic_distance
+from .geometry import HyperPoint, _clamped_acos, embed, geodesic_distance
 from .harmonics import (DegenerateBranchError, QuantumNumbers, RadialSolutionKind,
                         convergence_order, ode_convergence_order)
 from .kernel import (
@@ -36,6 +36,7 @@ from .kernel import (
     _check_theta,
     _deviation,
     _finite_sum,
+    _finite_sum_table,
     _kernel_rows,
     _pair_product,
     _power,
@@ -46,9 +47,6 @@ from .kernel import (
     solution_scale,
 )
 from .quadrature import TOLERANCE
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "SUITES",
@@ -67,31 +65,64 @@ __all__ = [
 
 
 @functools.cache
-def _polar_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n-node Gauss-Legendre rule on [0, pi]: nodes, weights and the
-    sines of the nodes, computed once per n.
+def _polar_rule(n: int) -> tuple[tuple[float, ...], ...]:
+    """The n-node Gauss-Legendre rule on [0, pi]: the nodes theta in ascending
+    order, the weights, sin theta and cos theta, computed once per n.
 
-    The arrays are shared by every caller, so they are made read-only.
+    Each root x of P_n in [0, 1) comes from Newton's method on the three-term
+    recurrence, started at Tricomi's estimate (Hale and Townsend, SIAM J. Sci.
+    Comput. 35 (2013) A652); two steps reach it for almost every root.  Its
+    weight is 2 / ((1 - x^2) P_n'(x)^2), with 1 - x^2 as (1 - x)(1 + x), which
+    does not cancel near the ends.  The root and its mirror -x give the nodes
+    pi/2 (1 -+ x) with the same weight and sine and opposite cosines; odd n
+    has the node pi/2 (x = 0).
     """
-    import numpy as np
+    steps = [((2 * k + 1) / (k + 1), k / (k + 1)) for k in range(1, n)]
+    roots, weights = [], []
+    for k in range(1, (n + 1) // 2 + 1):
+        # cos((4k - 1) pi / (4n + 2)) as a sine, which is exactly 0 at the middle root
+        x = (1.0 - (n - 1) / (8.0 * n**3)) * math.sin(math.pi * (2 * n + 2 - 4 * k) / (4 * n + 2))
+        for _ in range(8):
+            p0, p1 = 1.0, x  # P_(m-1)(x), P_m(x) up to m = n
+            for a, b in steps:
+                p0, p1 = p1, a * x * p1 - b * p0
+            slope = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+            step = p1 / slope
+            x -= step
+            if abs(step) <= 1e-16:
+                break
+        roots.append(x)
+        weights.append(math.pi / ((1.0 - x) * (1.0 + x) * slope * slope))
+    low = [0.5 * math.pi * (1.0 - x) for x in roots]
+    sines, cosines = [math.sin(t) for t in low], [math.cos(t) for t in low]
+    k = n // 2  # each node below pi/2 but the middle one of odd n has a mirror above it
+    return (tuple(low + [0.5 * math.pi * (1.0 + x) for x in roots[:k][::-1]]),
+            tuple(weights + weights[:k][::-1]), tuple(sines + sines[:k][::-1]),
+            tuple(cosines + [-c for c in cosines[:k][::-1]]))
 
-    x, w = np.polynomial.legendre.leggauss(n)
-    theta = 0.5 * math.pi * (x + 1.0)
-    rule = theta, 0.5 * math.pi * w, np.sin(theta)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
 
-
-def _rule_for(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rule_for(d: int) -> tuple[tuple[float, ...], ...]:
     """``_polar_rule`` sized to resolve sin^(d-1), whose peak is about 1/sqrt(d) wide."""
     return _polar_rule(max(256, math.ceil(6.0 * math.sqrt(d))))
 
 
-def _sphere_area(n: int, w: np.ndarray, s: np.ndarray) -> tuple[float, int]:
+def _sphere_area(n: int, w: Sequence[float], s: Sequence[float]) -> tuple[float, int]:
     """The product-rule area of the unit n-sphere as a (mantissa, exponent) pair:
-    sin^j over [0, pi] by weights w at sines s for j = 1..n-1, times 2 pi."""
-    sums = [float(w @ s**j) for j in range(1, n)] + [2.0 * float(w.sum())]
+    sin^j over [0, pi] by weights w at sines s for j = 1..n-1, times 2 pi.
+
+    The rule is symmetric, so each sum is twice that over its first half, where
+    an odd rule's middle node counts half; w sin^j is a running product per node,
+    and each sum adds the largest terms (sin nearest 1) first."""
+    half = (len(w) + 1) // 2
+    terms, sines = list(w[half - 1::-1]), s[half - 1::-1]
+    if len(w) % 2:
+        terms[0] *= 0.5
+    azimuth = 4.0 * functools.reduce(operator.add, terms)
+    sums = []
+    for _ in range(1, n):
+        terms = list(map(operator.mul, terms, sines))
+        sums.append(2.0 * functools.reduce(operator.add, terms))
+    sums.append(azimuth)
     return _pair_product(map(math.frexp, sums))
 
 
@@ -166,27 +197,36 @@ def check_delta_identity(d: int, radius: float) -> CheckReport:
     so the check holds at any d.  The measured value is reported against
     both candidates phi(origin) = 1 and phi(origin) - phi(antipode) = 2.
     """
+    return _delta_reports(d, (radius,))[0]
+
+
+def _delta_reports(d: int, radii: Sequence[float]) -> list[CheckReport]:
+    """``check_delta_identity`` at each radius, from one polar sum and one area.
+    K is odd about pi/2 and the rule symmetric, so the terms of the first half
+    are summed twice, but for the middle node of an odd rule."""
     _check_dimension(d)
     tolerance = 1e-6 if d == 2 else 1e-5
-    import numpy as np
-
-    theta, w_theta, s = _rule_for(d)
-    c = np.cos(theta)
-    kernel = _finite_sum(d, c, s, asinh=np.arcsinh)[0]
-    polar = float(np.sum(w_theta * d * c * kernel * s))
-    measured = _scaled(polar, solution_scale(d, radius), _power(radius, d - 2),
-                       _sphere_area(d - 1, w_theta, s))
-    dist_one = abs(measured - 1.0)
-    dist_two = abs(measured - 2.0)
-    matched = "phi(x)-phi(antipode)=2" if dist_two <= dist_one else "phi(x)=1"
-    return CheckReport(
-        name=f"delta-identity d={d} R={radius}",
-        measured=measured,
-        expected=2.0,
-        tolerance=tolerance,
-        passed=dist_two <= tolerance,
-        detail=(f"nodes={len(theta)}/axis; |m-1|={dist_one:.3e}; |m-2|={dist_two:.3e}; "
-                f"matches {matched}"))
+    _, w, s, c = _rule_for(d)
+    table, half = _finite_sum_table(d), (len(w) + 1) // 2
+    terms = [wi * d * ci * _finite_sum(d, ci, si, table)[0] * si
+             for wi, si, ci in zip(w[:half], s[:half], c[:half])]
+    polar = math.fsum(terms + terms[:len(w) // 2])
+    area = _sphere_area(d - 1, w, s)
+    reports = []
+    for radius in radii:
+        measured = _scaled(polar, solution_scale(d, radius), _power(radius, d - 2), area)
+        dist_one = abs(measured - 1.0)
+        dist_two = abs(measured - 2.0)
+        matched = "phi(x)-phi(antipode)=2" if dist_two <= dist_one else "phi(x)=1"
+        reports.append(CheckReport(
+            name=f"delta-identity d={d} R={radius}",
+            measured=measured,
+            expected=2.0,
+            tolerance=tolerance,
+            passed=dist_two <= tolerance,
+            detail=(f"nodes={len(w)}/axis; |m-1|={dist_one:.3e}; |m-2|={dist_two:.3e}; "
+                    f"matches {matched}")))
+    return reports
 
 
 def euclidean_limit_errors(d: int, r: float, radii: Sequence[float]) -> list[float]:
@@ -299,31 +339,15 @@ def check_cross_representation(d: int) -> CheckReport:
                f"worst: {worst_at}; quadrature tol={TOLERANCE}")
 
 
-def _point_bounds(d: int) -> tuple[list[float], list[float]]:
-    """Bounds of one random point's d draws, in draw order: the azimuth, the
-    d-2 direction angles, then the polar angle."""
-    return [0.0] * d, [2.0 * math.pi] + [math.pi] * (d - 1)
+def random_hyperpoint(rng: random.Random, d: int, radius: float) -> HyperPoint:
+    """Uniform-in-coordinates random point (adequate for identity testing).
 
-
-def _point(d: int, radius: float, row: list[float]) -> HyperPoint:
-    """The HyperPoint of one row of draws laid out as ``_point_bounds``."""
-    return HyperPoint(d, radius, row[-1], tuple(row[:-1]))
-
-
-def random_hyperpoint(rng: np.random.Generator, d: int, radius: float) -> HyperPoint:
-    """Uniform-in-coordinates random point (adequate for identity testing)."""
-    return _point(d, radius, rng.uniform(*_point_bounds(d)).tolist())
-
-
-def _pair_rows(d: int, pairs: int, seed: int) -> np.ndarray:
-    """One row of 1 + 2d uniform draws per pair: the radius in [0.5, 3), then
-    point a and point b laid out as ``_point_bounds``.  The block holds the
-    same doubles as the same draws made one at a time."""
-    import numpy as np
-
-    lo, hi = _point_bounds(d)
-    return np.random.default_rng(seed).uniform([0.5] + lo * 2, [3.0] + hi * 2,
-                                               size=(pairs, 1 + 2 * d))
+    Its d draws from ``rng.random()`` are, in order, the azimuth in [0, 2 pi),
+    the d-2 other direction angles and the polar angle, each in [0, pi)."""
+    draw = rng.random
+    row = [math.pi * draw() for _ in range(d)]
+    row[0] *= 2.0
+    return HyperPoint(d, radius, row.pop(), row)
 
 
 # random point pairs per dimension of the distance check
@@ -332,24 +356,20 @@ DISTANCE_PAIRS = 200
 
 def check_distance_oracle(d: int) -> CheckReport:
     """Polar-form geodesic distance against the ambient-embedding distance at
-    ``DISTANCE_PAIRS`` random pairs.
+    ``DISTANCE_PAIRS`` random pairs: from ``random.Random(seed)``, a radius
+    uniform in [0.5, 3), then two ``random_hyperpoint`` on that sphere.
 
-    The ambient side embeds every point of ``_pair_rows`` at once; the polar
-    side calls ``geodesic_distance``, the function under test, per pair.
+    The ambient side is R arccos((x, x') / R^2) of the embeddings (``embed``);
+    the polar side calls ``geodesic_distance``, the function under test.
     """
-    import numpy as np
-
     seed = 20260809 + d
-    u = _pair_rows(d, DISTANCE_PAIRS, seed)
-    radius = u[:, 0]
-    xa, xb = (_embed_rows(radius, u[:, i + d - 1], u[:, i:i + d - 1]) for i in (1, d + 1))
-    inner = np.einsum("ij,ij->i", xa, xb) / radius**2
-    via_ambient = radius * np.arccos(np.clip(inner, -1.0, 1.0))
+    rng = random.Random(seed)
     worst = 0.0
-    for row, ambient in zip(u.tolist(), via_ambient.tolist()):
-        a = _point(d, row[0], row[1:d + 1])
-        b = _point(d, row[0], row[d + 1:])
-        worst = max(worst, abs(geodesic_distance(a, b) - ambient))
+    for _ in range(DISTANCE_PAIRS):
+        radius = rng.uniform(0.5, 3.0)
+        a, b = random_hyperpoint(rng, d, radius), random_hyperpoint(rng, d, radius)
+        inner = math.fsum(map(operator.mul, embed(a), embed(b))) / radius**2
+        worst = max(worst, abs(geodesic_distance(a, b) - radius * _clamped_acos(inner)))
     return CheckReport(
         name=f"distance-oracle d={d}",
         measured=worst,
@@ -382,7 +402,7 @@ def box_volume(d: int, radius: float) -> float:
     """
     _check_dimension(d)
     _check_radius(radius)
-    _, w, s = _rule_for(d)
+    _, w, s, _ = _rule_for(d)
     return _scaled(1.0, _sphere_area(d, w, s), _power(radius, d))
 
 
@@ -390,7 +410,7 @@ def check_volume(d: int) -> CheckReport:
     """Volume-weight integral over the unit coordinate box vs the known volume
     1 / c0(d+1): the relative error |box c0(d+1) - 1| holds past double range."""
     _check_dimension(d)
-    _, w, s = _rule_for(d)
+    _, w, s, _ = _rule_for(d)
     box = _sphere_area(d, w, s)
     rel = abs(_scaled(1.0, box, solution_scale(d + 1, 1.0)) - 1.0)
     return CheckReport(
@@ -408,8 +428,7 @@ LIMIT_RADII = (10.0, 100.0, 1000.0, 10000.0)
 SUITES = {
     "ode": lambda: [check_ode_order(QuantumNumbers(d, l), kind)
                     for d in range(2, 8) for l in range(3) for kind in RadialSolutionKind],
-    "delta": lambda: [check_delta_identity(d, radius)
-                      for d in (2, 3, 4, 60) for radius in (1.0, 5.0)],
+    "delta": lambda: [report for d in (2, 3, 4, 60) for report in _delta_reports(d, (1.0, 5.0))],
     "limit": lambda: [*_euclidean_limit_reports(3, 1.0, LIMIT_RADII),
                       _euclidean_limit_reports(2, 1.0, LIMIT_RADII)[0]],
     "xrep": lambda: [check_cross_representation(d) for d in range(2, 11)],

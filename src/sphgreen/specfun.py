@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
+import operator
 from collections import namedtuple
 
 from .kernel import NonConvergenceError, double_factorial
@@ -122,22 +122,22 @@ def _gauss_2f1_sums(a: float, b: float, c: float, z: float) -> tuple[float, floa
     ratios = table = slot[0]
     if len(table) > max_terms:
         ratios = table[:max_terms]  # a lowered MAX_TERMS (tests only)
-    first, made = 2, None
+    it, made = iter(ratios), None
     try:
         # read the cached table to its end, then ratios made as they are read
         while True:
             if lean:
-                for count, r in enumerate(ratios, first):
+                for r in it:
                     term *= r * z
                     total += term
                     if term <= tol * total:
                         below += 1
                         if below == 3:
-                            return total, total, count
+                            return total, total, _terms_read(ratios, it, made)
                     else:
                         below = 0
             else:
-                for count, r in enumerate(ratios, first):
+                for r in it:
                     term *= r * z
                     total += term
                     mag = term if term >= 0.0 else -term
@@ -145,13 +145,13 @@ def _gauss_2f1_sums(a: float, b: float, c: float, z: float) -> tuple[float, floa
                     if mag <= tol * (total if total >= 0.0 else -total) or mag <= floor:
                         below += 1
                         if below == 3:
-                            return total, magnitude, count
+                            return total, magnitude, _terms_read(ratios, it, made)
                     else:
                         below = 0
             if made is not None:
                 break
-            made = array("d")
-            first, ratios = len(table) + 2, _made_ratios(a, b, c, len(table), max_terms, made)
+            made = []
+            it = _made_ratios(a, b, c, len(ratios), max_terms, made)
     finally:
         if made and len(table) < _MAX_CACHED_RATIOS:
             slot[0] = table + made[:_MAX_CACHED_RATIOS - len(table)]
@@ -159,14 +159,19 @@ def _gauss_2f1_sums(a: float, b: float, c: float, z: float) -> tuple[float, floa
                               total, max_terms)
 
 
-# A table keeps no more than its first _MAX_CACHED_RATIOS (128 KiB), so the 256
-# cached tables never hold more than 32 MiB.
-_MAX_CACHED_RATIOS = 1 << 14
+def _terms_read(ratios: list, it, made: list | None) -> int:
+    """1 + the ratios read: those of ``ratios`` before the list iterator ``it``, then ``made``."""
+    return 1 + len(ratios) - operator.length_hint(it) + (len(made) if made else 0)
+
+
+# A table keeps no more than its first _MAX_CACHED_RATIOS, 32 B each (a pointer
+# and a float object: 128 KiB), so the 256 cached tables never hold more than 32 MiB.
+_MAX_CACHED_RATIOS = 1 << 12
 
 
 @functools.lru_cache(maxsize=256)
 def _ratio_slot(a: float, b: float, c: float) -> list:
-    """A one-item list holding the term-ratio table of (a, b, c).
+    """A one-item list holding the term-ratio list of (a, b, c).
 
     A call that reads past the table's end stores the table and the ratios it
     made as a new object, so a thread iterating the old one never sees it
@@ -174,10 +179,10 @@ def _ratio_slot(a: float, b: float, c: float) -> list:
     each store their own, and the last one stored stays: every table holds
     the same ratios as far as it goes.  0.0 and -0.0 share a key: a + 0.0 is
     +0.0 for either, so their tables are the same."""
-    return [array("d")]
+    return [[]]
 
 
-def _made_ratios(a: float, b: float, c: float, start: int, stop: int, made: array):
+def _made_ratios(a: float, b: float, c: float, start: int, stop: int, made: list):
     """The term ratios r_n = (a+n)(b+n) / ((c+n)(n+1)) for start <= n < stop,
     each appended to ``made`` before it is yielded.
 

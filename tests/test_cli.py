@@ -608,11 +608,12 @@ class TestDistance:
         assert float(values["distance"]) == pytest.approx(math.pi, rel=1e-12)
 
     def test_matches_embedding_oracle(self, capsys):
-        import numpy as np
+        import operator
+        import random
 
         from sphgreen.geometry import HyperPoint, embed
 
-        rng = np.random.default_rng(3)
+        rng = random.Random(3)
         for _ in range(20):
             a = [rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
                  rng.uniform(0, math.pi)]
@@ -625,7 +626,7 @@ class TestDistance:
             values = dict(line.split() for line in out.strip().splitlines())
             pa = HyperPoint(3, 2.0, a[0], tuple(a[1:]))
             pb = HyperPoint(3, 2.0, b[0], tuple(b[1:]))
-            inner = float(embed(pa) @ embed(pb)) / 4.0
+            inner = math.fsum(map(operator.mul, embed(pa), embed(pb))) / 4.0
             oracle = 2.0 * math.acos(min(1.0, max(-1.0, inner)))
             assert abs(float(values["distance"]) - oracle) <= 1e-10
 
@@ -889,5 +890,23 @@ class TestImportHygiene:
         assert {"sphgreen.oracle", "sphgreen.harmonics", "sphgreen.geometry"} <= modules
 
     def test_check_xrep_imports_no_numpy(self, tmp_path):
-        modules = self.loaded_after(tmp_path, ("check", "xrep"))
-        assert "sphgreen.oracle" in modules and "numpy" not in modules
+        # every suite, and the oracles' embedding and box volume, each in a fresh process
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        for suite in ("xrep", "ode", "laplace", "delta", "limit", "geometry"):
+            modules = self.loaded_after(tmp_path, ("check", suite),
+                                        codes=[1 if suite == "limit" else 0])
+            assert "sphgreen.oracle" in modules and "numpy" not in modules, suite
+        script = ("import sys\n"
+                  "from sphgreen.geometry import HyperPoint, embed\n"
+                  "from sphgreen.oracle import box_volume\n"
+                  "x = embed(HyperPoint(4, 2.0, 0.5, (0.1, 0.2, 0.3)))\n"
+                  "v = box_volume(4, 2.0)\n"
+                  "sys.exit(type(x) is not tuple or not v > 0.0 or 'numpy' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 import math
-import sys
+import operator
+import random
 
 import pytest
 
@@ -185,19 +186,20 @@ class TestDeltaIdentity:
         # the check's sum with one fundamental_solution call per node
         from sphgreen.kernel import Representation, fundamental_solution
 
-        theta, w_theta, s = rule
+        theta, w_theta, s, _ = rule
         total = 0.0
-        for t, wt, st in zip(theta.tolist(), w_theta.tolist(), s.tolist()):
+        for t, wt, st in zip(theta, w_theta, s):
             value = fundamental_solution(d, radius, t, Representation.FINITE_SUM)
             total += wt * d * math.cos(t) / radius**2 * value * radius**d * st ** (d - 1)
         if d == 3:
-            total *= float(w_theta @ s)
+            total *= math.fsum(map(operator.mul, w_theta, s))
         return total * 2.0 * math.pi
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("radius", [1.0, 5.0])
     def test_matches_scalar_loop(self, d, radius):
-        # the array path against one fundamental_solution call per node
+        # the check's half-rule sum of the finite-sum core against one
+        # fundamental_solution call per node
         from sphgreen.oracle import _rule_for
 
         total = self._scalar_loop(d, radius, _rule_for(d))
@@ -232,6 +234,76 @@ class TestDeltaIdentity:
             report = check_delta_identity(10000, radius)
             assert "nodes=600/axis" in report.detail
             assert report.passed and abs(report.measured - 2.0) <= 1e-8
+
+
+class TestGaussLegendre:
+    """``_polar_rule`` against one 34-digit mpmath Newton step from its nodes."""
+
+    SIZES = [256, 257, 329, 600]  # _rule_for: d <= 1821, 1822, 3000 and 10000
+
+    @staticmethod
+    def _reference(n, theta):
+        # the true node pi/2 (1 + x*) and weight pi / ((1 - x*^2) P_n'(x*)^2),
+        # from P_n and P_n' at x = 2 theta / pi - 1 and P_n'' by Legendre's equation
+        from mpmath import mp, mpf
+
+        x = 2 * mpf(theta) / mp.pi - 1
+        p0, p1 = mpf(1), x
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        slope = n * (p0 - x * p1) / (1 - x * x)
+        step = p1 / slope
+        slope -= (2 * x * slope - n * (n + 1) * p1) / (1 - x * x) * step
+        root = x - step
+        return mp.pi / 2 * (1 + root), mp.pi / ((1 - root * root) * slope * slope)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_nodes_and_weights_match_mpmath(self, n):
+        # measured: nodes within 2.6e-16 of the true ones, weights within 1.2e-12
+        # relative (the first node of n = 257; 3.0e-13 at n = 256), where the
+        # weight's slope 2/(1 - x^2) turns the node's rounding into 1e-12
+        from mpmath import mp
+
+        from sphgreen.oracle import _polar_rule
+
+        theta, w, _, _ = _polar_rule(n)
+        with mp.workdps(34):
+            # every node of the first 8, where the weights err most, then every 8th
+            for i in [*range(8), *range(8, (n + 1) // 2, 8)]:
+                node, weight = self._reference(n, theta[i])
+                assert abs(theta[i] - node) <= 3e-16, (n, i)
+                assert abs(w[i] / weight - 1) <= 2e-12, (n, i)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_symmetry_and_weight_sum(self, n):
+        from sphgreen.oracle import _polar_rule
+
+        theta, w, s, c = _polar_rule(n)
+        assert len(theta) == len(w) == len(s) == len(c) == n
+        assert list(theta) == sorted(theta) and 0.0 < theta[0] and theta[-1] < math.pi
+        for i in range(n):
+            j = n - 1 - i
+            assert w[i] == w[j] and s[i] == s[j] and (c[i] == -c[j] or i == j)
+            assert abs(theta[i] + theta[j] - math.pi) <= math.ulp(math.pi)
+            assert s[i] == math.sin(theta[min(i, j)]) and abs(c[i]) == math.cos(theta[min(i, j)])
+        if n % 2:
+            assert theta[n // 2] == 0.5 * math.pi
+        # the weights of [-1, 1] sum to 2, so those of [0, pi] to pi
+        assert abs(math.fsum(w) - math.pi) <= 4 * math.ulp(math.pi)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_integrates_polynomials_below_degree_2n(self, n):
+        # u = 2 theta / pi - 1: the rule integrates u^k over [0, pi] as pi / (k + 1)
+        # for even k and 0 for odd k, to 4.9e-14 relative (measured) up to k = 2n - 1
+        from sphgreen.oracle import _polar_rule
+
+        theta, w, _, _ = _polar_rule(n)
+        u = [2.0 * t / math.pi - 1.0 for t in theta]
+        terms = list(w)
+        for k in range(2 * n):
+            exact = 0.0 if k % 2 else math.pi / (k + 1)
+            assert abs(math.fsum(terms) - exact) <= 1e-13 * math.pi / (k + 1), (n, k)
+            terms = list(map(operator.mul, terms, u))
 
 
 class TestEuclideanLimit:
@@ -344,41 +416,28 @@ class TestGeometryChecks:
         assert report.measured == pytest.approx(1e-9, rel=1e-3)
 
     @pytest.mark.parametrize("d", range(2, 7))
-    def test_block_draws_match_random_hyperpoint(self, d):
-        import numpy as np
+    def test_block_draws_match_random_hyperpoint(self, d, monkeypatch):
+        # the check's pairs: a radius, then two random_hyperpoint draws, from one
+        # random.Random(seed) stream
+        from sphgreen.geometry import geodesic_distance
+        from sphgreen.oracle import random_hyperpoint
 
-        from sphgreen.oracle import _pair_rows, _point, random_hyperpoint
-
+        pairs = []
+        monkeypatch.setattr(oracle, "geodesic_distance",
+                            lambda a, b: pairs.append((a, b)) or geodesic_distance(a, b))
         seed = 20260809 + d
-        rng = np.random.default_rng(seed)
-        scalar = np.random.default_rng(seed)
-        for row in _pair_rows(d, 200, seed).tolist():
+        assert check_distance_oracle(d).passed and len(pairs) == DISTANCE_PAIRS
+        rng = random.Random(seed)
+        scalar = random.Random(seed)
+        for a, b in pairs:
             radius = rng.uniform(0.5, 3.0)
-            scalar_radius = scalar.uniform(0.5, 3.0)
-            assert radius == row[0] == scalar_radius
-            for point in (row[1:d + 1], row[d + 1:]):
-                drawn = random_hyperpoint(rng, d, radius)
-                assert drawn == _point(d, radius, point)
+            assert a.radius == b.radius == radius == scalar.uniform(0.5, 3.0)
+            for point in (a, b):
+                assert point == random_hyperpoint(rng, d, radius)
                 # and the stream of one scalar draw per angle
                 azimuth = scalar.uniform(0.0, 2.0 * math.pi)
                 angles = [scalar.uniform(0.0, math.pi) for _ in range(d - 1)]
-                assert drawn == HyperPoint(d, radius, angles[-1], (azimuth, *angles[:-1]))
-
-    def test_finite_sum_helper_on_arrays(self):
-        # the delta identity's array evaluation against the scalar route at its nodes
-        import numpy as np
-
-        from sphgreen.kernel import Representation, _finite_sum, radial_kernel
-        from sphgreen.oracle import _polar_rule
-
-        theta, _, s = _polar_rule(400)
-        c = np.cos(theta)
-        for d in range(2, 61):
-            got, bound = _finite_sum(d, c, s, asinh=np.arcsinh)
-            want = np.array([radial_kernel(d, t, Representation.FINITE_SUM).kernel
-                             for t in theta.tolist()])
-            assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want))), d
-            assert np.array_equal(bound, 2.0 * d * sys.float_info.epsilon * np.abs(got)), d
+                assert point == HyperPoint(d, radius, angles[-1], (azimuth, *angles[:-1]))
 
     def test_volume(self):
         report = check_volume(3)
@@ -395,7 +454,7 @@ class TestGeometryChecks:
 
         report = check_volume(d)
         assert report.passed, report.line()
-        _, w, s = _rule_for(d)
+        _, w, s, _ = _rule_for(d)
         assert f"{len(w)} nodes/axis" in report.detail
         m, e = _sphere_area(d, w, s)
         with mp.workdps(40):
