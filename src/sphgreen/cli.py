@@ -140,9 +140,8 @@ def cmd_check(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
-def _parse_point(d: int, radius: float, text: str) -> HyperPoint:
-    from .geometry import HyperPoint
-
+def _parse_point(d: int, text: str) -> tuple[float, tuple[float, ...]]:
+    """The polar angle and the direction angles of a point given as d comma-separated angles."""
     try:
         angles = [float(v) for v in text.split(",")]
     except ValueError as exc:
@@ -150,14 +149,14 @@ def _parse_point(d: int, radius: float, text: str) -> HyperPoint:
     if len(angles) != d:
         raise ValueError(f"need {d} angles (theta, phi, alpha_2..) for d={d}, "
                          f"got {len(angles)}")
-    return HyperPoint(d, radius, angles[0], tuple(angles[1:]))
+    return angles[0], tuple(angles[1:])
 
 
 def cmd_distance(args) -> int:
-    from .geometry import geodesic_distance, separation_angle
+    from .geometry import HyperPoint, geodesic_distance, separation_angle
 
-    a = _parse_point(args.d, args.radius, args.point_a)
-    b = _parse_point(args.d, args.radius, args.point_b)
+    a = HyperPoint(args.d, args.radius, *_parse_point(args.d, args.point_a))
+    b = HyperPoint(args.d, args.radius, *_parse_point(args.d, args.point_b))
     print(f"separation_angle {fmt(separation_angle(a.direction, b.direction))}")
     print(f"distance {fmt(geodesic_distance(a, b))}")
     return EXIT_OK

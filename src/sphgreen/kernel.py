@@ -346,26 +346,26 @@ def _hyp2f1(d: int, c: float, s: float) -> tuple[float, float]:
     """Hypergeometric series route, valid while cos^2(theta) <= 0.98.
 
     Direct form: K_d = sin^{d-2} cos 2F1(1/2, d/2; 3/2; cos^2 theta).  The
-    error bound adds (d-2) eps |K| to the series tolerance: sin^{d-2} comes
-    from the rounded sin theta and 2F1 from the rounded cos^2 theta, and the
-    power d - 2 amplifies both roundings.
+    error bound is the series error times |cos| sin^{d-2}, plus (d-2) eps |K|:
+    sin^{d-2} comes from the rounded sin theta and 2F1 from the rounded
+    cos^2 theta, and the power d - 2 amplifies both roundings.
     """
     z, specfun = _series_argument(c), _specfun_module()
-    kernel = _scaled(c * specfun.gauss_2f1(0.5, d / 2.0, 1.5, z), _power(s, d - 2))
-    return kernel, abs(kernel) * (specfun.TOLERANCE + (d - 2) * sys.float_info.epsilon)
+    total, error, _ = specfun._gauss_2f1_sums(0.5, d / 2.0, 1.5, z)
+    kernel, error = _scale_with_error(c * total, abs(c) * error, (1.0, 0), _power(s, d - 2))
+    return kernel, error + (d - 2) * sys.float_info.epsilon * abs(kernel)
 
 
 def _hyp2f1_euler(d: int, c: float, s: float) -> tuple[float, float]:
     """The transformed series of the ``hyp2f1`` route, in the same window.
 
-    K_d = cos 2F1(1, (3-d)/2; 3/2; cos^2 theta), whose terms t_n alternate and
-    cancel for large d, reports |cos| sum |t_n| (TOLERANCE + 2 n eps) over its
-    n terms and is refused where that exceeds 1e-9 |K| (``check xrep``'s tolerance).
+    K_d = cos 2F1(1, (3-d)/2; 3/2; cos^2 theta), whose terms alternate and
+    cancel for large d, reports |cos| times the series error and is refused
+    where that exceeds 1e-9 |K| (``check xrep``'s tolerance).
     """
     z, specfun = _series_argument(c), _specfun_module()
-    total, magnitude, terms = specfun._gauss_2f1_sums(1.0, (3.0 - d) / 2.0, 1.5, z)
-    kernel = c * total
-    error = abs(c) * magnitude * (specfun.TOLERANCE + 2 * terms * sys.float_info.epsilon)
+    total, error, _ = specfun._gauss_2f1_sums(1.0, (3.0 - d) / 2.0, 1.5, z)
+    kernel, error = c * total, abs(c) * error
     if not error <= 1e-9 * abs(kernel):
         raise SeriesWindowError(
             f"hyp2f1_euler: error bound {error:.3g} > 1e-9 |K| for K = {kernel:.6g} "

@@ -66,20 +66,22 @@ __all__ = [
 
 @functools.cache
 def _polar_rule(n: int) -> tuple[tuple[float, ...], ...]:
-    """The n-node Gauss-Legendre rule on [0, pi]: the nodes theta in ascending
-    order, the weights, sin theta and cos theta, computed once per n.
+    """The n-node Gauss-Legendre rule on [0, pi] folded at pi/2, computed once
+    per n: the nodes theta up to pi/2, from pi/2 outward (largest sine first),
+    their weights, sin theta and cos theta.  Each node stands for itself and
+    its mirror pi - theta, so its weight is doubled, but for the middle node
+    pi/2 of odd n.  It integrates what is symmetric about pi/2, as every polar
+    integrand of the oracles is (sin^j, and d cos theta K sin theta with K odd).
 
     Each root x of P_n in [0, 1) comes from Newton's method on the three-term
     recurrence, started at Tricomi's estimate (Hale and Townsend, SIAM J. Sci.
     Comput. 35 (2013) A652); two steps reach it for almost every root.  Its
     weight is 2 / ((1 - x^2) P_n'(x)^2), with 1 - x^2 as (1 - x)(1 + x), which
-    does not cancel near the ends.  The root and its mirror -x give the nodes
-    pi/2 (1 -+ x) with the same weight and sine and opposite cosines; odd n
-    has the node pi/2 (x = 0).
+    does not cancel near the ends, and its node pi/2 (1 - x).
     """
     steps = [((2 * k + 1) / (k + 1), k / (k + 1)) for k in range(1, n)]
     roots, weights = [], []
-    for k in range(1, (n + 1) // 2 + 1):
+    for k in range((n + 1) // 2, 0, -1):
         # cos((4k - 1) pi / (4n + 2)) as a sine, which is exactly 0 at the middle root
         x = (1.0 - (n - 1) / (8.0 * n**3)) * math.sin(math.pi * (2 * n + 2 - 4 * k) / (4 * n + 2))
         for _ in range(8):
@@ -92,36 +94,29 @@ def _polar_rule(n: int) -> tuple[tuple[float, ...], ...]:
             if abs(step) <= 1e-16:
                 break
         roots.append(x)
-        weights.append(math.pi / ((1.0 - x) * (1.0 + x) * slope * slope))
-    low = [0.5 * math.pi * (1.0 - x) for x in roots]
-    sines, cosines = [math.sin(t) for t in low], [math.cos(t) for t in low]
-    k = n // 2  # each node below pi/2 but the middle one of odd n has a mirror above it
-    return (tuple(low + [0.5 * math.pi * (1.0 + x) for x in roots[:k][::-1]]),
-            tuple(weights + weights[:k][::-1]), tuple(sines + sines[:k][::-1]),
-            tuple(cosines + [-c for c in cosines[:k][::-1]]))
+        weights.append(2.0 * math.pi / ((1.0 - x) * (1.0 + x) * slope * slope))
+    if n % 2:
+        weights[0] *= 0.5
+    nodes = [0.5 * math.pi * (1.0 - x) for x in roots]
+    return (tuple(nodes), tuple(weights), tuple(map(math.sin, nodes)), tuple(map(math.cos, nodes)))
 
 
-def _rule_for(d: int) -> tuple[tuple[float, ...], ...]:
-    """``_polar_rule`` sized to resolve sin^(d-1), whose peak is about 1/sqrt(d) wide."""
-    return _polar_rule(max(256, math.ceil(6.0 * math.sqrt(d))))
+def _rule_for(d: int) -> tuple[int, tuple[tuple[float, ...], ...]]:
+    """n and ``_polar_rule(n)``, n resolving sin^(d-1), whose peak is about 1/sqrt(d) wide."""
+    n = max(256, math.ceil(6.0 * math.sqrt(d)))
+    return n, _polar_rule(n)
 
 
 def _sphere_area(n: int, w: Sequence[float], s: Sequence[float]) -> tuple[float, int]:
     """The product-rule area of the unit n-sphere as a (mantissa, exponent) pair:
-    sin^j over [0, pi] by weights w at sines s for j = 1..n-1, times 2 pi.
-
-    The rule is symmetric, so each sum is twice that over its first half, where
-    an odd rule's middle node counts half; w sin^j is a running product per node,
-    and each sum adds the largest terms (sin nearest 1) first."""
-    half = (len(w) + 1) // 2
-    terms, sines = list(w[half - 1::-1]), s[half - 1::-1]
-    if len(w) % 2:
-        terms[0] *= 0.5
-    azimuth = 4.0 * functools.reduce(operator.add, terms)
-    sums = []
+    sin^j over [0, pi] by the folded weights w at sines s for j = 1..n-1, times
+    2 pi.  w sin^j is a running product per node, and each sum adds the largest
+    terms (sin nearest 1) first."""
+    terms, sums = w, []
+    azimuth = 2.0 * functools.reduce(operator.add, w)
     for _ in range(1, n):
-        terms = list(map(operator.mul, terms, sines))
-        sums.append(2.0 * functools.reduce(operator.add, terms))
+        terms = list(map(operator.mul, terms, s))
+        sums.append(functools.reduce(operator.add, terms))
     sums.append(azimuth)
     return _pair_product(map(math.frexp, sums))
 
@@ -201,16 +196,14 @@ def check_delta_identity(d: int, radius: float) -> CheckReport:
 
 
 def _delta_reports(d: int, radii: Sequence[float]) -> list[CheckReport]:
-    """``check_delta_identity`` at each radius, from one polar sum and one area.
-    K is odd about pi/2 and the rule symmetric, so the terms of the first half
-    are summed twice, but for the middle node of an odd rule."""
+    """``check_delta_identity`` at each radius, from one polar sum over the
+    folded rule and one area."""
     _check_dimension(d)
     tolerance = 1e-6 if d == 2 else 1e-5
-    _, w, s, c = _rule_for(d)
-    table, half = _finite_sum_table(d), (len(w) + 1) // 2
-    terms = [wi * d * ci * _finite_sum(d, ci, si, table)[0] * si
-             for wi, si, ci in zip(w[:half], s[:half], c[:half])]
-    polar = math.fsum(terms + terms[:len(w) // 2])
+    n, (_, w, s, c) = _rule_for(d)
+    table = _finite_sum_table(d)
+    polar = math.fsum([wi * d * ci * _finite_sum(d, ci, si, table)[0] * si
+                       for wi, si, ci in zip(w, s, c)])
     area = _sphere_area(d - 1, w, s)
     reports = []
     for radius in radii:
@@ -224,7 +217,7 @@ def _delta_reports(d: int, radii: Sequence[float]) -> list[CheckReport]:
             expected=2.0,
             tolerance=tolerance,
             passed=dist_two <= tolerance,
-            detail=(f"nodes={len(w)}/axis; |m-1|={dist_one:.3e}; |m-2|={dist_two:.3e}; "
+            detail=(f"nodes={n}/axis; |m-1|={dist_one:.3e}; |m-2|={dist_two:.3e}; "
                     f"matches {matched}")))
     return reports
 
@@ -402,7 +395,7 @@ def box_volume(d: int, radius: float) -> float:
     """
     _check_dimension(d)
     _check_radius(radius)
-    _, w, s, _ = _rule_for(d)
+    _, (_, w, s, _) = _rule_for(d)
     return _scaled(1.0, _sphere_area(d, w, s), _power(radius, d))
 
 
@@ -410,7 +403,7 @@ def check_volume(d: int) -> CheckReport:
     """Volume-weight integral over the unit coordinate box vs the known volume
     1 / c0(d+1): the relative error |box c0(d+1) - 1| holds past double range."""
     _check_dimension(d)
-    _, w, s, _ = _rule_for(d)
+    n, (_, w, s, _) = _rule_for(d)
     box = _sphere_area(d, w, s)
     rel = abs(_scaled(1.0, box, solution_scale(d + 1, 1.0)) - 1.0)
     return CheckReport(
@@ -419,7 +412,7 @@ def check_volume(d: int) -> CheckReport:
         expected=hypersphere_volume(d, 1.0),
         tolerance=1e-6,
         passed=rel <= 1e-6,
-        detail=f"relative error {rel:.3e}; {len(w)} nodes/axis")
+        detail=f"relative error {rel:.3e}; {n} nodes/axis")
 
 
 LIMIT_RADII = (10.0, 100.0, 1000.0, 10000.0)

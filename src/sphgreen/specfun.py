@@ -37,6 +37,7 @@ __all__ = [
 TOLERANCE = 1e-15
 MAX_TERMS = 100000
 
+_EPSILON = math.ulp(1.0)
 _SQRT_PI = math.sqrt(math.pi)
 # largest argument before Gamma overflows a double
 _GAMMA_OVERFLOW = 171.62
@@ -97,8 +98,9 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
 
 
 def _gauss_2f1_sums(a: float, b: float, c: float, z: float) -> tuple[float, float, int]:
-    """The series of ``gauss_2f1``: its sum, the sum of the terms' magnitudes
-    and the number of terms summed."""
+    """The series of ``gauss_2f1``: its sum, its error sum |t_k| (TOLERANCE + 2 n eps)
+    (the stop rule's tolerance and a rounding allowance, estimated, not derived) and
+    the number n of terms summed."""
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise ValueError(f"2F1 parameters must be finite, got a={a}, b={b}, c={c}")
     if c <= 0.0 and _is_integer(c):
@@ -133,7 +135,7 @@ def _gauss_2f1_sums(a: float, b: float, c: float, z: float) -> tuple[float, floa
                     if term <= tol * total:
                         below += 1
                         if below == 3:
-                            return total, total, _terms_read(ratios, it, made)
+                            return _stopped(total, ratios, it, made, total, tol)
                     else:
                         below = 0
             else:
@@ -145,7 +147,7 @@ def _gauss_2f1_sums(a: float, b: float, c: float, z: float) -> tuple[float, floa
                     if mag <= tol * (total if total >= 0.0 else -total) or mag <= floor:
                         below += 1
                         if below == 3:
-                            return total, magnitude, _terms_read(ratios, it, made)
+                            return _stopped(total, ratios, it, made, magnitude, tol)
                     else:
                         below = 0
             if made is not None:
@@ -159,9 +161,11 @@ def _gauss_2f1_sums(a: float, b: float, c: float, z: float) -> tuple[float, floa
                               total, max_terms)
 
 
-def _terms_read(ratios: list, it, made: list | None) -> int:
-    """1 + the ratios read: those of ``ratios`` before the list iterator ``it``, then ``made``."""
-    return 1 + len(ratios) - operator.length_hint(it) + (len(made) if made else 0)
+def _stopped(total: float, ratios: list, it, made: list | None, magnitude: float, tol: float):
+    """(total, error, n): n = 1 + the ratios read, those of ``ratios`` before the list iterator
+    ``it`` then ``made``, and the error magnitude (tol + 2 n eps), magnitude = sum |t_k|."""
+    n = 1 + len(ratios) - operator.length_hint(it) + (len(made) if made else 0)
+    return total, magnitude * (tol + 2 * n * _EPSILON), n
 
 
 # A table keeps no more than its first _MAX_CACHED_RATIOS, 32 B each (a pointer

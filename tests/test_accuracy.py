@@ -3,13 +3,10 @@
 The grid covers d = 2..60 and a few large d of both parities, at angles near
 both poles, near pi/2, on each side of ``_FERRERS_SWITCH`` (where the Ferrers
 route changes from the finite sum to the Gauss series) and at
-cos^2 theta = ``SERIES_WINDOW``, each mirrored.
+cos^2 theta = ``SERIES_WINDOW``, and at theta = 0.142 and 0.2436, where the
+direct series sums 1690 terms at d = 6 and 453 at d = 2, each mirrored.
 A series route may refuse (``SeriesWindowError``, or ``NonConvergenceError``
 where its series overflows); a value it does return must hold its bound.
-
-``hyp2f1`` is left out: near z = cos^2 theta = 1 its stop rule, three terms
-below ``specfun.TOLERANCE`` of the sum, leaves a tail of about term z/(1-z),
-so it still under-reports there (ROADMAP item 1, second bullet).
 """
 
 import math
@@ -29,7 +26,7 @@ from sphgreen.specfun import NonConvergenceError
 
 DIMENSIONS = [*range(2, 61), 100, 101, 200, 1000, 3000, 3001]
 _SWITCH = math.acos(math.sqrt(_FERRERS_SWITCH))
-_NORTH = [1e-12, 1e-6, _SWITCH - 1e-9, _SWITCH + 1e-9,
+_NORTH = [1e-12, 1e-6, 0.142, 0.2436, _SWITCH - 1e-9, _SWITCH + 1e-9,
           math.acos(math.sqrt(SERIES_WINDOW)), math.pi / 2 - 1e-9]
 ANGLES = _NORTH + [math.pi - t for t in _NORTH]
 
@@ -38,12 +35,16 @@ ROUTES = {
     "finite_sum": Representation.FINITE_SUM,
     "recurrence": Representation.RECURRENCE,
     "ferrers": Representation.FERRERS_Q,
+    "hyp2f1": Representation.HYP2F1,
     "hyp2f1_euler": Representation.HYP2F1_EULER,
 }
 # the routes valid on all of (0, pi) never refuse
 REFUSALS = {"quadrature": (), "finite_sum": (), "recurrence": (),
             "ferrers": NonConvergenceError,
+            "hyp2f1": (SeriesWindowError, NonConvergenceError),
             "hyp2f1_euler": (SeriesWindowError, NonConvergenceError)}
+# the series routes, which refuse outside their window
+SERIES = ("hyp2f1", "hyp2f1_euler")
 
 _references = {}
 
@@ -63,7 +64,7 @@ def test_within_reported_error(route, d, kernel_reference):
         kept += 1
         assert abs(kv.kernel - want) <= kv.kernel_error + 4.0 * math.ulp(want), (theta, kv, want)
     # a route that refused everywhere would test nothing
-    assert kept >= (2 if route == "hyp2f1_euler" else len(ANGLES) - 2)
+    assert kept >= (2 if route in SERIES else len(ANGLES) - 2)
 
 
 def test_euler_refuses_where_the_series_cancels():

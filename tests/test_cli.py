@@ -223,6 +223,20 @@ class TestEval:
             else:
                 assert alone == (0, value + "\n", "")
 
+    @pytest.mark.parametrize("d, theta", [(6, 0.142), (2, 0.2436)])
+    def test_series_pairs_hold_their_bound_near_the_window(self, capsys, d, theta,
+                                                           solution_reference):
+        # the direct series sums 1690 and 453 terms here; a bound of the stop rule's
+        # tolerance alone left hyp2f1's printed values 24.6x and 8.8x their bound off
+        code, out, _ = run(capsys, "eval", "--d", str(d), "--theta", repr(theta),
+                           "--method", "all")
+        assert code == 0
+        want = solution_reference(d, 1.0, theta)
+        printed = {line.split()[0]: line.split()[1:] for line in out.splitlines()[:-1]}
+        for name in ("hyp2f1", "ferrers"):
+            value, err = map(float, printed[name])
+            assert abs(value - want) <= err + 4.0 * math.ulp(want), (name, value, err, want)
+
     def test_overflowing_series_is_skipped(self, capsys):
         # 2F1(1/2, 200; 3/2; cos^2 0.15) overflows although S = 6.8e200
         argv = ("eval", "--d", "400", "--radius", "10", "--theta", "0.15")
@@ -637,6 +651,20 @@ class TestDistance:
         code, _, _ = run(capsys, "distance", "--d", "3",
                          "--point-a", "0.5,0.5", "--point-b", "0.5,0.5,0.5")
         assert code == 2
+
+
+def test_every_annotation_resolves():
+    # names used only in annotations resolve without loading geometry at start-up
+    import inspect
+    import typing
+
+    import sphgreen.cli as cli
+
+    functions = [f for f in vars(cli).values()
+                 if inspect.isfunction(f) and f.__module__ == cli.__name__]
+    assert len(functions) >= 10
+    for f in functions:
+        typing.get_type_hints(f)
 
 
 class TestInstalledScript:

@@ -183,7 +183,8 @@ class TestDeltaIdentity:
 
     @staticmethod
     def _scalar_loop(d, radius, rule):
-        # the check's sum with one fundamental_solution call per node
+        # the check's sum with one fundamental_solution call per node of the folded
+        # rule, whose weights count each node's mirror too: the integrand is even about pi/2
         from sphgreen.kernel import Representation, fundamental_solution
 
         theta, w_theta, s, _ = rule
@@ -198,11 +199,11 @@ class TestDeltaIdentity:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("radius", [1.0, 5.0])
     def test_matches_scalar_loop(self, d, radius):
-        # the check's half-rule sum of the finite-sum core against one
+        # the check's sum of the finite-sum core against one
         # fundamental_solution call per node
         from sphgreen.oracle import _rule_for
 
-        total = self._scalar_loop(d, radius, _rule_for(d))
+        total = self._scalar_loop(d, radius, _rule_for(d)[1])
         assert check_delta_identity(d, radius).measured == pytest.approx(total, rel=1e-14)
 
     def test_node_doubling_stability(self):
@@ -237,7 +238,8 @@ class TestDeltaIdentity:
 
 
 class TestGaussLegendre:
-    """``_polar_rule`` against one 34-digit mpmath Newton step from its nodes."""
+    """``_polar_rule``, the rule folded at pi/2, against one 34-digit mpmath Newton
+    step from its nodes."""
 
     SIZES = [256, 257, 329, 600]  # _rule_for: d <= 1821, 1822, 3000 and 10000
 
@@ -260,49 +262,57 @@ class TestGaussLegendre:
     @pytest.mark.parametrize("n", SIZES)
     def test_nodes_and_weights_match_mpmath(self, n):
         # measured: nodes within 2.6e-16 of the true ones, weights within 1.2e-12
-        # relative (the first node of n = 257; 3.0e-13 at n = 256), where the
-        # weight's slope 2/(1 - x^2) turns the node's rounding into 1e-12
+        # relative (the node nearest the pole at n = 257; 3.0e-13 at n = 256), where
+        # the weight's slope 2/(1 - x^2) turns the node's rounding into 1e-12.  A
+        # folded weight is twice the true one, but for the middle node of odd n
         from mpmath import mp
 
         from sphgreen.oracle import _polar_rule
 
         theta, w, _, _ = _polar_rule(n)
+        m = len(theta)
         with mp.workdps(34):
-            # every node of the first 8, where the weights err most, then every 8th
-            for i in [*range(8), *range(8, (n + 1) // 2, 8)]:
+            # every node of the 8 nearest the pole, where the weights err most, then every 8th
+            for i in [*range(m - 8, m), *range(0, m - 8, 8)]:
                 node, weight = self._reference(n, theta[i])
+                folds = 1 if n % 2 and i == 0 else 2
                 assert abs(theta[i] - node) <= 3e-16, (n, i)
-                assert abs(w[i] / weight - 1) <= 2e-12, (n, i)
+                assert abs(w[i] / (folds * weight) - 1) <= 2e-12, (n, i)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_symmetry_and_weight_sum(self, n):
         from sphgreen.oracle import _polar_rule
 
         theta, w, s, c = _polar_rule(n)
-        assert len(theta) == len(w) == len(s) == len(c) == n
-        assert list(theta) == sorted(theta) and 0.0 < theta[0] and theta[-1] < math.pi
-        for i in range(n):
-            j = n - 1 - i
-            assert w[i] == w[j] and s[i] == s[j] and (c[i] == -c[j] or i == j)
-            assert abs(theta[i] + theta[j] - math.pi) <= math.ulp(math.pi)
-            assert s[i] == math.sin(theta[min(i, j)]) and abs(c[i]) == math.cos(theta[min(i, j)])
+        assert len(theta) == len(w) == len(s) == len(c) == (n + 1) // 2
+        # from pi/2 outward, largest sine first
+        assert list(theta) == sorted(theta, reverse=True)
+        assert 0.0 < theta[-1] and theta[0] <= 0.5 * math.pi
+        assert list(s) == sorted(s, reverse=True)
+        for t, si, ci in zip(theta, s, c):
+            assert si == math.sin(t) and ci == math.cos(t)
         if n % 2:
-            assert theta[n // 2] == 0.5 * math.pi
+            # the middle node stands for itself alone: half its doubled neighbour's weight
+            assert theta[0] == 0.5 * math.pi
+            assert abs(w[0] / w[1] - 0.5) <= 1e-3
+        else:
+            assert abs(w[0] / w[1] - 1.0) <= 1e-3
         # the weights of [-1, 1] sum to 2, so those of [0, pi] to pi
         assert abs(math.fsum(w) - math.pi) <= 4 * math.ulp(math.pi)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_integrates_polynomials_below_degree_2n(self, n):
-        # u = 2 theta / pi - 1: the rule integrates u^k over [0, pi] as pi / (k + 1)
-        # for even k and 0 for odd k, to 4.9e-14 relative (measured) up to k = 2n - 1
+        # u = 2 theta / pi - 1: the rule integrates u^k, which is even about pi/2 for
+        # even k, over [0, pi] as pi / (k + 1), to 5.6e-14 relative (measured) up to k = 2n - 2
         from sphgreen.oracle import _polar_rule
 
         theta, w, _, _ = _polar_rule(n)
         u = [2.0 * t / math.pi - 1.0 for t in theta]
         terms = list(w)
-        for k in range(2 * n):
-            exact = 0.0 if k % 2 else math.pi / (k + 1)
-            assert abs(math.fsum(terms) - exact) <= 1e-13 * math.pi / (k + 1), (n, k)
+        for k in range(2 * n - 1):
+            if not k % 2:
+                exact = math.pi / (k + 1)
+                assert abs(math.fsum(terms) - exact) <= 1e-13 * exact, (n, k)
             terms = list(map(operator.mul, terms, u))
 
 
@@ -454,8 +464,8 @@ class TestGeometryChecks:
 
         report = check_volume(d)
         assert report.passed, report.line()
-        _, w, s, _ = _rule_for(d)
-        assert f"{len(w)} nodes/axis" in report.detail
+        n, (_, w, s, _) = _rule_for(d)
+        assert f"{n} nodes/axis" in report.detail
         m, e = _sphere_area(d, w, s)
         with mp.workdps(40):
             half = mpf(d + 1) / 2

@@ -89,6 +89,13 @@ def reference_gauss_2f1_sums(a, b, c, z):
     raise NonConvergenceError("reference loop did not converge", total, max_terms)
 
 
+def reference_series(a, b, c, z):
+    """``reference_gauss_2f1_sums`` with its sum of magnitudes m taken to the error
+    m (TOLERANCE + 2 n eps) that ``_gauss_2f1_sums`` returns with the sum and n."""
+    total, magnitude, n = reference_gauss_2f1_sums(a, b, c, z)
+    return total, magnitude * (specfun.TOLERANCE + 2 * n * sys.float_info.epsilon), n
+
+
 def outcome(fn, *args):
     """repr of the value, or of the error with its partial sum and term count.
 
@@ -383,10 +390,10 @@ class TestGauss2F1BitIdentity:
     @example(a=0.0, b=2.0, c=1.5, z=0.5, max_terms=3000, rel_tol=1e-15)
     @example(a=1.0, b=5e-324, c=0.5, z=0.9, max_terms=3000, rel_tol=1e-15)
     def test_sums_random_parameters(self, a, b, c, z, max_terms, rel_tol):
-        # the sum of magnitudes and the term count feed hyp2f1_euler's bound
+        # the error and the term count feed the bounds of both series routes
         with mock.patch.multiple(specfun, TOLERANCE=rel_tol, MAX_TERMS=max_terms):
             assert (outcome(specfun._gauss_2f1_sums, a, b, c, z)
-                    == outcome(reference_gauss_2f1_sums, a, b, c, z))
+                    == outcome(reference_series, a, b, c, z))
 
     @BIT_SETTINGS
     @given(d=st.integers(2, 60), z=st.floats(0.0, 0.98, allow_nan=False))
@@ -398,7 +405,7 @@ class TestGauss2F1BitIdentity:
         for args in ((0.5, d / 2.0, 1.5, z), (1.0, (3.0 - d) / 2.0, 1.5, z)):
             assert outcome(gauss_2f1, *args) == outcome(reference_gauss_2f1, *args)
             assert (outcome(specfun._gauss_2f1_sums, *args)
-                    == outcome(reference_gauss_2f1_sums, *args))
+                    == outcome(reference_series, *args))
 
 
 def cold(fn, *args):
@@ -436,14 +443,14 @@ class TestRatioTables:
         for z, n in ((0.5, 103), (0.9, 687)):
             args = (0.5, 20.0, 1.5, z)
             assert (outcome(specfun._gauss_2f1_sums, *args)
-                    == outcome(reference_gauss_2f1_sums, *args))
+                    == outcome(reference_series, *args))
             assert specfun._gauss_2f1_sums(*args)[2] == n
             assert len(table(args)) == n - 1
         kept = table(args)
         for z in (0.5, 0.9, -0.5, 0.0, -0.0):
             args = (0.5, 20.0, 1.5, z)
             assert (outcome(specfun._gauss_2f1_sums, *args)
-                    == outcome(reference_gauss_2f1_sums, *args))
+                    == outcome(reference_series, *args))
             assert table(args) is kept
 
     @pytest.mark.parametrize("m", [1, 10, 40, 60])
@@ -452,7 +459,7 @@ class TestRatioTables:
         # table never grows past them: a call reads past the end of a table
         # one ratio short, then to the end of one it left
         args = (-float(m), 2.5, 1.5, 0.7)
-        want = outcome(reference_gauss_2f1_sums, *args)
+        want = outcome(reference_series, *args)
         assert specfun._gauss_2f1_sums(*args)[2] == m + 4
         assert cold(specfun._gauss_2f1_sums, *args) == want
         assert len(table(args)) == m + 3
@@ -467,7 +474,7 @@ class TestRatioTables:
     def test_series_stopping_at_the_table_end(self, args):
         # a series that reads k ratios, cold and from a table of k + 1, k and
         # k - 1: it stops short of the table's end, at it, and one past it
-        want = outcome(reference_gauss_2f1_sums, *args)
+        want = outcome(reference_series, *args)
         k = specfun._gauss_2f1_sums(*args)[2] - 1
         assert cold(specfun._gauss_2f1_sums, *args) == want
         assert len(table(args)) == k
@@ -484,7 +491,7 @@ class TestRatioTables:
         for size in (1, 16, 100, 1000):
             for max_terms in (size - 1, size, size + 1):
                 with mock.patch.object(specfun, "MAX_TERMS", max_terms):
-                    want = outcome(reference_gauss_2f1_sums, *args)
+                    want = outcome(reference_series, *args)
                     assert want[0] == "NonConvergenceError"
                     assert cold(specfun._gauss_2f1_sums, *args) == want
                     assert len(table(args)) == max_terms
@@ -498,13 +505,13 @@ class TestRatioTables:
         # a table that grew under the default cap is read no further than a
         # lower MAX_TERMS, and keeps its length for the next call
         args = (0.5, 20.0, 1.5, 0.95)
-        assert cold(specfun._gauss_2f1_sums, *args) == outcome(reference_gauss_2f1_sums, *args)
+        assert cold(specfun._gauss_2f1_sums, *args) == outcome(reference_series, *args)
         size = len(specfun._ratio_slot(*args[:3])[0])
         assert size >= 256
         for z in (0.95, 0.5):
             with mock.patch.object(specfun, "MAX_TERMS", max_terms):
                 assert (outcome(specfun._gauss_2f1_sums, *args[:3], z)
-                        == outcome(reference_gauss_2f1_sums, *args[:3], z))
+                        == outcome(reference_series, *args[:3], z))
         assert len(specfun._ratio_slot(*args[:3])[0]) == size
 
     @pytest.mark.parametrize("first", [0.0, -0.0])
@@ -514,7 +521,7 @@ class TestRatioTables:
             for z in (0.5, -0.5, 0.99):
                 args = (a, b, 1.5, z)
                 assert (outcome(specfun._gauss_2f1_sums, *args)
-                        == outcome(reference_gauss_2f1_sums, *args))
+                        == outcome(reference_series, *args))
         assert specfun._ratio_slot(0.0, 2.0, 1.5) is specfun._ratio_slot(-0.0, 2.0, 1.5)
         assert specfun._ratio_slot(2.0, 0.0, 1.5) is specfun._ratio_slot(2.0, -0.0, 1.5)
 
@@ -525,7 +532,7 @@ class TestRatioTables:
         for z in (0.1, -0.6, 0.9, 0.3, 0.99, -0.999, 0.999):
             for args in (t + (z,) for t in triples):
                 assert (outcome(specfun._gauss_2f1_sums, *args)
-                        == outcome(reference_gauss_2f1_sums, *args))
+                        == outcome(reference_series, *args))
 
     def test_threads_growing_one_triple(self):
         # more threads than cores, switching every microsecond, each extending
@@ -534,7 +541,7 @@ class TestRatioTables:
         import threading
 
         zs = [0.5 + 0.495 * k / 40 for k in range(41)]
-        want = [outcome(reference_gauss_2f1_sums, 0.5, 20.0, 1.5, z) for z in zs]
+        want = [outcome(reference_series, 0.5, 20.0, 1.5, z) for z in zs]
         got = [[] for _ in range(4)]
         start = threading.Barrier(len(got))
 
@@ -564,7 +571,7 @@ class TestRatioTables:
         for k in range(300):
             args = (0.5, 1.0 + k / 8.0, 1.5, 0.9)
             assert (outcome(specfun._gauss_2f1_sums, *args)
-                    == outcome(reference_gauss_2f1_sums, *args))
+                    == outcome(reference_series, *args))
         assert specfun._ratio_slot.cache_info().currsize == 256
 
     def test_a_table_keeps_only_its_first_max_cached_ratios(self):
@@ -572,7 +579,7 @@ class TestRatioTables:
         # and one that reads past a full table stores nothing
         args = (0.5, 20.0, 1.5, 0.999)
         with mock.patch.object(specfun, "_MAX_CACHED_RATIOS", 64):
-            want = outcome(reference_gauss_2f1_sums, *args)
+            want = outcome(reference_series, *args)
             assert cold(specfun._gauss_2f1_sums, *args) == want
             kept = table(args)
             assert outcome(specfun._gauss_2f1_sums, *args) == want
@@ -584,7 +591,7 @@ class TestRatioTables:
         with mock.patch.object(specfun, "MAX_TERMS", 3000):
             first = cold(specfun._gauss_2f1_sums, a, b, c, z)
             assert outcome(specfun._gauss_2f1_sums, a, b, c, z) == first
-            assert first == outcome(reference_gauss_2f1_sums, a, b, c, z)
+            assert first == outcome(reference_series, a, b, c, z)
 
 def reference_ferrers(pd, second_kind):
     """The closure-based Ferrers P and Q that the two-term sum replaced, frozen
