@@ -23,6 +23,7 @@ import sys
 
 from .kernel import (
     _REFUSALS,
+    _ROUTE_NAMES,
     Representation,
     SeriesWindowError,
     _angle_grid,
@@ -41,7 +42,7 @@ EXIT_BAD_ARGS = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_IO = 4
 
-METHOD_ORDER = tuple(rep.value for rep in Representation)
+METHOD_ORDER = tuple(_ROUTE_NAMES.values())
 # the names of ``oracle.SUITES``, so that parsing ``check`` does not import the oracles
 SUITE_NAMES = ("delta", "geometry", "laplace", "limit", "ode", "xrep")
 
@@ -77,19 +78,20 @@ def cmd_eval(args) -> int:
         value, _ = radial_kernel(args.d, args.theta, Representation(args.method)).scaled(scale)
         print(fmt(value))
         return EXIT_OK
-    values = {}
-    for _, rep, result in _kernel_rows(args.d, [args.theta], list(Representation), scale):
+    values, lines = [], []
+    for _, rep, result in _kernel_rows(args.d, [args.theta], list(_ROUTE_NAMES), scale):
         if isinstance(result, Exception):
             # one route refusing must not take down the others
             reason = "series-window" if isinstance(result, SeriesWindowError) else "no-convergence"
-            print(f"{rep.value} skipped {reason}")
+            lines.append(f"{_ROUTE_NAMES[rep]} skipped {reason}")
             continue
         value, err = result
-        values[rep] = value
-        print(f"{rep.value} {fmt(value)} {fmt(err)}")
+        values.append(value)
+        lines.append(f"{_ROUTE_NAMES[rep]} {fmt(value)} {fmt(err)}")
     deviation = max((_deviation(a, b, max(1.0, abs(a), abs(b)))
-                     for a, b in itertools.combinations(values.values(), 2)), default=0.0)
-    print(f"max_pairwise_relative_deviation {fmt(deviation)}")
+                     for a, b in itertools.combinations(values, 2)), default=0.0)
+    lines.append(f"max_pairwise_relative_deviation {fmt(deviation)}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -101,19 +103,18 @@ def _parse_methods(text: str) -> list[Representation]:
     if not names:
         raise ValueError("no methods given")
     if "all" in names:
-        return list(Representation)
+        return list(_ROUTE_NAMES)
     # canonical order keeps output deterministic
-    return [rep for rep in Representation if rep.value in names]
+    return [rep for rep, name in _ROUTE_NAMES.items() if name in names]
 
 
 def _table_rows(args, reps: list[Representation], scale: tuple[float, int]):
     """The CSV lines of ``table``, theta-major, as computed; no field needs quoting."""
     head = f"{args.d},{args.radius!r},"
-    names = {rep: rep.value for rep in reps}  # ``rep.value`` is a Python-level property
     thetas = _angle_grid(args.theta_min, args.theta_max, args.n)
     for theta, rep, result in _kernel_rows(args.d, thetas, reps, scale):
         value, err = (math.nan, math.nan) if isinstance(result, Exception) else result
-        yield f"{head}{theta!r},{names[rep]},{value!r},{err!r}\n"
+        yield f"{head}{theta!r},{_ROUTE_NAMES[rep]},{value!r},{err!r}\n"
 
 
 def cmd_table(args) -> int:
@@ -208,17 +209,21 @@ def _parse(argv) -> argparse.Namespace:
     nothing: when argv[0] names a subcommand, that subcommand's parser alone parses the
     rest.  Anything it leaves over, and any other argv, goes to the whole parser, so that
     argparse writes every message, usage line and exit code as before."""
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv:
-        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        subparser = action.choices.get(argv[0])
-        if subparser is not None:
-            args, extra = subparser.parse_known_args(argv[1:])
-            if not extra:
-                args.command = argv[0]
-                return args
-    return parser.parse_args(argv)
+    subparser = _subparsers().get(argv[0]) if argv else None
+    if subparser is not None:
+        args, extra = subparser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
+@functools.cache
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser by name, found once per process."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def main(argv=None) -> int:

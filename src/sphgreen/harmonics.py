@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 
 from .kernel import _check_dimension, _check_integer
-from .specfun import FerrersOrderDegree, ferrers_p, ferrers_q
+from .specfun import _ferrers_blocks, _two_term_sum
 
 __all__ = [
     "RadialSolutionKind",
@@ -62,16 +62,26 @@ def radial_harmonic(q: QuantumNumbers, kind: RadialSolutionKind, theta: float) -
 
     Degree is d/2 - 1 and order is +/-(d/2 - 1 + l).  Minus-order branches
     with l >= 1 fall outside the Ferrers parameter domain (degree + order is
-    then a negative integer) and raise ValueError.
+    then a negative integer) and raise ValueError, as does an angle whose
+    cosine rounds to +-1.
     """
     if not 0.0 < theta < math.pi:
         raise ValueError(f"polar angle must lie in (0, pi), got {theta}")
-    d, l = q.dimension, q.angular
-    nu = d / 2.0 - 1.0
-    mu = kind.order_sign * (nu + l)
-    pd = FerrersOrderDegree(nu, mu, math.cos(theta))
-    f = ferrers_q if kind.second_kind else ferrers_p
-    return math.sin(theta) ** (1.0 - d / 2.0) * f(pd)
+    x = math.cos(theta)
+    if not -1.0 < x < 1.0:
+        raise ValueError(f"cos(theta) rounds to {x} at theta={theta}; "
+                         "the Ferrers functions need it inside (-1, 1)")
+    blocks, mu, power = _branch(q, kind)
+    return math.sin(theta) ** power * _two_term_sum(blocks, mu, x)
+
+
+@functools.lru_cache(maxsize=256)
+def _branch(q: QuantumNumbers, kind: RadialSolutionKind):
+    """All of ``radial_harmonic`` that theta leaves alone: the Ferrers blocks of degree
+    nu = d/2 - 1 and order mu = +/-(nu + l) (checked there), mu and the power 1 - d/2."""
+    nu = q.dimension / 2.0 - 1.0
+    mu = kind.order_sign * (nu + q.angular)
+    return _ferrers_blocks(kind.second_kind, nu, mu), mu, 1.0 - q.dimension / 2.0
 
 
 def _radial_residual(d: int, l: int, theta: float, h: float,

@@ -107,6 +107,10 @@ class Representation(enum.Enum):
     __hash__ = object.__hash__
 
 
+# every route and its name, in order (iterating the Enum and ``rep.value`` run Python code)
+_ROUTE_NAMES = {rep: rep.value for rep in Representation}
+
+
 @functools.cache
 def _specfun_module():
     from . import specfun
@@ -176,12 +180,18 @@ def _scaled(x: float, *pairs: tuple[float, int]) -> float:
 
 def _scale_with_error(kernel: float, error: float, scale, power) -> tuple[float, float]:
     """``_scaled(x, scale, power)`` for x = kernel and error, by one ``ldexp`` each
-    and through ``_scaled`` itself only where that overflows."""
+    and through ``_scaled`` itself only where that overflows.  The error covers the final
+    rounding: it is inf beside +-inf, and at least ``math.ulp(0.0)`` beside a subnormal
+    value or a 0.0 from a nonzero kernel."""
     (sm, se), (pm, pe) = scale, power
     try:
-        return math.ldexp(kernel * sm * pm, se + pe), math.ldexp(error * sm * pm, se + pe)
+        value, error = math.ldexp(kernel * sm * pm, se + pe), math.ldexp(error * sm * pm, se + pe)
     except OverflowError:
-        return _scaled(kernel, scale, power), _scaled(error, scale, power)
+        value = _scaled(kernel, scale, power)
+        error = math.inf if math.isinf(value) else _scaled(error, scale, power)
+    if -2.2250738585072014e-308 < value < 2.2250738585072014e-308 and kernel:  # not normal
+        error = max(error, 5e-324)
+    return value, error
 
 
 class KernelValue(namedtuple("KernelValue", "kernel kernel_error method sine_power")):
@@ -201,11 +211,11 @@ class KernelValue(namedtuple("KernelValue", "kernel kernel_error method sine_pow
 
     @property
     def value(self) -> float:
-        return _scaled(self.kernel, self.sine_power)
+        return self.scaled((1.0, 0))[0]
 
     @property
     def est_error(self) -> float:
-        return _scaled(self.kernel_error, self.sine_power)
+        return self.scaled((1.0, 0))[1]
 
 
 def _finite_kernel(rep: Representation, d: int, kernel: float) -> float:

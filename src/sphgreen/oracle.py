@@ -29,7 +29,7 @@ from .geometry import HyperPoint, _clamped_acos, embed, geodesic_distance
 from .harmonics import (DegenerateBranchError, QuantumNumbers, RadialSolutionKind,
                         convergence_order, ode_convergence_order)
 from .kernel import (
-    Representation,
+    _ROUTE_NAMES,
     _angle_grid,
     _check_dimension,
     _check_radius,
@@ -302,14 +302,14 @@ def check_cross_representation(d: int) -> CheckReport:
     worst = 0.0
     worst_at = ""
     routes = 0
-    rows = _kernel_rows(d, _angle_grid(0.05, math.pi - 0.05, angles), list(Representation))
+    rows = _kernel_rows(d, _angle_grid(0.05, math.pi - 0.05, angles), list(_ROUTE_NAMES))
     for theta, _, quadrature in rows:  # each angle's quadrature row heads its other routes
         if isinstance(quadrature, Exception):
             raise quadrature
         reference = quadrature[0]
         denom = max(abs(reference), 1e-300)
-        candidates = {rep.value: result[0]
-                      for _, rep, result in itertools.islice(rows, len(Representation) - 1)
+        candidates = {_ROUTE_NAMES[rep]: result[0]
+                      for _, rep, result in itertools.islice(rows, len(_ROUTE_NAMES) - 1)
                       if not isinstance(result, Exception)}
         if d % 2:
             try:

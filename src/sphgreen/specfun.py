@@ -10,7 +10,7 @@ The 2F1 series reads its term ratios (a+n)(b+n) / ((c+n)(n+1)) from a table
 kept for each (a, b, c) of the 256 most recently used, and makes the ratios
 past its end as the loop reads them, to extend it; a term then costs one
 product with z, with the bits of the ratio computed in place.  The Ferrers
-functions keep their Gamma(g) / Gamma(r) prefactors per (g, r) the same way.
+functions keep the blocks of their two-term definition per (kind, nu, mu) the same way.
 """
 
 from __future__ import annotations
@@ -231,45 +231,47 @@ def _half_pi_sin_cos(v: float) -> tuple[float, float]:
     return math.sin(0.5 * math.pi * v), math.cos(0.5 * math.pi * v)
 
 
-def _two_term_sum(pd: FerrersOrderDegree, odd_weight: float | None,
-                  even_weight: float | None) -> float:
-    """odd_weight times the odd block plus even_weight times the even block of
-    the two-term P and Q definitions (DLMF 14.3).  A block is Gamma(g) / Gamma(r)
-    (1 - x^2)^(-mu/2) 2F1(a, b; c; x^2), the odd one times x.  A None weight
-    (its trigonometric factor vanishes) skips its block, so the gamma poles
-    that the definitions implicitly cancel never raise."""
-    nu, mu, x = pd.degree, pd.order, pd.argument
-    pow_fac = (1.0 - x * x) ** (-mu / 2.0)
-    value = 0.0
-    for weight, g, r, lead, a, b, c in (
-            (odd_weight, (nu + mu + 2.0) / 2.0, (nu - mu + 1.0) / 2.0, x,
-             (1.0 - nu - mu) / 2.0, (nu - mu + 2.0) / 2.0, 1.5),
-            (even_weight, (nu + mu + 1.0) / 2.0, (nu - mu + 2.0) / 2.0, 1.0,
-             (-nu - mu) / 2.0, (nu - mu + 1.0) / 2.0, 0.5)):
-        if weight is not None:
-            value += weight * (_gamma_ratio(g, r) * lead * pow_fac * gauss_2f1(a, b, c, x * x))
-    return value
-
-
 @functools.lru_cache(maxsize=256)
-def _gamma_ratio(g: float, r: float) -> float:
-    """Gamma(g) / Gamma(r) as the product Gamma(g) * (1 / Gamma(r)) that leads
-    a block of ``_two_term_sum``.  A Ferrers call needs two; ``check ode``
-    reaches only a few (g, r), so they are kept (an error is not)."""
-    return gamma_real(g) * reciprocal_gamma(r)
+def _ferrers_blocks(second_kind: bool, nu: float, mu: float) -> tuple[list, ...]:
+    """The blocks [weight, Gamma(g) (1/Gamma(r)), odd, a, b, c, g, r] of P_nu^mu (of Q_nu^mu
+    if second_kind) on the cut (DLMF 14.3), odd block first: at x, weight Gamma(g)/Gamma(r)
+    (1 - x^2)^(-mu/2) 2F1(a, b; c; x^2), times x if odd.  A block whose trigonometric factor
+    vanishes is left out, so the gamma poles the definitions implicitly cancel never raise.
+    A Gamma product is made when a call first reaches its block: a cold call makes its
+    Gamma calls and sums its series in block order."""
+    FerrersOrderDegree(nu, mu, 0.0)  # its checks of nu and mu, once per key
+    sine, cosine = _half_pi_sin_cos(nu + mu)
+    if second_kind:
+        odd_weight = _SQRT_PI * 2.0**mu * cosine if cosine else None
+        even_weight = -_SQRT_PI * 2.0 ** (mu - 1.0) * sine if sine else None
+    else:
+        odd_weight = 2.0 ** (mu + 1.0) / _SQRT_PI * sine if sine else None
+        even_weight = 2.0**mu / _SQRT_PI * cosine if cosine else None
+    return tuple([weight, None, odd, a, b, c, g, r] for weight, odd, a, b, c, g, r in (
+        (odd_weight, True, (1.0 - nu - mu) / 2.0, (nu - mu + 2.0) / 2.0, 1.5,
+         (nu + mu + 2.0) / 2.0, (nu - mu + 1.0) / 2.0),
+        (even_weight, False, (-nu - mu) / 2.0, (nu - mu + 1.0) / 2.0, 0.5,
+         (nu + mu + 1.0) / 2.0, (nu - mu + 2.0) / 2.0)) if weight is not None)
+
+
+def _two_term_sum(blocks: tuple[list, ...], mu: float, x: float) -> float:
+    """The sum over ``_ferrers_blocks(kind, nu, mu)`` at x: all that depends on x."""
+    z = x * x
+    pow_fac = (1.0 - z) ** (-mu / 2.0)
+    value = 0.0
+    for block in blocks:
+        weight, prefactor, odd, a, b, c, g, r = block
+        if prefactor is None:
+            prefactor = block[1] = gamma_real(g) * reciprocal_gamma(r)
+        value += weight * ((prefactor * x if odd else prefactor) * pow_fac * gauss_2f1(a, b, c, z))
+    return value
 
 
 def ferrers_p(pd: FerrersOrderDegree) -> float:
     """Ferrers function of the first kind P_nu^mu(x) on the cut."""
-    mu = pd.order
-    s, c = _half_pi_sin_cos(pd.degree + mu)
-    return _two_term_sum(pd, 2.0 ** (mu + 1.0) / _SQRT_PI * s if s else None,
-                         2.0**mu / _SQRT_PI * c if c else None)
+    return _two_term_sum(_ferrers_blocks(False, pd.degree, pd.order), pd.order, pd.argument)
 
 
 def ferrers_q(pd: FerrersOrderDegree) -> float:
     """Ferrers function of the second kind Q_nu^mu(x) on the cut."""
-    mu = pd.order
-    s, c = _half_pi_sin_cos(pd.degree + mu)
-    return _two_term_sum(pd, _SQRT_PI * 2.0**mu * c if c else None,
-                         -_SQRT_PI * 2.0 ** (mu - 1.0) * s if s else None)
+    return _two_term_sum(_ferrers_blocks(True, pd.degree, pd.order), pd.order, pd.argument)

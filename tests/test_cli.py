@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import sys
 import time
 
 import pytest
@@ -180,6 +181,23 @@ class TestEval:
         assert [line[0] for line in lines] == list(METHOD_ORDER)
         for name, first, second in lines:
             assert first == "inf" or (first == "skipped" and name in SERIES_ROUTES)
+
+    @pytest.mark.parametrize("radius, subnormal", [("1e308", True), ("5e-324", False)])
+    def test_bounds_at_the_ends_of_double_range(self, capsys, radius, subnormal):
+        # every route's value is subnormal at R = 1e308 and inf at R = 5e-324: the bound
+        # covers the final rounding, with at least ulp(0.0) beside a subnormal value and
+        # inf beside inf
+        code, out, err = run(capsys, "eval", "--d", "3", "--radius", radius, "--theta", "1",
+                             "--method", "all")
+        assert code == 0 and err == ""
+        lines = [line.split() for line in out.splitlines()[:-1]]
+        assert [line[0] for line in lines] == list(METHOD_ORDER)
+        for name, value, bound in lines:
+            value, bound = float(value), float(bound)
+            if subnormal:
+                assert 0.0 < value < sys.float_info.min and bound >= math.ulp(0.0), name
+            else:
+                assert value == bound == math.inf, name
 
     def test_deviation_sees_disagreeing_infinities(self, capsys, monkeypatch):
         # every printed value is +-inf; inf against -inf is a NaN quotient,
@@ -549,6 +567,26 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "ode")
         assert code == 0
         assert "skipped" in out  # inadmissible/degenerate branches are reported
+
+    def test_ode_suite_prints_the_same_cold(self, capsys, monkeypatch):
+        # the kept Ferrers blocks (with their Gamma prefactors), branches and 2F1 ratio
+        # tables change no printed byte: every sample may as well start cold
+        from sphgreen import harmonics, specfun
+
+        run(capsys, "check", "ode")
+        warm = run(capsys, "check", "ode")
+        real, samples = harmonics.radial_harmonic, []
+
+        def cold(*args):
+            specfun._ratio_slot.cache_clear()
+            specfun._ferrers_blocks.cache_clear()
+            harmonics._branch.cache_clear()
+            samples.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(harmonics, "radial_harmonic", cold)
+        assert run(capsys, "check", "ode") == warm
+        assert len(samples) > 100
 
     def test_laplace_suite_passes(self, capsys):
         code, out, _ = run(capsys, "check", "laplace")

@@ -79,6 +79,13 @@ class TestRadialHarmonic:
         with pytest.raises(ValueError):
             radial_harmonic(QuantumNumbers(3, 0), RadialSolutionKind.U2_PLUS, 0.0)
 
+    @pytest.mark.parametrize("theta", [1e-9, math.pi - 1e-9])
+    def test_an_angle_whose_cosine_rounds_to_one_is_named(self, theta):
+        # theta lies in (0, pi), but cos(theta) rounds to +-1, where no Ferrers function is
+        message = rf"^cos\(theta\) rounds to -?1\.0 at theta={theta!r};"
+        with pytest.raises(ValueError, match=message):
+            radial_harmonic(QuantumNumbers(3, 0), RadialSolutionKind.U2_PLUS, theta)
+
 
 class TestOdeResidual:
     """The radial operator's residual on the branches, through its convergence order."""

@@ -451,6 +451,35 @@ class TestKernelProperties:
             assert radial_kernel(d, math.pi - 1e-12, Representation.RECURRENCE).value == -math.inf
 
 
+# radii whose solution is subnormal, 0.0 or inf at theta = 1 for d = 3 or 7, or near that
+RANGE_END_RADII = ([10.0**k for k in range(300, 309)] + [10.0**-k for k in range(300, 309)]
+                   + [1e-310, 1e-320, 5e-324])
+
+
+class TestBoundsAtRangeEnds:
+    """A printed bound covers the final rounding of its value at both ends of double range."""
+
+    @pytest.mark.parametrize("d", [3, 7])
+    @pytest.mark.parametrize("radius", RANGE_END_RADII)
+    def test_radius_sweep(self, d, radius):
+        scale = solution_scale(d, radius)
+        for rep in Representation:
+            value, bound = radial_kernel(d, 1.0, rep).scaled(scale)
+            if math.isinf(value):
+                assert bound == math.inf, rep
+            elif abs(value) < sys.float_info.min:  # subnormal, or 0.0 from a nonzero kernel
+                assert bound >= math.ulp(0.0), rep
+            else:
+                assert bound > 0.0, rep
+
+    def test_value_and_est_error_agree(self):
+        # sin^(2-d) alone takes the value past double range, and not its error
+        kv = radial_kernel(100, 6.5e-4)
+        assert kv.value == kv.est_error == math.inf
+        for kv in (kv, radial_kernel(3, 1.0), radial_kernel(1200, 0.3)):
+            assert (kv.value, kv.est_error) == kv.scaled((1.0, 0))
+
+
 class TestFundamentalSolution:
     def test_d3_quarter_is_inverse_4pi(self):
         got = fundamental_solution(3, 1.0, math.pi / 4.0)

@@ -636,8 +636,9 @@ def traced_outcome(fn, *args):
     """``outcome`` of fn (ZeroDivisionError and OverflowError included) and the
     calls it made to gamma_real, reciprocal_gamma and gauss_2f1, in order.
 
-    The kept Gamma prefactors are dropped first, so that every call is made."""
-    specfun._gamma_ratio.cache_clear()
+    The kept Ferrers blocks, with their Gamma prefactors, are dropped first, so that
+    every call is made."""
+    specfun._ferrers_blocks.cache_clear()
     calls = []
 
     def recording(name):
