@@ -15,8 +15,7 @@ import importlib
 
 # module -> the names the package re-exports from it
 _EXPORTS = {
-    "geometry": ("HyperPoint", "embed", "geodesic_distance", "separation_angle",
-                 "volume_weight"),
+    "geometry": ("HyperPoint", "embed", "geodesic_distance", "separation_angle"),
     "harmonics": ("DegenerateBranchError", "QuantumNumbers", "RadialSolutionKind",
                   "ode_convergence_order", "radial_harmonic"),
     "kernel": ("KernelValue", "NonConvergenceError", "Representation", "SeriesWindowError",
@@ -24,7 +23,6 @@ _EXPORTS = {
                "fundamental_solution", "radial_kernel", "solution_scale"),
     "oracle": ("CheckReport", "check_cross_representation", "check_delta_identity",
                "check_distance_oracle", "check_laplace_annihilation", "check_volume"),
-    "quadrature": ("integrate",),
     "specfun": ("FerrersOrderDegree", "GammaPoleError", "ferrers_p", "ferrers_q", "gamma_real",
                 "gauss_2f1", "reciprocal_gamma"),
 }

@@ -1,8 +1,7 @@
 """Points on the d-dimensional radius-R hypersphere.
 
 Standard hyperspherical coordinates, ambient (d+1)-space embedding,
-separation angle between directions, geodesic distance and the volume-measure
-weight.
+separation angle between directions and geodesic distance.
 
 Direction-angle convention: a point of the unit direction sphere S^{d-1} is
 held as the tuple (alpha_1, alpha_2, ..., alpha_{d-1}) where alpha_1 = phi in
@@ -18,14 +17,13 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .kernel import _check_dimension, _check_radius, _pair_product, _power, _scaled
+from .kernel import _check_dimension, _check_radius
 
 __all__ = [
     "HyperPoint",
     "embed",
     "separation_angle",
     "geodesic_distance",
-    "volume_weight",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -125,15 +123,3 @@ def geodesic_distance(x: HyperPoint, xp: HyperPoint) -> float:
              + math.sin(x.polar) * math.sin(xp.polar) * math.cos(gamma))
     return x.radius * _clamped_acos(inner)
 
-
-def volume_weight(p: HyperPoint) -> float:
-    """Density of the volume measure w.r.t. the coordinate differentials.
-
-    R^d sin^{d-1}(theta) times sin^{k-1}(alpha_k) for k = 2..d-1; the azimuth
-    carries no weight.  The factors are (mantissa, exponent) pairs rounded
-    once, so the weight holds at any d and R.
-    """
-    d = p.dimension
-    factors = [_power(p.radius, d), _power(math.sin(p.polar), d - 1)]
-    factors += (_power(math.sin(ang), k - 1) for k, ang in enumerate(p.direction[1:], start=2))
-    return _scaled(1.0, _pair_product(factors))

@@ -255,15 +255,18 @@ def _check_theta(theta: float) -> None:
 
 
 def _quadrature(d: int, c: float, s: float) -> tuple[float, float]:
-    """Adaptive quadrature of the defining integral; the verification route.
+    """The defining integral between a Gauss sum below and a Lobatto sum above;
+    the verification route.
 
     With u = asinh(cot x), dx / sin x = -du and sin x = sech u, so
     K_d = +-integral from 0 to |u0| of (sin(theta) cosh u)^{d-2} du with
     u0 = asinh(cot theta).  The integrand is at most 1 and rises to 1 at |u0|
     over a width of about 1/(d-2); the interval is cut at |u0| - 2^k/(d-2)
     while that step is below |u0|/16, so that no piece hides the peak.
-    The error adds (d-2) (1 + |u0|) eps |K| to the integration estimate: the
-    rounding of u0 and of sin(theta), both raised to the power d - 2.
+    ``quadrature.cosh_power_integral`` encloses the integral over those pieces
+    (Davis and Rabinowitz 1984; Abramowitz and Stegun section 25.4), and the
+    error adds (d-2) (1 + |u0|) eps |K| to its bound: the rounding of u0 and of
+    sin(theta), both raised to the power d - 2.
     """
     u0 = abs(math.asinh(c / s))
     points = [u0]
@@ -272,15 +275,9 @@ def _quadrature(d: int, c: float, s: float) -> tuple[float, float]:
         points.append(u0 - step / (d - 2))
         step *= 2.0
     points.append(0.0)
-    integrand = lambda u: (s * math.cosh(u)) ** (d - 2)
-    integrate = _quadrature_module().integrate
-    value = estimate = 0.0
-    for hi, lo in zip(points, points[1:]):
-        piece, err = integrate(integrand, lo, hi)
-        value += piece
-        estimate += err
-    estimate += (d - 2) * (1.0 + u0) * sys.float_info.epsilon * value
-    return math.copysign(value, c), estimate
+    value, bound = _quadrature_module().cosh_power_integral(s, d - 2.0, points)
+    bound += (d - 2) * (1.0 + u0) * sys.float_info.epsilon * value
+    return math.copysign(value, c), bound
 
 
 @functools.lru_cache(maxsize=256)

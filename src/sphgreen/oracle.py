@@ -46,7 +46,7 @@ from .kernel import (
     radial_kernel,
     solution_scale,
 )
-from .quadrature import TOLERANCE
+from .quadrature import TOLERANCE, legendre_roots
 
 __all__ = [
     "SUITES",
@@ -73,31 +73,16 @@ def _polar_rule(n: int) -> tuple[tuple[float, ...], ...]:
     pi/2 of odd n.  It integrates what is symmetric about pi/2, as every polar
     integrand of the oracles is (sin^j, and d cos theta K sin theta with K odd).
 
-    Each root x of P_n in [0, 1) comes from Newton's method on the three-term
-    recurrence, started at Tricomi's estimate (Hale and Townsend, SIAM J. Sci.
-    Comput. 35 (2013) A652); two steps reach it for almost every root.  Its
+    Each root x of P_n in [0, 1) comes from ``quadrature.legendre_roots``, its
     weight is 2 / ((1 - x^2) P_n'(x)^2), with 1 - x^2 as (1 - x)(1 + x), which
     does not cancel near the ends, and its node pi/2 (1 - x).
     """
-    steps = [((2 * k + 1) / (k + 1), k / (k + 1)) for k in range(1, n)]
-    roots, weights = [], []
-    for k in range((n + 1) // 2, 0, -1):
-        # cos((4k - 1) pi / (4n + 2)) as a sine, which is exactly 0 at the middle root
-        x = (1.0 - (n - 1) / (8.0 * n**3)) * math.sin(math.pi * (2 * n + 2 - 4 * k) / (4 * n + 2))
-        for _ in range(8):
-            p0, p1 = 1.0, x  # P_(m-1)(x), P_m(x) up to m = n
-            for a, b in steps:
-                p0, p1 = p1, a * x * p1 - b * p0
-            slope = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
-            step = p1 / slope
-            x -= step
-            if abs(step) <= 1e-16:
-                break
-        roots.append(x)
+    nodes, weights = [], []
+    for x, _, slope in legendre_roots(n):
+        nodes.append(0.5 * math.pi * (1.0 - x))
         weights.append(2.0 * math.pi / ((1.0 - x) * (1.0 + x) * slope * slope))
     if n % 2:
         weights[0] *= 0.5
-    nodes = [0.5 * math.pi * (1.0 - x) for x in roots]
     return (tuple(nodes), tuple(weights), tuple(map(math.sin, nodes)), tuple(map(math.cos, nodes)))
 
 

@@ -62,6 +62,19 @@ def solution_reference():
     return reference
 
 
+@pytest.fixture
+def mp_integral():
+    """The integral of f over [a, b] by mpmath's tanh-sinh rule at 30 digits, rounded
+    to double; f takes and returns mpmath numbers."""
+    from mpmath import mp
+
+    def integral(f, a, b):
+        with mp.workdps(30):
+            return float(mp.quad(f, [a, b]))
+
+    return integral
+
+
 def assert_nearest(got, want, rel=1e-13):
     """``got`` is ``want`` to ``rel``, or exactly ``want`` where that is +-inf or subnormal."""
     if math.isinf(want) or abs(want) < sys.float_info.min:

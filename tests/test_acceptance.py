@@ -28,7 +28,6 @@ from sphgreen.oracle import (
     hypersphere_volume,
     random_hyperpoint,
 )
-from sphgreen.quadrature import integrate
 from sphgreen.specfun import (
     FerrersOrderDegree,
     double_factorial,
@@ -184,11 +183,13 @@ def test_criterion_5_euclidean_limit():
            f"runtime {elapsed:.2f}s (budget 1s)")
 
 
-def test_criterion_6_delta_identity():
+def test_criterion_6_delta_identity(mp_integral):
+    from mpmath import mp
+
     start = time.perf_counter()
     # analytic oracle values, computed independently of the product rule
-    moment, _ = integrate(lambda u: u * math.atanh(u), -1.0, 1.0)
-    zonal, _ = integrate(lambda t: 3.0 * math.cos(t) ** 2 * math.sin(t), 0.0, math.pi)
+    moment = mp_integral(lambda u: u * mp.atanh(u), -1.0, 1.0)
+    zonal = mp_integral(lambda t: 3.0 * mp.cos(t) ** 2 * mp.sin(t), 0.0, math.pi)
     assert moment == pytest.approx(1.0, abs=1e-9)
     assert zonal == pytest.approx(2.0, rel=1e-12)
 

@@ -903,6 +903,8 @@ class TestImportHygiene:
         )
         modules = self.loaded_after(tmp_path, *every_route)
         assert "scipy" not in modules and "numpy" not in modules
+        # the quadrature route keeps its panels on a plain stack, not a heap
+        assert "sphgreen.quadrature" in modules and "heapq" not in modules
         # check limit exits 1 on its d = 2 clause (see test_limit_suite_reports_d2_failure)
         suites = [("check", suite)
                   for suite in ("ode", "laplace", "delta", "limit", "xrep", "geometry")]

@@ -9,7 +9,6 @@ from sphgreen.geometry import (
     embed,
     geodesic_distance,
     separation_angle,
-    volume_weight,
 )
 from sphgreen.oracle import box_volume, hypersphere_volume, random_hyperpoint
 
@@ -242,31 +241,11 @@ class TestGeodesicDistance:
 
 
 class TestVolumeWeight:
-    def test_circle_weight(self):
-        for theta in (0.3, 1.2, 2.5):
-            p = HyperPoint(2, 1.0, theta, (0.0,))
-            assert volume_weight(p) == pytest.approx(math.sin(theta), rel=1e-15)
-
-    def test_vanishes_at_pole(self):
-        assert volume_weight(HyperPoint(4, 1.0, 0.0, (0.1, 0.2, 0.3))) == 0.0
+    """The volume measure summed over the coordinate box (``box_volume``)."""
 
     def test_three_sphere_radius_two(self):
-        p = HyperPoint(3, 2.0, 0.7, (0.3, 1.1))
-        expected = 8.0 * math.sin(0.7) ** 2 * math.sin(1.1)
-        assert volume_weight(p) == pytest.approx(expected, rel=1e-14)
         total = box_volume(3, 2.0)
         assert total == pytest.approx(2.0 * math.pi**2 * 8.0, rel=1e-9)
-
-    def test_weight_past_double_range(self):
-        # R^d alone overflows a double at d = 400, R = 10
-        from mpmath import mp, mpf
-
-        p = HyperPoint(400, 10.0, 0.3, (0.0,) + (math.pi / 2,) * 398)
-        with mp.workdps(40):
-            want = mpf(10) ** 400 * mp.sin(mpf(0.3)) ** 399
-            for k, ang in enumerate(p.direction[1:], start=2):
-                want *= mp.sin(mpf(ang)) ** (k - 1)
-        assert abs(volume_weight(p) / want - 1) <= 1e-12
 
     def test_box_volume_past_double_range(self):
         from mpmath import mp, mpf

@@ -21,7 +21,8 @@ def test_every_public_name_is_its_modules_object():
 
 
 def test_public_names_are_unique_and_unchanged_in_number():
-    assert len(set(sphgreen.__all__)) == len(sphgreen.__all__) == 34
+    # 34 until quadrature.integrate and geometry.volume_weight left
+    assert len(set(sphgreen.__all__)) == len(sphgreen.__all__) == 32
 
 
 def test_readme_python_api_lists_the_public_names():

@@ -4,10 +4,17 @@ import random
 
 import pytest
 
-from sphgreen import oracle
+from sphgreen import oracle, quadrature
 from sphgreen.geometry import HyperPoint
 from sphgreen.harmonics import QuantumNumbers, RadialSolutionKind
-from sphgreen.kernel import KernelValue, Representation, fundamental_solution, radial_kernel
+from sphgreen.kernel import (
+    KernelValue,
+    Representation,
+    ToleranceNotMetError,
+    _angle_grid,
+    fundamental_solution,
+    radial_kernel,
+)
 from sphgreen.oracle import (
     DISTANCE_PAIRS,
     CheckReport,
@@ -20,54 +27,83 @@ from sphgreen.oracle import (
     euclidean_limit_errors,
     hypersphere_volume,
 )
-from sphgreen.quadrature import _CENTER_WEIGHT, _RULE, ToleranceNotMetError, integrate
 
 
 class TestIntegrate:
-    def test_polynomial(self):
-        value, err = integrate(lambda x: x * x, 0.0, 1.0)
-        assert value == pytest.approx(1.0 / 3.0, rel=1e-13)
-        assert err < 1e-10
+    """The analytic integrals the oracles rely on, by mpmath's tanh-sinh rule, and
+    the Gauss-below/Lobatto-above enclosure of the quadrature route."""
 
-    def test_inverse_sine_squared(self):
-        value, _ = integrate(lambda x: math.sin(x) ** -2, math.pi / 4.0, math.pi / 2.0)
+    def test_polynomial(self, mp_integral):
+        assert mp_integral(lambda x: x * x, 0.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-13)
+
+    def test_inverse_sine_squared(self, mp_integral):
+        from mpmath import mp
+
+        value = mp_integral(lambda x: mp.sin(x) ** -2, math.pi / 4.0, math.pi / 2.0)
         assert value == pytest.approx(1.0, rel=1e-12)
 
-    def test_log_cot_half_moment(self):
+    def test_log_cot_half_moment(self, mp_integral):
         # antiderivative oracle: the integral reduces to
         # int_{-1}^{1} u atanh(u) du = [ (u^2-1)/2 atanh(u) + u/2 ] = 1
-        value, _ = integrate(
-            lambda t: math.sin(t) * math.cos(t) * (-math.log(math.tan(t / 2.0))),
-            0.0, math.pi)
+        from mpmath import mp
+
+        value = mp_integral(lambda t: mp.sin(t) * mp.cos(t) * (-mp.log(mp.tan(t / 2))),
+                            0.0, math.pi)
         assert value == pytest.approx(1.0, abs=1e-9)
 
-    def test_endpoint_singularity(self):
-        value, _ = integrate(lambda x: x**-0.5, 0.0, 1.0)
-        assert value == pytest.approx(2.0, rel=1e-10)
+    def test_endpoint_singularity(self, mp_integral):
+        assert mp_integral(lambda x: x**-0.5, 0.0, 1.0) == pytest.approx(2.0, rel=1e-10)
 
     @pytest.mark.parametrize("k", range(34))
     def test_rule_literals_integrate_monomials(self, k):
-        # on [-1, 1], K21 is exact for x^k to k = 31 and G10 to k = 19 (odd k
-        # by symmetry), so each literal is right to rounding; x^32 and x^20
-        # show that the degrees are sharp
+        # on [-1, 1], the 12-point Gauss rule is exact for x^k to k = 23 and the
+        # 14-point Lobatto rule to k = 25 (odd k by symmetry), so each built node and
+        # weight is right to rounding; x^24 and x^26 show that the degrees are sharp
         exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-        kronrod = math.fsum([_CENTER_WEIGHT * 0.0**k]
-                            + [wk * (x**k + (-x) ** k) for x, wk, _ in _RULE])
-        gauss = math.fsum(wg * (x**k + (-x) ** k) for x, _, wg in _RULE)
+        gauss = math.fsum(w * (x**k + (-x) ** k) for x, w in quadrature._GAUSS)
+        lobatto = math.fsum([quadrature._LOBATTO_END * (1.0 + (-1.0) ** k)]
+                            + [w * (x**k + (-x) ** k) for x, w in quadrature._LOBATTO])
         ulp = math.ulp(1.0)
-        assert (abs(kronrod - exact) <= 2 * ulp) == (k <= 31 or k % 2 == 1)
-        assert (abs(gauss - exact) <= 2 * ulp) == (k <= 19 or k % 2 == 1)
+        assert (abs(gauss - exact) <= 2 * ulp) == (k <= 23 or k % 2 == 1)
+        assert (abs(lobatto - exact) <= 2 * ulp) == (k <= 25 or k % 2 == 1)
 
-    def test_reversed_limits_rejected(self):
-        with pytest.raises(ValueError):
-            integrate(lambda x: x, 1.0, 0.0)
+    # check xrep's 50 angles, and angles near both poles and on either side of pi/2
+    ANGLES = [*_angle_grid(0.05, math.pi - 0.05, 50), 1e-12, 1e-6, math.pi / 2 - 1e-9,
+              math.pi / 2 + 1e-9, math.pi - 1e-6, math.pi - 1e-12]
 
-    def test_tolerance_not_met(self):
-        # the oscillation piles up at 0 faster than the subdivision budget
+    @staticmethod
+    def outside_their_bound(d, kernel_reference):
+        """The angles where |K_quad - K_ref| exceeds the route's bound plus 4 ulp."""
+        outside = []
+        for theta in TestIntegrate.ANGLES:
+            got = radial_kernel(d, theta, Representation.QUADRATURE)
+            want = kernel_reference(d, theta)
+            if abs(got.kernel - want) > got.kernel_error + 4 * math.ulp(want):
+                outside.append((theta, got.kernel, got.kernel_error, want))
+        return outside
+
+    @pytest.mark.parametrize("d", [*range(2, 13), 20, 60, 200, 1000])
+    def test_the_bracket_encloses_the_reference(self, d, kernel_reference):
+        assert self.outside_their_bound(d, kernel_reference) == []
+
+    def test_a_zero_gap_misses_the_reference(self, kernel_reference, monkeypatch):
+        # the Gauss rule in place of the Lobatto rule closes every gap at once: what
+        # is left of the bound is rounding, which the truncation error exceeds
+        monkeypatch.setattr(quadrature, "_LOBATTO_END", 0.0)
+        monkeypatch.setattr(quadrature, "_LOBATTO", quadrature._GAUSS)
+        assert self.outside_their_bound(6, kernel_reference) != []
+
+    def test_tolerance_not_met(self, monkeypatch):
+        # no gap is at most 0: the peak panel narrows to a few ulps and the route
+        # refuses, with one pass over what is left, instead of bisecting for ever
+        met = radial_kernel(1000, 0.05, Representation.QUADRATURE)
+        monkeypatch.setattr(quadrature, "TOLERANCE", 0.0)
         with pytest.raises(ToleranceNotMetError) as failure:
-            integrate(lambda x: math.sin(1.0 / x), 1e-9, 1.0)
-        assert math.isfinite(failure.value.value)
-        assert failure.value.error_estimate > 0.0
+            radial_kernel(1000, 0.05, Representation.QUADRATURE)
+        refused = failure.value
+        assert "not met on the panel" in str(refused)
+        assert math.isfinite(refused.value) and math.isfinite(refused.error_estimate)
+        assert abs(refused.value - met.kernel) <= refused.error_estimate + met.kernel_error
 
 
 class TestCheckReport:
@@ -154,12 +190,14 @@ class TestOdeOrder:
 
 
 class TestDeltaIdentity:
-    def test_analytic_oracles(self):
+    def test_analytic_oracles(self, mp_integral):
         # both reductions recomputed here, independently of the product rule
-        moment, _ = integrate(lambda u: u * math.atanh(u), -1.0, 1.0)
+        from mpmath import mp
+
+        moment = mp_integral(lambda u: u * mp.atanh(u), -1.0, 1.0)
         assert moment == pytest.approx(1.0, abs=1e-9)
         assert 2.0 * moment == pytest.approx(2.0, abs=1e-8)
-        zonal, _ = integrate(lambda t: 3.0 * math.cos(t) ** 2 * math.sin(t), 0.0, math.pi)
+        zonal = mp_integral(lambda t: 3.0 * mp.cos(t) ** 2 * mp.sin(t), 0.0, math.pi)
         assert zonal == pytest.approx(2.0, rel=1e-12)
 
     def test_d2(self):
