@@ -1,21 +1,17 @@
 """Radial kernel of the hypersphere fundamental solution.
 
-I_d(theta) = integral of 1/sin^{d-1} from theta to pi/2, evaluated through
-several equivalent routes (defining integral, closed-form finite sums, the
-antiderivative recurrence, two hypergeometric series and a Ferrers-Q form,
-which is the direct hypergeometric series where cos^2 theta <= 1/2 and the
-finite sum elsewhere), plus the normalized fundamental solution on the
-sphere and the Euclidean reference solution.
+I_d(theta) = integral of 1/sin^{d-1} from theta to pi/2 through six equivalent
+routes (defining integral, closed-form finite sum, antiderivative recurrence, two
+hypergeometric series and a Ferrers-Q form), plus the normalized fundamental
+solution on the sphere and the Euclidean reference solution.
 
-Every route computes the bounded kernel K_d = sin^{d-2}(theta) I_d(theta),
-with an error bound, from cos theta and sin theta: one core per route in
-``_ROUTES``, which ``radial_kernel`` runs for one route at one angle and
-``_kernel_rows`` for any routes over many angles.  ``_scaled`` multiplies it
-by the unbounded factors c0(d), R^{2-d} and sin^{2-d}(theta), kept as
-(mantissa, exponent) pairs, and rounds once, so a value is +-inf or 0.0 only
-where the exact one lies outside double range.  ``_angle_grid`` spaces the
-angles of ``table`` and ``check xrep``; ``check delta`` sums the
-``finite_sum`` core over its quadrature nodes.
+Each route's core in ``_ROUTES`` computes the bounded kernel K_d = sin^{d-2}(theta)
+I_d(theta) from cos theta and sin theta, with a bound on its truncation and its own
+arithmetic; ``radial_kernel`` (one angle) and ``_kernel_rows`` (many) add the
+rounding all routes share (``_shared_rounding``).  ``_scaled`` multiplies K by the
+unbounded factors c0(d), R^{2-d} and sin^{2-d}(theta), kept as (mantissa, exponent)
+pairs, and rounds once, so a value is +-inf or 0.0 only where the exact one lies
+outside double range.
 
 The production path (finite sum, recurrence) needs no other module: ``specfun``
 and ``quadrature`` load on the first call of a series or quadrature route.
@@ -61,6 +57,7 @@ _FERRERS_SWITCH = 0.5
 _POWER_CHUNK = 1000
 # (pi - math.pi) / math.pi
 _PI_ROUNDING = 3.8981718325193755e-17
+_EPS = sys.float_info.epsilon
 
 
 class SeriesWindowError(ValueError):
@@ -161,13 +158,9 @@ def _deviation(a: float, b: float, scale: float) -> float:
 
 
 def _scaled(x: float, *pairs: tuple[float, int]) -> float:
-    """x times the (mantissa, exponent) pairs, brought into double range once.
-
-    The result is +-inf or 0.0 only where the exact product lies outside
-    double range.  It does not renormalise per factor, on purpose: that nearly
-    doubles its cost, and it runs twice per value.  So many factors go through
-    ``_pair_product`` first.
-    """
+    """x times the (mantissa, exponent) pairs, brought into double range once: +-inf or
+    0.0 only where the exact product lies outside it.  It does not renormalise per factor,
+    which nearly doubles its cost, so many factors go through ``_pair_product`` first."""
     e = 0
     for m, k in pairs:
         x *= m
@@ -194,14 +187,30 @@ def _scale_with_error(kernel: float, error: float, scale, power) -> tuple[float,
     return value, error
 
 
-class KernelValue(namedtuple("KernelValue", "kernel kernel_error method sine_power")):
-    """K_d(theta) = sin^{d-2}(theta) I_d(theta) from one route, with a rough error bound.
-
-    ``kernel`` and ``kernel_error`` are floats, ``method`` the Representation
-    and ``sine_power`` sin^{2-d}(theta) as a (mantissa, exponent) pair.
-    ``value`` and ``est_error`` are I_d and its error bound; ``value`` is +-inf
-    where I_d lies outside double range.
+def _shared_rounding(d: int) -> float:
+    """((2 + 1/128) d + 12) eps: the rounding that every route owes outside its core,
+    relative to |K|; a core bounds its truncation and its own arithmetic.  Each operation
+    rounds within eps/2, each libm call within an ulp (Higham 2002, ch. 3).  cos theta and
+    sin theta, each within eps, move I = K s^(2-d) by (|k_c| + |k_s|) eps, k the relative
+    condition numbers of the route's form: 1 + max(1, d-2) for the finite sum and the
+    recurrence (c s^-j, j <= d-2, and asinh(c/s), of one sign); 2 max(1, d-2) for the
+    quadrature, a function of c/s with k_c = c/K and |K| >= |c|/(d-2) (>= |c| at d = 2);
+    1 for hyp2f1 and d-1 for hyp2f1_euler, whose part in z = c^2 is in the series
+    engine's n-term allowance: at most 2d.  Each ``_power`` (sin^(2-d), hyp2f1's
+    sin^(d-2), pi^-floor(d/2), R^(2-d)) adds 1.5 eps a chunk, below (0.00525 d + 6) eps
+    in all; ``solution_scale``'s (d-2)!!, ``_PI_ROUNDING`` correction (and its second
+    order, d^2 eps / 1.1e18) and products 2.5 eps; K's products by the scale and the
+    power, and hyp2f1's by sin^(d-2), 2 eps.  The sum is within the factor for d < 2e15.
     """
+    return ((2.0 + 1.0 / 128) * d + 12.0) * _EPS
+
+
+class KernelValue(namedtuple("KernelValue", "kernel kernel_error method sine_power")):
+    """K_d(theta) = sin^{d-2}(theta) I_d(theta) from one route, with its error bound: the
+    core's own plus ``_shared_rounding(d)`` |K|.  ``method`` is the Representation and
+    ``sine_power`` sin^{2-d}(theta) as a (mantissa, exponent) pair.  ``value`` and
+    ``est_error`` are I_d and its bound; ``value`` is +-inf where I_d lies outside double
+    range."""
 
     __slots__ = ()
 
@@ -258,15 +267,14 @@ def _quadrature(d: int, c: float, s: float) -> tuple[float, float]:
     """The defining integral between a Gauss sum below and a Lobatto sum above;
     the verification route.
 
-    With u = asinh(cot x), dx / sin x = -du and sin x = sech u, so
-    K_d = +-integral from 0 to |u0| of (sin(theta) cosh u)^{d-2} du with
-    u0 = asinh(cot theta).  The integrand is at most 1 and rises to 1 at |u0|
-    over a width of about 1/(d-2); the interval is cut at |u0| - 2^k/(d-2)
-    while that step is below |u0|/16, so that no piece hides the peak.
-    ``quadrature.cosh_power_integral`` encloses the integral over those pieces
-    (Davis and Rabinowitz 1984; Abramowitz and Stegun section 25.4), and the
-    error adds (d-2) (1 + |u0|) eps |K| to its bound: the rounding of u0 and of
-    sin(theta), both raised to the power d - 2.
+    With u = asinh(cot x), dx / sin x = -du and sin x = sech u, so K_d = +-integral
+    from 0 to |u0| of (sin(theta) cosh u)^{d-2} du with u0 = asinh(cot theta).  The
+    integrand is at most 1 and rises to 1 at |u0| over a width of about 1/(d-2); the
+    interval is cut at |u0| - 2^k/(d-2) while that step is below |u0|/16, so that no
+    piece hides the peak.  ``quadrature.cosh_power_integral`` encloses the integral
+    over those pieces (Davis and Rabinowitz 1984; Abramowitz and Stegun 25.4).  The
+    bound adds the rounding of u0, (|c|/2 + |u0|) eps <= 1.5 |u0| eps (c/s and asinh),
+    times the integrand there, 1.  A refusal carries the signed K and the whole bound.
     """
     u0 = abs(math.asinh(c / s))
     points = [u0]
@@ -275,9 +283,14 @@ def _quadrature(d: int, c: float, s: float) -> tuple[float, float]:
         points.append(u0 - step / (d - 2))
         step *= 2.0
     points.append(0.0)
-    value, bound = _quadrature_module().cosh_power_integral(s, d - 2.0, points)
-    bound += (d - 2) * (1.0 + u0) * sys.float_info.epsilon * value
-    return math.copysign(value, c), bound
+    endpoint = 1.5 * u0 * _EPS
+    try:
+        value, bound = _quadrature_module().cosh_power_integral(s, d - 2.0, points)
+    except ToleranceNotMetError as refusal:
+        refusal.error_estimate += endpoint + _shared_rounding(d) * refusal.value
+        refusal.value = math.copysign(refusal.value, c)
+        raise
+    return math.copysign(value, c), bound + endpoint
 
 
 @functools.lru_cache(maxsize=256)
@@ -294,24 +307,18 @@ def _finite_sum_table(d: int) -> tuple[float, ...]:
     return tuple(reversed(table))
 
 
-def _rounding_bound(d: int, kernel: float) -> float:
-    """2 d eps |K| for a sum of about d/2 terms of one sign: each coefficient,
-    its power of the rounded sin^2 theta and Horner's rule (or the recurrence's
-    climb) carry about d/2 roundings of eps/2 each (Higham 2002, ch. 3 and 5)."""
-    return 2.0 * d * sys.float_info.epsilon * abs(kernel)
-
-
 def _finite_sum(d: int, c: float, s: float, table=None) -> tuple[float, float]:
-    """Closed-form evaluation in O(d) arithmetic operations: (K_d, ``_rounding_bound``).
+    """Closed-form evaluation in O(d) arithmetic operations: (K_d, 1.25 d eps |K|).
 
-    I_d = (d-3)!!/(d-2)!! [B + cos(theta) sum_j (j-1)!!/j!! s^{-(j+1)}] with
-    s = sin(theta), over j = d-3, d-5, ... >= 0, and B = log cot(theta/2) for
-    even d, B = 0 for odd d (the double-factorial inverse-sine variant).  So
-    K_d = cos(theta) P(s^2)/(d-2) + r B s^{d-2} with r = (d-3)!!/(d-2)!!: the
-    products of the two double-factorial ratios are the coefficients of
-    ``_finite_sum_table``.  B is asinh(c / s), which keeps full relative accuracy
-    near the poles and near pi/2, where -log tan(theta/2) cancels.  A caller
-    with many angles passes ``_finite_sum_table(d)``.
+    I_d = (d-3)!!/(d-2)!! [B + cos(theta) sum_j (j-1)!!/j!! s^{-(j+1)}] with s = sin(theta),
+    over j = d-3, d-5, ... >= 0, and B = log cot(theta/2) for even d, 0 for odd d.  So
+    K_d = cos(theta) P(s^2)/(d-2) + r B s^{d-2} with r = (d-3)!!/(d-2)!!, P's coefficients
+    from ``_finite_sum_table`` (which a caller with many angles passes).  B is asinh(c/s),
+    of full relative accuracy near the poles and near pi/2, where -log tan(theta/2) cancels.
+
+    Its roundings of eps/2: the term in w^i, i <= (d-3)/2, has 1 + 2i in its coefficient,
+    2i + 1 in Horner's rule (Higham 2002, ch. 5) and i in w = s^2, and c P one: 2.5 d - 4.5;
+    the log cot term d - 3 in r, five in asinh(c/s) and s^(d-2), and three: d + 5.
     """
     table = _finite_sum_table(d) if table is None else table
     s2 = s * s
@@ -321,7 +328,7 @@ def _finite_sum(d: int, c: float, s: float, table=None) -> tuple[float, float]:
     kernel = c * acc
     if not d % 2:
         kernel += (table[0] if table else 1.0) * math.asinh(c / s) * s ** (d - 2)
-    return kernel, _rounding_bound(d, kernel)
+    return kernel, 1.25 * d * _EPS * abs(kernel)
 
 
 def _recurrence(d: int, c: float, s: float) -> tuple[float, float]:
@@ -329,14 +336,15 @@ def _recurrence(d: int, c: float, s: float) -> tuple[float, float]:
 
     K_m = sin^{m-1} J_m scales the antiderivative recurrence of J_m = integral
     of 1/sin^m.  Bases: K_1 = log cot(theta/2) and K_2 = cos(theta).  All
-    terms share the sign of cos(theta), so the climb is cancellation-free and
-    its error is within ``_rounding_bound``.
+    terms share the sign of cos(theta), so the climb is cancellation-free: each of
+    its <= (d-2)/2 steps adds five roundings of eps/2 (a quotient, two products, the
+    sum and s^2) to the three of asinh(c/s): 1.25 d eps |K| bounds them.
     """
     s2 = s * s
     kernel, start = (c, 2) if d % 2 else (math.asinh(c / s), 1)
     for m in range(start + 2, d, 2):
         kernel = c / (m - 1) + (m - 2) / (m - 1) * s2 * kernel
-    return kernel, _rounding_bound(d, kernel)
+    return kernel, 1.25 * d * _EPS * abs(kernel)
 
 
 def _series_argument(c: float) -> float:
@@ -353,22 +361,21 @@ def _hyp2f1(d: int, c: float, s: float) -> tuple[float, float]:
     """Hypergeometric series route, valid while cos^2(theta) <= 0.98.
 
     Direct form: K_d = sin^{d-2} cos 2F1(1/2, d/2; 3/2; cos^2 theta).  The
-    error bound is the series error times |cos| sin^{d-2}, plus (d-2) eps |K|:
-    sin^{d-2} comes from the rounded sin theta and 2F1 from the rounded
-    cos^2 theta, and the power d - 2 amplifies both roundings.
+    error bound is the series error times |cos| sin^{d-2}; the power and the
+    products are in ``_shared_rounding``.
     """
     z, specfun = _series_argument(c), _specfun_module()
     total, error, _ = specfun._gauss_2f1_sums(0.5, d / 2.0, 1.5, z)
-    kernel, error = _scale_with_error(c * total, abs(c) * error, (1.0, 0), _power(s, d - 2))
-    return kernel, error + (d - 2) * sys.float_info.epsilon * abs(kernel)
+    return _scale_with_error(c * total, abs(c) * error, (1.0, 0), _power(s, d - 2))
 
 
 def _hyp2f1_euler(d: int, c: float, s: float) -> tuple[float, float]:
     """The transformed series of the ``hyp2f1`` route, in the same window.
 
     K_d = cos 2F1(1, (3-d)/2; 3/2; cos^2 theta), whose terms alternate and
-    cancel for large d, reports |cos| times the series error and is refused
-    where that exceeds 1e-9 |K| (``check xrep``'s tolerance).
+    cancel for large d, reports |cos| times the series error.  It is refused where
+    that exceeds 1e-9 |K|: cancellation has then taken seven of the sixteen digits,
+    and a printed value is to be good to nine.
     """
     z, specfun = _series_argument(c), _specfun_module()
     total, error, _ = specfun._gauss_2f1_sums(1.0, (3.0 - d) / 2.0, 1.5, z)
@@ -388,14 +395,11 @@ def _ferrers_source(c: float) -> Representation:
 def _ferrers(d: int, c: float, s: float) -> tuple[float, float]:
     """Ferrers-Q route: K_d = p(d) sin^{d/2-1} Q_{d/2-1}^{1-d/2}(cos theta).
 
-    The prefactor is p(d) = (d-2)! / (Gamma(d/2) 2^{d/2-1}), and the product
-    is sin^{d-2} cos theta 2F1(1/2, d/2; 3/2; cos^2 theta): by Legendre's
-    duplication formula (DLMF 5.5.5), Gamma((d-1)/2) Gamma(d/2) =
-    2^{2-d} sqrt(pi) (d-2)!, so the gamma and power-of-two factors of Q and
-    p(d) multiply to exactly 1.  Where cos^2 theta exceeds ``_FERRERS_SWITCH``
-    it is the finite sum (the z -> 1-z connection, A&S 15.3.6 and 15.3.10),
-    equal to ``_finite_sum`` bit for bit; elsewhere it is the Gauss series
-    that the ``hyp2f1`` route sums, with the same error bound.
+    With p(d) = (d-2)! / (Gamma(d/2) 2^{d/2-1}) the product is sin^{d-2} cos theta
+    2F1(1/2, d/2; 3/2; cos^2 theta): by Legendre's duplication formula (DLMF 5.5.5)
+    the gamma and power-of-two factors of Q and p(d) multiply to exactly 1.  Where
+    cos^2 theta exceeds ``_FERRERS_SWITCH`` it is the finite sum (the z -> 1-z
+    connection, A&S 15.3.6 and 15.3.10), bit for bit; elsewhere the ``hyp2f1`` series.
     """
     return _ROUTES[_ferrers_source(c)](d, c, s)
 
@@ -421,7 +425,8 @@ def radial_kernel(d: int, theta: float,
     _check_theta(theta)
     s = math.sin(theta)
     kernel, error = _ROUTES[rep](d, math.cos(theta), s)
-    return KernelValue(_finite_kernel(rep, d, kernel), error, rep, _power(s, 2 - d))
+    kernel = _finite_kernel(rep, d, kernel)
+    return KernelValue(kernel, error + _shared_rounding(d) * abs(kernel), rep, _power(s, 2 - d))
 
 
 def _angle_grid(lo: float, hi: float, n: int):
@@ -436,14 +441,13 @@ def _angle_grid(lo: float, hi: float, n: int):
 
 def _kernel_rows(d: int, thetas, reps: list[Representation], scale: tuple[float, int] = (1.0, 0)):
     """(theta, rep, result) for each angle of ``thetas`` and each route of ``reps`` in
-    order: result is ``radial_kernel(d, theta, rep).scaled(scale)`` bit for bit, or the
-    refusal that call raises.  d is checked once and each angle as ``radial_kernel`` checks
-    it; an angle's cosine, sine and sin^(2-d) are computed once, and the Ferrers route takes
-    the (kernel, error) of the route it equals where that ran before it at the same angle.
-    The finite sum alone looks up its table once and skips the route dispatch.  Lazy: each
-    row is computed as it is asked for.
-    """
+    order, lazily: result is ``radial_kernel(d, theta, rep).scaled(scale)`` bit for bit, or
+    the refusal that call raises.  d and ``_shared_rounding(d)`` are taken once, and an
+    angle's cosine, sine and sin^(2-d) once; the Ferrers route takes the (kernel, error) of
+    the route it equals where that ran before it.  The finite sum alone looks up its table
+    once and skips the route dispatch."""
     _check_dimension(d)
+    shared = _shared_rounding(d)
     if reps == [Representation.FINITE_SUM]:
         rep, table = reps[0], _finite_sum_table(d)
         for theta in thetas:
@@ -451,8 +455,8 @@ def _kernel_rows(d: int, thetas, reps: list[Representation], scale: tuple[float,
             c, s = math.cos(theta), math.sin(theta)
             kernel, error = _finite_sum(d, c, s, table)
             try:
-                result = _scale_with_error(_finite_kernel(rep, d, kernel), error, scale,
-                                           _power(s, 2 - d))
+                result = _scale_with_error(_finite_kernel(rep, d, kernel),
+                                           error + shared * abs(kernel), scale, _power(s, 2 - d))
             except NonConvergenceError as refusal:
                 result = refusal
             yield theta, rep, result
@@ -467,7 +471,8 @@ def _kernel_rows(d: int, thetas, reps: list[Representation], scale: tuple[float,
                 # where the route it equals refused or did not run, the Ferrers route runs
                 pair = pairs.get(_ferrers_source(c)) if route is _ferrers else None
                 kernel, error = pairs[rep] = pair or route(d, c, s)
-                result = _scale_with_error(_finite_kernel(rep, d, kernel), error, scale, power)
+                result = _scale_with_error(_finite_kernel(rep, d, kernel),
+                                           error + shared * abs(kernel), scale, power)
             except _REFUSALS as refusal:
                 result = refusal
             yield theta, rep, result
@@ -498,12 +503,11 @@ def double_factorial(n: int) -> int:
 def solution_scale(d: int, radius: float) -> tuple[float, int]:
     """c0(d) / R^{d-2}, the factor that turns I_d(theta) into the solution.
 
-    c0(d) = Gamma(d/2) / (2 pi^{d/2}) = (d-2)!! / (2^{floor((d+1)/2)}
-    pi^{floor(d/2)}) for either parity, from the exact integer (d-2)!!: Gamma(d/2)
-    is (d-2)!! / 2^{d/2-1} for even d and (d-2)!! sqrt(pi) / 2^{(d-1)/2} for odd d.
-    The factor is a (mantissa, exponent) pair for ``KernelValue.scaled``, so
-    it never overflows.  Raises ValueError for a radius that is not positive
-    and finite, and for d < 1 or d - 2 > 2 sys.maxsize (``double_factorial``).
+    c0(d) = Gamma(d/2) / (2 pi^{d/2}) = (d-2)!! / (2^{floor((d+1)/2)} pi^{floor(d/2)}) for
+    either parity, since Gamma(d/2) is (d-2)!! / 2^{d/2-1} for even d and (d-2)!! sqrt(pi) /
+    2^{(d-1)/2} for odd d.  A (mantissa, exponent) pair for ``KernelValue.scaled``, it never
+    overflows.  Raises ValueError for a radius that is not positive and finite, and for
+    d < 1 or d - 2 > 2 sys.maxsize (``double_factorial``).
     """
     _check_radius(radius)
     _check_integer(d, "dimension", 1)

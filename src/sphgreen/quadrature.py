@@ -76,24 +76,21 @@ def cosh_power_integral(s: float, p: float, points: Sequence[float]) -> tuple[fl
     """(value, bound) of the integral of (s cosh u)^p over [points[-1], points[0]],
     for 0 < s <= 1, p >= 0 and cut points falling from points[0] >= 0.
 
-    Panels are taken from points[0], the integrand's peak, outward.  On each,
-    the 12-point Gauss sum G lies below the integral and the 14-point Lobatto
-    sum L above it; the panel is accepted when L - G <= ``TOLERANCE`` (value
-    so far + G) and bisected otherwise, so that panels holding a negligible
-    share of the integral are not refined.  The value is the sum of (G + L)/2.
+    Panels are taken from points[0], the integrand's peak, outward.  On each, the 12-point
+    Gauss sum G lies below the integral and the 14-point Lobatto sum L above it; the panel
+    is accepted when L - G <= ``TOLERANCE`` (value so far + G), so that panels holding a
+    negligible share are not refined, and bisected otherwise.  The value is sum (G + L)/2.
 
-    The bound is the sum of |L - G|/2 plus a rounding allowance (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 3 and 4), with
-    cosh and the power each within an ulp.  With a = points[0] >= u, the node
-    c +- h x is within 1.5 a eps (the rounding of x, c, h x and the sum), which
-    the slope p tanh u <= p of log f turns into 1.5 a p eps relative; cosh and
-    the product by s put 1.5 eps on the power's argument, which the power
-    multiplies by p.  The power itself and each rule sum of positive terms are
-    within ``_SUM_ROUNDING`` eps, and the running sum within k eps over k
-    panels: (1.5 (1 + a) p + ``_SUM_ROUNDING`` + k) eps value in all.
+    The bound is the sum of |L - G|/2 plus a rounding allowance (Higham 2002, ch. 3
+    and 4), with cosh and the power each within an ulp.  With a = points[0] >= u,
+    the node c +- h x is within 1.5 a eps, which the slope p tanh u <= p of log f
+    turns into 1.5 a p eps relative; cosh and the product by s put 1.5 eps on the
+    power's argument, times p.  The power and each rule sum of positive terms are
+    within ``_SUM_ROUNDING`` eps, and the running sum within k eps over k panels:
+    (1.5 (1 + a) p + ``_SUM_ROUNDING`` + k) eps value in all.
 
-    Raises ToleranceNotMetError, with the value and bound of one pass over
-    what is left, when a panel narrows to a few ulps without closing its gap.
+    Raises ToleranceNotMetError, with the value and bound of one pass over what is
+    left, when a panel narrows to a few ulps without closing its gap.
     """
     cosh = math.cosh
     end, gauss, lobatto, tolerance = _LOBATTO_END, _GAUSS, _LOBATTO, TOLERANCE

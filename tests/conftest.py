@@ -37,6 +37,19 @@ def kernel_reference():
 
 
 @pytest.fixture
+def kernel_and_value_reference():
+    """(K_d(theta), I_d(theta)) from one climb, each rounded to double (I to +-inf past range)."""
+    from mpmath import mp
+
+    def reference(d, theta):
+        with mp.workdps(40):
+            j, s = _kernel_mp(d, theta)
+            return float(s ** (d - 2) * j), float(j)
+
+    return reference
+
+
+@pytest.fixture
 def log_cot_half():
     """log cot(theta/2), the d = 2 kernel, at 40 digits and rounded to double."""
     from mpmath import mp, mpf

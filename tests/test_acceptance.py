@@ -50,9 +50,9 @@ def test_criterion_1_cross_representation_agreement():
         worst = max(worst, result.measured)
         assert result.passed, result.line()
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-9 and elapsed <= 10.0
-    report(1, ok, f"worst relative deviation {worst:.3e} (tol 1e-9) over d=2..10, "
-                  f"50 angles; runtime {elapsed:.2f}s (budget 10s)")
+    ok = worst <= 1.0 and elapsed <= 10.0
+    report(1, ok, f"worst |route - quadrature| / (both bounds + 4 ulp) {worst:.3e} (tol 1) "
+                  f"over d=2..10, 50 angles; runtime {elapsed:.2f}s (budget 10s)")
 
 
 def test_criterion_2_closed_form_table(log_cot_half):

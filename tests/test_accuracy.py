@@ -1,12 +1,15 @@
-"""Every route's kernel against the 40-digit reference, within the bound it reports.
+"""Every route's kernel and printed value against the 40-digit reference, within
+the bounds it reports.
 
 The grid covers d = 2..60 and a few large d of both parities, at angles near
 both poles, near pi/2, on each side of ``_FERRERS_SWITCH`` (where the Ferrers
 route changes from the finite sum to the Gauss series) and at
-cos^2 theta = ``SERIES_WINDOW``, and at theta = 0.142 and 0.2436, where the
-direct series sums 1690 terms at d = 6 and 453 at d = 2, each mirrored.
-A series route may refuse (``SeriesWindowError``, or ``NonConvergenceError``
-where its series overflows); a value it does return must hold its bound.
+cos^2 theta = ``SERIES_WINDOW``, at theta = 0.142 and 0.2436, where the
+direct series sums 1690 terms at d = 6 and 453 at d = 2, and at 1.5515 and
+1.5707, where the power sin^(2-d) of the rounded sine moves the value at large
+d, each mirrored.  A series route may refuse (``SeriesWindowError``, or
+``NonConvergenceError`` where its series overflows); a value it does return
+must hold its bound: K within ``kernel_error`` and I_d within ``est_error``.
 """
 
 import math
@@ -27,7 +30,7 @@ from sphgreen.specfun import NonConvergenceError
 DIMENSIONS = [*range(2, 61), 100, 101, 200, 1000, 3000, 3001]
 _SWITCH = math.acos(math.sqrt(_FERRERS_SWITCH))
 _NORTH = [1e-12, 1e-6, 0.142, 0.2436, _SWITCH - 1e-9, _SWITCH + 1e-9,
-          math.acos(math.sqrt(SERIES_WINDOW)), math.pi / 2 - 1e-9]
+          math.acos(math.sqrt(SERIES_WINDOW)), math.pi / 2 - 1e-9, 1.5515, 1.5707]
 ANGLES = _NORTH + [math.pi - t for t in _NORTH]
 
 ROUTES = {
@@ -51,18 +54,21 @@ _references = {}
 
 @pytest.mark.parametrize("d", DIMENSIONS)
 @pytest.mark.parametrize("route", list(ROUTES))
-def test_within_reported_error(route, d, kernel_reference):
+def test_within_reported_error(route, d, kernel_and_value_reference):
     kept = 0
     for theta in ANGLES:
         if (d, theta) not in _references:
-            _references[d, theta] = kernel_reference(d, theta)
-        want = _references[d, theta]
+            _references[d, theta] = kernel_and_value_reference(d, theta)
+        want, value = _references[d, theta]
         try:
             kv = radial_kernel(d, theta, ROUTES[route])
         except REFUSALS[route]:
             continue
         kept += 1
         assert abs(kv.kernel - want) <= kv.kernel_error + 4.0 * math.ulp(want), (theta, kv, want)
+        # the printed pair: equal infinities past double range hold too
+        assert kv.value == value or abs(kv.value - value) <= kv.est_error + 4.0 * math.ulp(value), (
+            theta, kv.value, kv.est_error, value)
     # a route that refused everywhere would test nothing
     assert kept >= (2 if route in SERIES else len(ANGLES) - 2)
 

@@ -105,6 +105,17 @@ class TestIntegrate:
         assert math.isfinite(refused.value) and math.isfinite(refused.error_estimate)
         assert abs(refused.value - met.kernel) <= refused.error_estimate + met.kernel_error
 
+    def test_a_refusal_carries_the_signed_kernel_and_the_whole_bound(self, monkeypatch):
+        # below pi/2 K is negative; the refusal's interval is the route's, shared term included
+        theta = math.pi - 0.05
+        other = radial_kernel(1000, theta, Representation.FINITE_SUM)
+        monkeypatch.setattr(quadrature, "TOLERANCE", 0.0)
+        with pytest.raises(ToleranceNotMetError) as failure:
+            radial_kernel(1000, theta, Representation.QUADRATURE)
+        refused = failure.value
+        assert refused.value < 0.0
+        assert abs(refused.value - other.kernel) <= refused.error_estimate + other.kernel_error
+
 
 class TestCheckReport:
     def test_detail_defaults_to_empty(self):
@@ -444,6 +455,24 @@ class TestCrossRepresentation:
         self._patch(monkeypatch, reference=math.inf, every_route=math.inf)
         report = check_cross_representation(4)
         assert report.passed and report.measured == 0.0
+
+    @pytest.mark.parametrize("rep", [rep for rep in Representation
+                                     if rep is not Representation.QUADRATURE],
+                             ids=operator.attrgetter("value"))
+    def test_a_kernel_off_by_1e_12_fails(self, rep, monkeypatch):
+        # 1e-12 relative is far inside a 1e-9 tolerance, and tens of times both bounds
+        from sphgreen import kernel
+
+        core = kernel._ROUTES[rep]
+
+        def off(d, c, s):
+            k, error = core(d, c, s)
+            return k * (1.0 + 1e-12), error
+
+        monkeypatch.setitem(kernel._ROUTES, rep, off)
+        report = check_cross_representation(4)
+        assert not report.passed and report.measured > 10.0, report.line()
+        assert rep.value in report.detail
 
 
 class TestGeometryChecks:
