@@ -201,6 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated angles theta,phi[,alpha_2,...]")
     p_dist.add_argument("--point-b", required=True)
     p_dist.set_defaults(func=cmd_distance)
+    parser.subcommands = sub.choices  # each subcommand's parser by name, for ``_parse``
     return parser
 
 
@@ -210,20 +211,13 @@ def _parse(argv) -> argparse.Namespace:
     rest.  Anything it leaves over, and any other argv, goes to the whole parser, so that
     argparse writes every message, usage line and exit code as before."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    subparser = _subparsers().get(argv[0]) if argv else None
+    subparser = build_parser().subcommands.get(argv[0]) if argv else None
     if subparser is not None:
         args, extra = subparser.parse_known_args(argv[1:])
         if not extra:
             args.command = argv[0]
             return args
     return build_parser().parse_args(argv)
-
-
-@functools.cache
-def _subparsers() -> dict[str, argparse.ArgumentParser]:
-    """Each subcommand's parser by name, found once per process."""
-    return next(a for a in build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def main(argv=None) -> int:

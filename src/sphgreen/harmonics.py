@@ -99,6 +99,11 @@ def _radial_residual(d: int, l: int, theta: float, h: float,
     return residual, 2.0**-42 * (abs(up) + 2.0 * abs(u0) + abs(um)) / (h * h)  # 2^10 eps
 
 
+def _step(d: int, theta: float) -> float:
+    """The outer step h = min(theta, pi - theta) / (4d) of ``convergence_order``."""
+    return min(theta, math.pi - theta) / (4 * d)
+
+
 def convergence_order(u, d: int, l: int, theta: float):
     """log2 of the ratio of the ``_radial_residual``s of u at steps h and h/2, with
     h = min(theta, pi - theta) / (4d): 2 for a solution of the radial equation.
@@ -108,7 +113,7 @@ def convergence_order(u, d: int, l: int, theta: float):
     their rounding floors (u is annihilated to rounding, e.g. a constant).
     """
     u0 = u(theta)
-    h = min(theta, math.pi - theta) / (4 * d)
+    h = _step(d, theta)
     (r1, floor1), (r2, floor2) = (_radial_residual(d, l, theta, s, u(theta + s), u0,
                                                    u(theta - s)) for s in (h, 0.5 * h))
     if abs(r1) <= floor1 and abs(r2) <= floor2:

@@ -264,33 +264,8 @@ def _check_theta(theta: float) -> None:
 
 
 def _quadrature(d: int, c: float, s: float) -> tuple[float, float]:
-    """The defining integral between a Gauss sum below and a Lobatto sum above;
-    the verification route.
-
-    With u = asinh(cot x), dx / sin x = -du and sin x = sech u, so K_d = +-integral
-    from 0 to |u0| of (sin(theta) cosh u)^{d-2} du with u0 = asinh(cot theta).  The
-    integrand is at most 1 and rises to 1 at |u0| over a width of about 1/(d-2); the
-    interval is cut at |u0| - 2^k/(d-2) while that step is below |u0|/16, so that no
-    piece hides the peak.  ``quadrature.cosh_power_integral`` encloses the integral
-    over those pieces (Davis and Rabinowitz 1984; Abramowitz and Stegun 25.4).  The
-    bound adds the rounding of u0, (|c|/2 + |u0|) eps <= 1.5 |u0| eps (c/s and asinh),
-    times the integrand there, 1.  A refusal carries the signed K and the whole bound.
-    """
-    u0 = abs(math.asinh(c / s))
-    points = [u0]
-    step = 1.0
-    while step < (d - 2) * u0 / 16.0:
-        points.append(u0 - step / (d - 2))
-        step *= 2.0
-    points.append(0.0)
-    endpoint = 1.5 * u0 * _EPS
-    try:
-        value, bound = _quadrature_module().cosh_power_integral(s, d - 2.0, points)
-    except ToleranceNotMetError as refusal:
-        refusal.error_estimate += endpoint + _shared_rounding(d) * refusal.value
-        refusal.value = math.copysign(refusal.value, c)
-        raise
-    return math.copysign(value, c), bound + endpoint
+    """The defining integral, the verification route: ``quadrature.kernel_integral``."""
+    return _quadrature_module().kernel_integral(d, c, s)
 
 
 @functools.lru_cache(maxsize=256)

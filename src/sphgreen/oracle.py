@@ -21,11 +21,12 @@ from collections import namedtuple
 from typing import Sequence
 
 from .geometry import HyperPoint, _clamped_acos, embed, geodesic_distance
-from .harmonics import (DegenerateBranchError, QuantumNumbers, RadialSolutionKind,
+from .harmonics import (DegenerateBranchError, QuantumNumbers, RadialSolutionKind, _step,
                         convergence_order, ode_convergence_order)
 from .kernel import (
     _EPS,
     _ROUTE_NAMES,
+    THETA_EDGE,
     _angle_grid,
     _check_dimension,
     _check_radius,
@@ -136,6 +137,10 @@ def check_laplace_annihilation(d: int, radius: float, theta: float) -> CheckRepo
     """
     m, _ = solution_scale(d, radius)
     _check_theta(theta)  # before math.sin, which raises an unnamed error at +-inf
+    h = _step(d, theta)
+    if not (THETA_EDGE <= theta - h and theta + h <= math.pi - THETA_EDGE):
+        raise ValueError(f"polar angle {theta}: its stencil theta +- {h:.3g} leaves "
+                         f"[{THETA_EDGE}, pi - {THETA_EDGE}]")
     scale = m, -_power(math.sin(theta), 2 - d)[1]
     order = convergence_order(lambda t: radial_kernel(d, t).scaled(scale)[0], d, 0, theta)
     return _order_report(f"laplace-annihilation d={d} R={radius} theta={theta}", [order],

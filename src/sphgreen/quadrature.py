@@ -1,4 +1,5 @@
-"""The defining integral of the kernel, enclosed between two quadrature rules.
+"""The ``quadrature`` route: the defining integral of the kernel, enclosed between
+two quadrature rules, in one function (``kernel_integral``).
 
 On [0, u0] every derivative of (s cosh u)^p is >= 0 (it is a positive
 combination of e^(+-ku)), so on each panel an n-point Gauss-Legendre sum lies
@@ -11,12 +12,10 @@ point (Davis and Rabinowitz, *Methods of Numerical Integration*, 2nd ed.,
 from __future__ import annotations
 
 import math
-import sys
-from typing import Sequence
 
-from .kernel import ToleranceNotMetError
+from .kernel import _EPS, ToleranceNotMetError, _shared_rounding
 
-__all__ = ["TOLERANCE", "legendre_roots", "cosh_power_integral"]
+__all__ = ["TOLERANCE", "legendre_roots", "kernel_integral"]
 
 # a panel is accepted when its Lobatto - Gauss gap is at most this share of the integral so far
 TOLERANCE = 1e-11
@@ -72,42 +71,54 @@ _LOBATTO = tuple((x, _LOBATTO_END / (p * p)) for x, p, _ in legendre_roots(13, T
 _SUM_ROUNDING = 17
 
 
-def cosh_power_integral(s: float, p: float, points: Sequence[float]) -> tuple[float, float]:
-    """(value, bound) of the integral of (s cosh u)^p over [points[-1], points[0]],
-    for 0 < s <= 1, p >= 0 and cut points falling from points[0] >= 0.
+def kernel_integral(d: int, c: float, s: float) -> tuple[float, float]:
+    """The ``quadrature`` route: (K_d, bound) from c = cos theta and s = sin theta.
 
-    Panels are taken from points[0], the integrand's peak, outward.  On each, the 12-point
-    Gauss sum G lies below the integral and the 14-point Lobatto sum L above it; the panel
-    is accepted when L - G <= ``TOLERANCE`` (value so far + G), so that panels holding a
-    negligible share are not refined, and bisected otherwise.  The value is sum (G + L)/2.
+    With u = asinh(cot x), dx / sin x = -du and sin x = sech u, so K_d is the integral
+    from 0 to u0 = |asinh(c/s)| of (s cosh u)^(d-2) du, with the sign of c.  The integrand
+    is at most 1 and rises to 1 at u0 over a width of about 1/(d-2); the interval is cut
+    at u0 - 2^k/(d-2) while that step is below u0/16, so that no piece hides the peak.
+    Panels are taken from u0 outward.  On each, the Gauss sum G lies below the integral
+    and the Lobatto sum L above it; the panel is accepted when L - G <= ``TOLERANCE``
+    (value so far + G), so that panels holding a negligible share are not refined, and
+    bisected otherwise.  The value is sum (G + L)/2.
 
     The bound is the sum of |L - G|/2 plus a rounding allowance (Higham 2002, ch. 3
-    and 4), with cosh and the power each within an ulp.  With a = points[0] >= u,
-    the node c +- h x is within 1.5 a eps, which the slope p tanh u <= p of log f
-    turns into 1.5 a p eps relative; cosh and the product by s put 1.5 eps on the
-    power's argument, times p.  The power and each rule sum of positive terms are
-    within ``_SUM_ROUNDING`` eps, and the running sum within k eps over k panels:
-    (1.5 (1 + a) p + ``_SUM_ROUNDING`` + k) eps value in all.
+    and 4), with cosh and the power each within an ulp.  A node m +- h x is within
+    1.5 u0 eps, which the slope (d-2) tanh u <= d-2 of log f turns into 1.5 u0 (d-2) eps
+    relative; cosh and the product by s put 1.5 eps on the power's argument, times d-2.
+    The power and each rule sum are within ``_SUM_ROUNDING`` eps, and the running sum
+    within k eps over k panels: (1.5 (1 + u0) (d-2) + ``_SUM_ROUNDING`` + k) eps value.
+    Last comes the rounding of u0, (|c|/2 + u0) eps <= 1.5 u0 eps (c/s and asinh),
+    times the integrand there, 1.
 
-    Raises ToleranceNotMetError, with the value and bound of one pass over what is
-    left, when a panel narrows to a few ulps without closing its gap.
+    Raises ToleranceNotMetError when a panel narrows to a few ulps without closing its
+    gap, with the signed value and the whole bound (``kernel._shared_rounding`` too)
+    of one pass over what is left.
     """
-    cosh = math.cosh
+    u0 = abs(math.asinh(c / s))
+    points = [u0]
+    step = 1.0
+    while step < (d - 2) * u0 / 16.0:
+        points.append(u0 - step / (d - 2))
+        step *= 2.0
+    points.append(0.0)
+    cosh, p = math.cosh, d - 2.0
     end, gauss, lobatto, tolerance = _LOBATTO_END, _GAUSS, _LOBATTO, TOLERANCE
-    narrowest = 4.0 * math.ulp(points[0])
+    narrowest = 4.0 * math.ulp(u0)
     refused = ""
     value = gap = 0.0
     panels = 0
     stack = list(zip(points[1:], points))[::-1]  # the panel nearest the peak last
     while stack:
         lo, hi = stack.pop()
-        c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
         g = 0.0
         for x, w in gauss:
-            g += w * ((s * cosh(c - h * x)) ** p + (s * cosh(c + h * x)) ** p)
+            g += w * ((s * cosh(m - h * x)) ** p + (s * cosh(m + h * x)) ** p)
         l = end * ((s * cosh(lo)) ** p + (s * cosh(hi)) ** p)
         for x, w in lobatto:
-            l += w * ((s * cosh(c - h * x)) ** p + (s * cosh(c + h * x)) ** p)
+            l += w * ((s * cosh(m - h * x)) ** p + (s * cosh(m + h * x)) ** p)
         g *= h
         l *= h
         if l - g <= tolerance * (value + g) or refused:
@@ -115,13 +126,15 @@ def cosh_power_integral(s: float, p: float, points: Sequence[float]) -> tuple[fl
             gap += 0.5 * abs(l - g)
             panels += 1
         elif h > narrowest:
-            stack += ((lo, c), (c, hi))
+            stack += ((lo, m), (m, hi))
         else:  # what is left is accepted in one pass each, for the estimate the refusal carries
             refused = f"[{lo!r}, {hi!r}]"
             stack.append((lo, hi))
-    allowance = 1.5 * (1.0 + points[0]) * p + _SUM_ROUNDING + panels
-    bound = gap + allowance * sys.float_info.epsilon * value
+    allowance = 1.5 * (1.0 + u0) * p + _SUM_ROUNDING + panels
+    bound = gap + allowance * _EPS * value
+    endpoint = 1.5 * u0 * _EPS
     if refused:
-        raise ToleranceNotMetError(
-            f"tolerance {TOLERANCE} not met on the panel {refused} (bound {bound:.3g})", value, bound)
-    return value, bound
+        bound += endpoint + _shared_rounding(d) * value
+        raise ToleranceNotMetError(f"tolerance {TOLERANCE} not met on the panel {refused} "
+                                   f"(bound {bound:.3g})", math.copysign(value, c), bound)
+    return math.copysign(value, c), bound + endpoint

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import re
 
 import pytest
 
@@ -116,6 +117,15 @@ class TestIntegrate:
         assert refused.value < 0.0
         assert abs(refused.value - other.kernel) <= refused.error_estimate + other.kernel_error
 
+    def test_a_refusal_prints_the_bound_it_carries(self, monkeypatch):
+        # the message states the whole bound of the exception, not the integral's own
+        monkeypatch.setattr(quadrature, "TOLERANCE", 0.0)
+        with pytest.raises(ToleranceNotMetError) as failure:
+            radial_kernel(1000, math.pi - 0.05, Representation.QUADRATURE)
+        refused = failure.value
+        assert f"(bound {refused.error_estimate:.3g})" in str(refused)
+        assert refused.value < 0.0
+
 
 class TestCheckReport:
     def test_detail_defaults_to_empty(self):
@@ -166,6 +176,13 @@ class TestLaplaceAnnihilation:
         for theta in (0.5, 1.0, 2.0):
             report = check_laplace_annihilation(d, 1.0, theta)
             assert report.passed, report.line()
+
+    @pytest.mark.parametrize("d, theta", [(3, 1e-12), (1000, 1e-12), (3, math.pi - 1.05e-12)])
+    def test_a_stencil_past_the_pole_edge_names_the_callers_angle(self, d, theta):
+        # radial_kernel accepts theta, but theta - h or theta + h leaves its range
+        radial_kernel(d, theta)
+        with pytest.raises(ValueError, match=re.escape(f"polar angle {theta}: its stencil")):
+            check_laplace_annihilation(d, 1.0, theta)
 
     @pytest.mark.parametrize("wrong", [
         lambda d, theta: radial_kernel(d, theta)._replace(
