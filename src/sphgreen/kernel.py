@@ -10,8 +10,8 @@ I_d(theta) from cos theta and sin theta, with a bound on its truncation and its 
 arithmetic; ``radial_kernel`` (one angle) and ``_kernel_rows`` (many) add the
 rounding all routes share (``_shared_rounding``).  ``_scaled`` multiplies K by the
 unbounded factors c0(d), R^{2-d} and sin^{2-d}(theta), kept as (mantissa, exponent)
-pairs, and rounds once, so a value is +-inf or 0.0 only where the exact one lies
-outside double range.
+pairs and renormalised after each factor (``_pair_product``), and brings the product
+into double range once: +-inf or 0.0 only where the exact one lies outside it.
 
 The production path (finite sum, recurrence) needs no other module: ``specfun``
 and ``quadrature`` load on the first call of a series or quadrature route.
@@ -158,17 +158,13 @@ def _deviation(a: float, b: float, scale: float) -> float:
 
 
 def _scaled(x: float, *pairs: tuple[float, int]) -> float:
-    """x times the (mantissa, exponent) pairs, brought into double range once: +-inf or
-    0.0 only where the exact product lies outside it.  It does not renormalise per factor,
-    which nearly doubles its cost, so many factors go through ``_pair_product`` first."""
-    e = 0
-    for m, k in pairs:
-        x *= m
-        e += k
+    """x times the (mantissa, exponent) pairs through ``_pair_product``, brought into double
+    range once: +-inf or 0.0 only where the exact product lies outside it."""
+    m, e = _pair_product(((x, 0), *pairs))
     try:
-        return math.ldexp(x, e)
+        return math.ldexp(m, e)
     except OverflowError:
-        return math.copysign(math.inf, x)
+        return math.copysign(math.inf, m)
 
 
 def _scale_with_error(kernel: float, error: float, scale, power) -> tuple[float, float]:

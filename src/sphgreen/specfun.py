@@ -20,7 +20,7 @@ import math
 import operator
 from collections import namedtuple
 
-from .kernel import NonConvergenceError, double_factorial
+from .kernel import _EPS, NonConvergenceError, double_factorial
 
 __all__ = [
     "TOLERANCE",
@@ -37,10 +37,7 @@ __all__ = [
 TOLERANCE = 1e-15
 MAX_TERMS = 100000
 
-_EPSILON = math.ulp(1.0)
 _SQRT_PI = math.sqrt(math.pi)
-# largest argument before Gamma overflows a double
-_GAMMA_OVERFLOW = 171.62
 
 
 class GammaPoleError(ValueError):
@@ -54,18 +51,17 @@ def _is_integer(z: float) -> bool:
 def gamma_real(z: float) -> float:
     """Gamma function for real z outside the nonpositive integers.
 
-    Integer and half-integer arguments (the only ones reached by the rest of
-    the library) are evaluated exactly by recursion from Gamma(1) = 1 and
+    Integer and half-integer arguments up to 170.5 (the only ones reached by the rest
+    of the library) are evaluated exactly by recursion from Gamma(1) = 1 and
     Gamma(1/2) = sqrt(pi); other real arguments fall through to the C-library
-    approximation.  NaN and -inf raise a ValueError that names them.
+    approximation, inf with the sign of z where it overflows (above 171.62437 and
+    below about 5.6e-309 in size).  NaN and -inf raise a ValueError that names them.
     """
     if not z > -math.inf:
         raise ValueError(f"gamma argument must not be NaN or -inf, got z={z}")
     if z <= 0.0 and _is_integer(z):
         raise GammaPoleError(f"gamma pole at z={z}")
-    if z > _GAMMA_OVERFLOW:
-        return math.inf
-    if _is_integer(2.0 * z) and z <= 170.5:
+    if z <= 170.5 and _is_integer(2.0 * z):
         if _is_integer(z):
             return float(math.factorial(int(round(z)) - 1))
         m = int(round(z - 0.5))
@@ -75,15 +71,22 @@ def gamma_real(z: float) -> float:
         # negative half-integer: climb to Gamma(1/2) with Gamma(z+1) = z Gamma(z),
         # dividing by the rising factorial z (z+1) ... (-1/2)
         return _SQRT_PI / math.prod(z + i for i in range(int(round(0.5 - z))))
-    return math.gamma(z)
+    try:
+        return math.gamma(z)
+    except OverflowError:
+        return math.copysign(math.inf, z)
 
 
 def reciprocal_gamma(z: float) -> float:
-    """1/Gamma(z), defined as 0 at the nonpositive-integer poles."""
+    """1/Gamma(z), 0 at the nonpositive-integer poles; +-inf or 0.0 only where 1/Gamma
+    leaves double range: z / Gamma(1 + z) near 0 (exactly z below 5.6e-309), exp(-lgamma(z))
+    above 171.62437 (within about 200 subnormal ulps) and +-inf where Gamma underflows."""
     if -math.inf < z <= 0.0 and _is_integer(z):
         return 0.0
     g = gamma_real(z)
-    return 0.0 if math.isinf(g) else 1.0 / g
+    if math.isinf(g):
+        return math.exp(-math.lgamma(z)) if z > 1.0 else z / gamma_real(1.0 + z)
+    return 1.0 / g if g else math.copysign(math.inf, g)
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
@@ -165,7 +168,7 @@ def _stopped(total: float, ratios: list, it, made: list | None, magnitude: float
     """(total, error, n): n = 1 + the ratios read, those of ``ratios`` before the list iterator
     ``it`` then ``made``, and the error magnitude (tol + 2 n eps), magnitude = sum |t_k|."""
     n = 1 + len(ratios) - operator.length_hint(it) + (len(made) if made else 0)
-    return total, magnitude * (tol + 2 * n * _EPSILON), n
+    return total, magnitude * (tol + 2 * n * _EPS), n
 
 
 # A table keeps no more than its first _MAX_CACHED_RATIOS, 32 B each (a pointer

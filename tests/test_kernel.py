@@ -580,6 +580,10 @@ class TestPairProduct:
         assert _pair_product([]) == (1.0, 0)
         assert _pair_product([(0.75, 2), (0.0, 0)]) == (0.0, 2)
 
+    def test_scaled_renormalises_after_each_factor(self):
+        # 2^3000 * 0.5^3000 = 1, though the running product of the mantissas leaves range
+        assert _scaled(1.0, *[(0.5, 1)] * 3000) == 1.0
+
 
 class TestEuclideanFundamental:
     def test_three_dimensional(self):

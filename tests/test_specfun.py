@@ -141,6 +141,32 @@ class TestGamma:
         assert gamma_real(200.0) == math.inf
         assert reciprocal_gamma(200.0) == 0.0
 
+    def test_finite_up_to_where_math_gamma_overflows(self):
+        # math.gamma stays finite up to 171.62437 (1.7976e308)
+        assert gamma_real(171.622) == math.gamma(171.622) == 1.7758532763597282e308
+
+    @pytest.mark.parametrize("z", [1e-320, -1e-320])
+    def test_overflow_near_zero_is_inf_with_the_sign_of_z(self, z):
+        assert gamma_real(z) == math.copysign(math.inf, z)
+
+    @pytest.mark.parametrize("z, expected", [
+        (171.622, 1.0 / math.gamma(171.622)),
+        (1e-320, 1e-320),  # z / Gamma(1 + z) = z
+        (-1e-320, -1e-320),
+        (-200.3, -math.inf),  # Gamma underflows to -0.0
+        (-180.5, -math.inf),
+        (-175.5, math.inf),
+    ])
+    def test_reciprocal_leaves_range_only_where_its_value_does(self, z, expected):
+        assert reciprocal_gamma(z) == expected
+
+    def test_reciprocal_is_subnormal_above_where_gamma_overflows(self):
+        # mpmath.rgamma(177) at 30 digits; exp(-lgamma(z)) is within about 200 subnormal ulps
+        value = reciprocal_gamma(177.0)
+        assert abs(value - 5.0529776809556651440683191959e-321) <= 200 * math.ulp(0.0)
+        assert value > 0.0
+        assert reciprocal_gamma(180.0) == 0.0  # 1/Gamma(180) = 9.0e-328 underflows
+
     def test_reciprocal_vanishes_at_poles(self):
         assert reciprocal_gamma(0.0) == 0.0
         assert reciprocal_gamma(-3.0) == 0.0
