@@ -69,7 +69,8 @@ class SeriesWindowError(ValueError):
 
 
 class NonConvergenceError(ArithmeticError):
-    """Series truncation cap reached before the stopping rule was met."""
+    """Series truncation cap reached before the stopping rule was met, or a partial
+    sum that left double range: a series sum is finite or refused with this."""
 
     def __init__(self, message: str, partial_sum: float, terms: int):
         super().__init__(message)
@@ -223,14 +224,6 @@ class KernelValue(namedtuple("KernelValue", "kernel kernel_error method sine_pow
         return self.scaled((1.0, 0))[1]
 
 
-def _finite_kernel(rep: Representation, d: int, kernel: float) -> float:
-    """A route's K, or the refusal of one that is not finite."""
-    if not math.isfinite(kernel):
-        raise NonConvergenceError(
-            f"{rep.value} route: the kernel sin^(d-2) I_d is {kernel} at d={d}", kernel, 0)
-    return kernel
-
-
 def _check_integer(x: int, name: str, minimum: int) -> None:
     """ValueError unless x is an integer >= minimum.  An integer is what
     ``range()`` accepts (``operator.index``), so 3.0, inf and nan are not."""
@@ -375,7 +368,8 @@ def _ferrers(d: int, c: float, s: float) -> tuple[float, float]:
     return _ROUTES[_ferrers_source(c)](d, c, s)
 
 
-# each route's core: (d, cos theta, sin theta) -> (K_d, its error bound), or a refusal
+# each route's core: (d, cos theta, sin theta) -> a finite (K_d, its error bound), or one
+# of ``_REFUSALS``; the series routes' sums are finite or refused where they are summed
 _ROUTES = {
     Representation.QUADRATURE: _quadrature,
     Representation.FINITE_SUM: _finite_sum,
@@ -396,7 +390,6 @@ def radial_kernel(d: int, theta: float,
     _check_theta(theta)
     s = math.sin(theta)
     kernel, error = _ROUTES[rep](d, math.cos(theta), s)
-    kernel = _finite_kernel(rep, d, kernel)
     return KernelValue(kernel, error + _shared_rounding(d) * abs(kernel), rep, _power(s, 2 - d))
 
 
@@ -425,12 +418,8 @@ def _kernel_rows(d: int, thetas, reps: list[Representation], scale: tuple[float,
             _check_theta(theta)
             c, s = math.cos(theta), math.sin(theta)
             kernel, error = _finite_sum(d, c, s, table)
-            try:
-                result = _scale_with_error(_finite_kernel(rep, d, kernel),
-                                           error + shared * abs(kernel), scale, _power(s, 2 - d))
-            except NonConvergenceError as refusal:
-                result = refusal
-            yield theta, rep, result
+            yield theta, rep, _scale_with_error(kernel, error + shared * abs(kernel), scale,
+                                                _power(s, 2 - d))
         return
     for theta in thetas:
         _check_theta(theta)
@@ -442,8 +431,7 @@ def _kernel_rows(d: int, thetas, reps: list[Representation], scale: tuple[float,
                 # where the route it equals refused or did not run, the Ferrers route runs
                 pair = pairs.get(_ferrers_source(c)) if route is _ferrers else None
                 kernel, error = pairs[rep] = pair or route(d, c, s)
-                result = _scale_with_error(_finite_kernel(rep, d, kernel),
-                                           error + shared * abs(kernel), scale, power)
+                result = _scale_with_error(kernel, error + shared * abs(kernel), scale, power)
             except _REFUSALS as refusal:
                 result = refusal
             yield theta, rep, result

@@ -94,8 +94,9 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
 
     Summation stops once three consecutive terms fall below ``TOLERANCE``
     relative to the running sum; hitting ``MAX_TERMS`` first raises
-    NonConvergenceError (expected as z -> 1 with c - a - b <= 0).  A NaN or
-    infinite a, b or c raises a ValueError that names it.
+    NonConvergenceError (expected as z -> 1 with c - a - b <= 0), and so does
+    a series whose partial sum leaves double range: the sum is finite or refused.
+    A NaN or infinite a, b or c raises a ValueError that names it.
     """
     return _gauss_2f1_sums(a, b, c, z)[0]
 
@@ -103,7 +104,8 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
 def _gauss_2f1_sums(a: float, b: float, c: float, z: float) -> tuple[float, float, int]:
     """The series of ``gauss_2f1``: its sum, its error sum |t_k| (TOLERANCE + 2 n eps)
     (the stop rule's tolerance and a rounding allowance, estimated, not derived) and
-    the number n of terms summed."""
+    the number n of terms summed, all finite; NonConvergenceError where sum |t_k|, which
+    bounds every partial sum, leaves double range."""
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise ValueError(f"2F1 parameters must be finite, got a={a}, b={b}, c={c}")
     if c <= 0.0 and _is_integer(c):
@@ -112,7 +114,9 @@ def _gauss_2f1_sums(a: float, b: float, c: float, z: float) -> tuple[float, floa
         raise ValueError(f"series requires |z| < 1, got z={z}")
     # tol * max(|total|, 1e-300) == max(tol * |total|, floor) exactly, because
     # multiplying by tol > 0 preserves order after rounding; this form makes
-    # no builtin call per term.  Each term is the last one times r_n z, with
+    # no builtin call per term; written ``not mag > ...``, it counts a NaN term or
+    # total (an overflowed series) as small, so the loop stops within three terms
+    # and ``_stopped`` refuses it.  Each term is the last one times r_n z, with
     # r_n from the triple's table: the bits of ((a+n)(b+n) / ((c+n)(n+1))) z.
     tol, max_terms = TOLERANCE, MAX_TERMS
     floor = tol * 1e-300
@@ -121,7 +125,7 @@ def _gauss_2f1_sums(a: float, b: float, c: float, z: float) -> tuple[float, floa
     # every term of an all-positive series is >= 0 (z = -0.0 gives -0.0 terms,
     # which add nothing), so the sum of magnitudes is the sum bit for bit, and
     # the total stays >= 1, where tol * total >= tol > floor: the same stop
-    # rule, less work
+    # rule, less work; an overflowed term makes the total inf, which stops it
     lean = a > 0.0 and b > 0.0 and c > 0.0 and z >= 0.0
     slot = _ratio_slot(a, b, c)
     ratios = table = slot[0]
@@ -138,7 +142,7 @@ def _gauss_2f1_sums(a: float, b: float, c: float, z: float) -> tuple[float, floa
                     if term <= tol * total:
                         below += 1
                         if below == 3:
-                            return _stopped(total, ratios, it, made, total, tol)
+                            return _stopped(total, total, ratios, it, made, (a, b, c, z))
                     else:
                         below = 0
             else:
@@ -147,10 +151,10 @@ def _gauss_2f1_sums(a: float, b: float, c: float, z: float) -> tuple[float, floa
                     total += term
                     mag = term if term >= 0.0 else -term
                     magnitude += mag
-                    if mag <= tol * (total if total >= 0.0 else -total) or mag <= floor:
+                    if not mag > tol * (total if total >= 0.0 else -total) or mag <= floor:
                         below += 1
                         if below == 3:
-                            return _stopped(total, ratios, it, made, magnitude, tol)
+                            return _stopped(total, magnitude, ratios, it, made, (a, b, c, z))
                     else:
                         below = 0
             if made is not None:
@@ -164,11 +168,15 @@ def _gauss_2f1_sums(a: float, b: float, c: float, z: float) -> tuple[float, floa
                               total, max_terms)
 
 
-def _stopped(total: float, ratios: list, it, made: list | None, magnitude: float, tol: float):
+def _stopped(total: float, magnitude: float, ratios: list, it, made: list | None, args: tuple):
     """(total, error, n): n = 1 + the ratios read, those of ``ratios`` before the list iterator
-    ``it`` then ``made``, and the error magnitude (tol + 2 n eps), magnitude = sum |t_k|."""
+    ``it`` then ``made``, and the error magnitude (TOLERANCE + 2 n eps), magnitude = sum |t_k|
+    of the series 2F1(a, b; c; z), args = (a, b, c, z); refused unless magnitude is finite."""
     n = 1 + len(ratios) - operator.length_hint(it) + (len(made) if made else 0)
-    return total, magnitude * (tol + 2 * n * _EPS), n
+    if not magnitude < math.inf:
+        raise NonConvergenceError("2F1({},{};{};{}): a partial sum left double range after {} "
+                                  "terms".format(*args, n), total, n)
+    return total, magnitude * (TOLERANCE + 2 * n * _EPS), n
 
 
 # A table keeps no more than its first _MAX_CACHED_RATIOS, 32 B each (a pointer

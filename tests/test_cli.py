@@ -259,7 +259,7 @@ class TestEval:
         # 2F1(1/2, 200; 3/2; cos^2 0.15) overflows although S = 6.8e200
         argv = ("eval", "--d", "400", "--radius", "10", "--theta", "0.15")
         code, out, err = run(capsys, *argv, "--method", "hyp2f1")
-        assert code == 3 and out == "" and "hyp2f1 route" in err
+        assert code == 3 and out == "" and "a partial sum left double range" in err
         code, out, _ = run(capsys, *argv, "--method", "all")
         assert code == 0
         assert "hyp2f1 skipped no-convergence" in out.splitlines()
@@ -943,7 +943,8 @@ class TestImportHygiene:
          "error: cos^2(theta) = 0.997502 > 0.98: use finite_sum, recurrence or quadrature "
          "here\n", set()),
         (("--d", "400", "--theta", "0.15"),
-         "error: hyp2f1 route: the kernel sin^(d-2) I_d is inf at d=400\n", {"specfun"}),
+         "error: 2F1(0.5,200.0;1.5;0.9776682445628029): a partial sum left double range "
+         "after 4331 terms\n", {"specfun"}),
     ], ids=["window", "overflow"])
     def test_hyp2f1_refusal_in_a_fresh_process(self, tmp_path, argv, stderr, oracles):
         # the window is checked before specfun loads; the refusal classes are kernel's

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sphgreen.kernel import (
     _FERRERS_SWITCH,
+    _REFUSALS,
     SERIES_WINDOW,
     THETA_EDGE,
     Representation,
@@ -168,7 +169,8 @@ class TestHypergeometricRoutes:
 
     def test_overflowing_series_is_refused(self):
         # 2F1(1/2, 200; 3/2; cos^2 0.15) overflows although K and S fit
-        with pytest.raises(NonConvergenceError, match="hyp2f1 route"):
+        with pytest.raises(NonConvergenceError, match=r"2F1\(0\.5,200\.0;1\.5;.*\): a partial sum "
+                           "left double range"):
             radial_kernel(400, 0.15, Representation.HYP2F1)
 
     @pytest.mark.parametrize("d, theta", [(1000, 1.0), (2000, 1.2)])
@@ -422,25 +424,34 @@ class TestKernelProperties:
             radial_kernel(5, 1.0, Representation.FERRERS_Q)
         assert isinstance(every[Representation.FINITE_SUM], tuple)
 
-    @pytest.mark.parametrize("reps", [[Representation.FINITE_SUM],
-                                      [Representation.RECURRENCE, Representation.FINITE_SUM]])
-    def test_a_kernel_that_is_not_finite_is_refused_alike(self, monkeypatch, reps):
-        # both branches of the driver and radial_kernel share one refusal
-        from sphgreen import kernel
-
-        def not_finite(*args, **kwargs):
-            return math.inf, math.inf
-
-        monkeypatch.setattr(kernel, "_finite_sum", not_finite)
-        monkeypatch.setitem(kernel._ROUTES, Representation.FINITE_SUM, not_finite)
-        with pytest.raises(NonConvergenceError) as alone:
-            radial_kernel(5, 1.0)
-        assert str(alone.value) == "finite_sum route: the kernel sin^(d-2) I_d is inf at d=5"
-        rows = {rep: result for _, rep, result in _kernel_rows(5, [1.0], reps)}
-        refused = rows[Representation.FINITE_SUM]
+    @pytest.mark.parametrize("reps", [[Representation.HYP2F1],
+                                      [Representation.RECURRENCE, Representation.FINITE_SUM,
+                                       Representation.HYP2F1]])
+    def test_a_kernel_that_is_not_finite_is_refused_alike(self, reps):
+        # 2F1(1/2, 200; 3/2; cos^2 0.15) overflows; radial_kernel and the driver refuse it
+        # with the series engine's one refusal, and every other route still yields its pair
+        with pytest.raises(NonConvergenceError, match="double range") as alone:
+            radial_kernel(400, 0.15, Representation.HYP2F1)
+        rows = {rep: result for _, rep, result in _kernel_rows(400, [0.15], reps)}
+        refused = rows[Representation.HYP2F1]
         assert type(refused) is NonConvergenceError and str(refused) == str(alone.value)
-        assert all(isinstance(result, tuple) for rep, result in rows.items()
-                   if rep is not Representation.FINITE_SUM)
+        for rep, result in rows.items():
+            if rep is not Representation.HYP2F1:
+                assert result == radial_kernel(400, 0.15, rep).scaled((1.0, 0)), rep
+
+    @pytest.mark.parametrize("d", [*range(2, 13), 40, 239, 400, 1000, 2200, 3001])
+    def test_every_route_is_finite_or_refused(self, d):
+        # at the angle limits, 1e-6 from a pole, the series window's edge, the Ferrers
+        # switch, pi/2 and their mirrors
+        angles = [THETA_EDGE, 1e-6, math.acos(math.sqrt(SERIES_WINDOW)),
+                  math.acos(math.sqrt(_FERRERS_SWITCH))]
+        for theta in [*angles, math.pi / 2.0, *(math.pi - theta for theta in angles)]:
+            for rep in Representation:
+                try:
+                    kv = radial_kernel(d, theta, rep)
+                except _REFUSALS:
+                    continue
+                assert math.isfinite(kv.kernel) and math.isfinite(kv.kernel_error), (theta, rep)
 
     def test_pole_adjacent_overflow_saturates(self):
         # far past double range the cot/inverse-sine powers saturate to +-inf

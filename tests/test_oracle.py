@@ -437,8 +437,9 @@ class TestCrossRepresentation:
     def _patch(monkeypatch, reference=None, recurrence=None, every_route=None):
         """Replace the value of the quadrature reference, of the recurrence
         route or of every other route by the given value.  The value replaces
-        what the driver yielded, because the driver refuses a route's own
-        kernel that is not finite."""
+        what the driver yielded, because no route's core returns a kernel that
+        is not finite: a series that leaves double range is refused where it is
+        summed."""
         import sphgreen.oracle as oracle
         from sphgreen.kernel import Representation, _kernel_rows
 

@@ -36,7 +36,9 @@ def brute_force_2f1(a, b, c, z, terms=100000):
 
 
 def reference_gauss_2f1(a, b, c, z):
-    """The abs/max summation loop ``gauss_2f1`` used to run, frozen as the bit reference.
+    """The abs/max summation loop ``gauss_2f1`` used to run, frozen as the bit reference,
+    with the range rule of ``_gauss_2f1_sums``: a NaN term or total counts as small, and
+    a sum of magnitudes that is not finite is refused.
 
     It reads the same module constants as ``gauss_2f1``, so a test that
     patches them changes both loops.
@@ -45,15 +47,18 @@ def reference_gauss_2f1(a, b, c, z):
         raise GammaPoleError(f"2F1 undefined for nonpositive integer c={c}")
     if not abs(z) < 1.0:
         raise ValueError(f"series requires |z| < 1, got z={z}")
-    total = 1.0
+    total = magnitude = 1.0
     term = 1.0
     below = 0
     for n in range(specfun.MAX_TERMS):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
-        if abs(term) <= specfun.TOLERANCE * max(abs(total), 1e-300):
+        magnitude += abs(term)
+        if not abs(term) > specfun.TOLERANCE * max(abs(total), 1e-300):
             below += 1
             if below == 3:
+                if not math.isfinite(magnitude):
+                    raise NonConvergenceError("reference sum left double range", total, n + 2)
                 return total
         else:
             below = 0
@@ -62,7 +67,9 @@ def reference_gauss_2f1(a, b, c, z):
 
 def reference_gauss_2f1_sums(a, b, c, z):
     """The int-index loop ``_gauss_2f1_sums`` used to run, frozen as the bit
-    reference for its whole triple (sum, sum of magnitudes, term count).
+    reference for its whole triple (sum, sum of magnitudes, term count), with its
+    range rule: a NaN term or total counts as small, and a sum of magnitudes that
+    is not finite is refused.
 
     It reads the same module constants as ``_gauss_2f1_sums``, so a test that
     patches them changes both loops.
@@ -80,9 +87,11 @@ def reference_gauss_2f1_sums(a, b, c, z):
         total += term
         mag = term if term >= 0.0 else -term
         magnitude += mag
-        if mag <= tol * (total if total >= 0.0 else -total) or mag <= floor:
+        if not mag > tol * (total if total >= 0.0 else -total) or mag <= floor:
             below += 1
             if below == 3:
+                if not math.isfinite(magnitude):
+                    raise NonConvergenceError("reference sum left double range", total, n + 2)
                 return total, magnitude, n + 2
         else:
             below = 0
@@ -254,6 +263,21 @@ class TestGauss2F1:
         with mock.patch.object(specfun, "MAX_TERMS", 60), pytest.raises(NonConvergenceError):
             gauss_2f1(0.5, 5.0, 1.5, 0.999)
 
+    @pytest.mark.parametrize("args", [
+        (0.5, 1500.0, 1.5, 0.9605),  # all positive: the sum overflows to inf
+        (1.0, -1498.5, 1.5, 0.9605),  # alternating: the sum turns NaN
+        (134.0, 236.5, -140.5, -0.4642678256366142),  # finite sum, sum |t_k| overflows
+    ], ids=["inf", "nan", "magnitude"])
+    @pytest.mark.parametrize("f", [gauss_2f1, specfun._gauss_2f1_sums])
+    def test_a_sum_that_leaves_double_range_is_refused(self, f, args):
+        # within a few terms of the overflow, not after MAX_TERMS
+        with pytest.raises(NonConvergenceError, match=r"a partial sum left double range") as got:
+            f(*args)
+        assert "2F1({},{};{};{})".format(*args) in str(got.value)
+        assert got.value.terms < 1100 and str(got.value.terms) in str(got.value)
+        if args[1] < 0.0:
+            assert got.value.terms < 1000 and math.isnan(got.value.partial_sum)
+
     @pytest.mark.parametrize("d", [2, 3, 40, 60])
     def test_kernel_series_exhausts_its_cap_near_a_pole(self, d):
         # 0.013 from a pole the series in cos^2 theta cannot meet its stopping
@@ -396,6 +420,8 @@ class TestGauss2F1BitIdentity:
     @example(a=-3.0, b=1.0, c=1.5, z=0.9, max_terms=100, rel_tol=1e-15)
     @example(a=1e300, b=1e300, c=1.0, z=0.5, max_terms=10, rel_tol=1e-15)
     @example(a=0.0, b=0.0, c=1.0, z=-0.0, max_terms=1, rel_tol=1e-15)
+    @example(a=1.0, b=-1498.5, c=1.5, z=0.9605, max_terms=3000, rel_tol=1e-15)
+    @example(a=134.0, b=236.5, c=-140.5, z=-0.4642678256366142, max_terms=3000, rel_tol=1e-15)
     def test_random_parameters(self, a, b, c, z, max_terms, rel_tol):
         with mock.patch.multiple(specfun, TOLERANCE=rel_tol, MAX_TERMS=max_terms):
             assert outcome(gauss_2f1, a, b, c, z) == outcome(reference_gauss_2f1, a, b, c, z)
@@ -415,6 +441,10 @@ class TestGauss2F1BitIdentity:
     @example(a=0.5, b=3.0, c=1.5, z=0.0, max_terms=3000, rel_tol=1e-15)
     @example(a=0.0, b=2.0, c=1.5, z=0.5, max_terms=3000, rel_tol=1e-15)
     @example(a=1.0, b=5e-324, c=0.5, z=0.9, max_terms=3000, rel_tol=1e-15)
+    # each way a sum leaves double range: inf, NaN, and a finite sum of overflowed magnitudes
+    @example(a=0.5, b=1500.0, c=1.5, z=0.9605, max_terms=3000, rel_tol=1e-15)
+    @example(a=1.0, b=-1498.5, c=1.5, z=0.9605, max_terms=3000, rel_tol=1e-15)
+    @example(a=134.0, b=236.5, c=-140.5, z=-0.4642678256366142, max_terms=3000, rel_tol=1e-15)
     def test_sums_random_parameters(self, a, b, c, z, max_terms, rel_tol):
         # the error and the term count feed the bounds of both series routes
         with mock.patch.multiple(specfun, TOLERANCE=rel_tol, MAX_TERMS=max_terms):
